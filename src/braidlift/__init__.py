@@ -30,7 +30,6 @@ from .classify import (
     as_symmetric_subgroup,
     bieberbach_bruteforce,
     cayley_embedding,
-    exceptional_bieberbach_list,
     free_action_general,
     free_action_symmetric,
     frobenius_coset_action,

@@ -32,10 +32,6 @@ EXCEPTIONAL_BIEBERBACH = frozenset(
 )
 
 
-def exceptional_bieberbach_list() -> frozenset[str]:
-    return EXCEPTIONAL_BIEBERBACH
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
@@ -110,16 +106,10 @@ class PermutationGroup:
     def __post_init__(self) -> None:
         els = frozenset(self.elements)
         object.__setattr__(self, "elements", els)
-        ident = perms.identity(self.degree)
-        if ident not in els:
-            raise ValueError("identity missing: not a permutation group")
         for p in els:
             if len(p) != self.degree or not perms.is_permutation(p):
                 raise ValueError(f"{p} is not a permutation of 0..{self.degree - 1}")
-        for p in els:
-            for q in els:
-                if perms.compose(p, q) not in els:
-                    raise ValueError("set is not closed under composition")
+        perms.greedy_generators(self.sorted_elements, perms.identity(self.degree))
 
     @cached_property
     def sorted_elements(self) -> tuple[tuple[int, ...], ...]:

@@ -26,7 +26,7 @@ from .classify import (
     is_bieberbach_series,
 )
 from .errors import GuardExceeded, InvariantViolation, MismatchError, ParseError
-from .lattice import coboundary, trivialize_cocycle, vector_to_json
+from .lattice import coboundary, trivialize_cocycle
 from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle, subgroup_lifts
 from .monomial import (
     ENUMERATION_GUARD,
@@ -162,6 +162,8 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if not m:
         raise ParseError(f"cannot parse grid bounds {args.grid!r}; expected 'd<=D,e<=E,r<=R'")
     dmax, emax, rmax = map(int, m.groups())
+    if min(dmax, emax, rmax) < 1:
+        raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
     rows = [
         _classify_row(GroupDescriptor(d, e, r))
         for d in range(1, dmax + 1)
@@ -201,6 +203,8 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def cmd_cocycle(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ParseError(f"--random must be non-negative, got {args.random}")
     desc = GroupDescriptor.parse(args.group)
     gens = _parse_generators(desc, args.generators)
     G = closure(desc, gens, max_size=args.max_size)
@@ -221,7 +225,7 @@ def cmd_cocycle(args: argparse.Namespace) -> int:
         "order": len(G),
         "trips": args.random,
         "successes": successes,
-        "sample_solution": vector_to_json(sample) if sample is not None else None,
+        "sample_solution": list(sample) if sample is not None else None,
     }
     if args.json:
         print(json.dumps(doc, indent=2))

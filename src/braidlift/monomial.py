@@ -21,8 +21,9 @@ with "S(n)" as an alias for G(1,1,n) = the symmetric group; elements read
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence
@@ -70,16 +71,13 @@ class GroupDescriptor:
 
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
-        if m := _SYMMETRIC_RE.match(text):
-            return cls(1, 1, int(m.group(1)))
-        if m := _DESCRIPTOR_RE.match(text):
-            de, e, r = map(int, m.groups())
-            if e < 1 or de % e:
-                raise ParseError(f"{text!r}: e must divide de")
-            try:
-                return cls.from_deer(de, e, r)
-            except ValueError as exc:
-                raise ParseError(str(exc)) from exc
+        try:
+            if m := _SYMMETRIC_RE.match(text):
+                return cls(1, 1, int(m.group(1)))
+            if m := _DESCRIPTOR_RE.match(text):
+                return cls.from_deer(*map(int, m.groups()))
+        except ValueError as exc:
+            raise ParseError(f"{text!r}: {exc}") from exc
         raise ParseError(f"cannot parse group descriptor {text!r}")
 
     def __str__(self) -> str:
@@ -261,10 +259,16 @@ def enumerate_elements(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A finite subgroup of G(de, e, r), verified closed on construction."""
+    """A finite subgroup of G(de, e, r), verified on construction.
+
+    The check picks generators greedily in element order and closes them
+    (``permutations.greedy_generators``), so it costs O(|G| * k) products
+    for k generators.  Those generators are kept in ``generators``.
+    """
 
     descriptor: GroupDescriptor
     elements: frozenset[MonomialElement]
+    generators: tuple[MonomialElement, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         els = frozenset(self.elements)
@@ -274,15 +278,10 @@ class Subgroup:
         for w in els:
             if w.descriptor != self.descriptor:
                 raise MismatchError(f"element {w} does not live in {self.descriptor}")
-        if identity(self.descriptor) not in els:
-            raise ValueError("identity missing: not a subgroup")
-        for w in els:
-            if w.inverse() not in els:
-                raise ValueError(f"inverse of {w} missing: not a subgroup")
-        for u in els:
-            for v in els:
-                if u * v not in els:
-                    raise ValueError(f"product {u} * {v} escapes the set: not a subgroup")
+        gens = perms.greedy_generators(
+            self.sorted_elements, identity(self.descriptor), operator.mul
+        )
+        object.__setattr__(self, "generators", gens)
 
     @cached_property
     def sorted_elements(self) -> tuple[MonomialElement, ...]:
@@ -298,31 +297,6 @@ class Subgroup:
         return w in self.elements
 
 
-def _mulclose(
-    descriptor: GroupDescriptor,
-    generators: Iterable[MonomialElement],
-    max_size: int,
-) -> frozenset[MonomialElement]:
-    gens = list(generators)
-    for g in gens:
-        if g.descriptor != descriptor:
-            raise MismatchError(f"generator {g} does not live in {descriptor}")
-    els: set[MonomialElement] = {identity(descriptor), *gens}
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = a * b
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > max_size:
-                        raise GuardExceeded(f"closure exceeds the size limit {max_size}")
-        frontier = new
-    return frozenset(els)
-
-
 def closure(
     descriptor: GroupDescriptor,
     generators: Iterable[MonomialElement],
@@ -332,7 +306,10 @@ def closure(
     gens = list(generators)
     if not gens:
         raise ValueError("closure needs at least one generator")
-    return Subgroup(descriptor, _mulclose(descriptor, gens, max_size))
+    for g in gens:
+        if g.descriptor != descriptor:
+            raise MismatchError(f"generator {g} does not live in {descriptor}")
+    return Subgroup(descriptor, perms.mulclose(gens, max_size, operator.mul))
 
 
 def center(descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD) -> Subgroup:

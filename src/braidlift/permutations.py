@@ -76,22 +76,59 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return iter(_all_perms(range(n)))
 
 
-def mulclose(gens: Iterable[tuple[int, ...]], max_size: int | None = None) -> frozenset[tuple[int, ...]]:
-    """Close a set of permutations under products (hence under the group ops)."""
+def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset:
+    """The group generated by ``gens``, by breadth-first left products.
+
+    Works for any finite group: ``mul`` defaults to ``compose`` (looked up
+    per call, so a rebinding of ``compose`` is seen) and monomial elements
+    pass ``operator.mul``.  Positive words reach the identity and every
+    inverse in a finite group, so the result is the whole subgroup; no
+    generators give the empty set.
+    """
+    mul = mul or compose
     gens = list(gens)
-    els: set[tuple[int, ...]] = set(gens)
-    if gens:
-        els.add(identity(len(gens[0])))
+    els = set(gens)
     frontier = list(els)
     while frontier:
         new = []
         for a in gens:
             for b in frontier:
-                c = compose(a, b)
+                c = mul(a, b)
                 if c not in els:
                     els.add(c)
                     new.append(c)
                     if max_size is not None and len(els) > max_size:
-                        raise GuardExceeded(f"closure exceeds {max_size} permutations")
+                        raise GuardExceeded(f"closure exceeds {max_size} elements")
         frontier = new
     return frozenset(els)
+
+
+def greedy_generators(elements: Sequence, identity, mul=None) -> tuple:
+    """Generators of the finite set ``elements``, which must be a group.
+
+    Walks the elements in order and keeps each one the earlier picks do not
+    already generate.  Each span is closed with ``max_size=len(elements)``
+    and must stay inside the set; a finite set that contains the identity
+    and is closed under products is a group, so this validates the set
+    with O(|elements| * k) products for k generators instead of all pairs.
+
+    Raises ValueError when the identity is missing or a span leaves the set.
+    """
+    members = frozenset(elements)
+    if identity not in members:
+        raise ValueError("identity missing: not a group")
+    gens: list = []
+    span = frozenset({identity})
+    for g in elements:
+        if len(span) == len(members):
+            break
+        if g in span:
+            continue
+        gens.append(g)
+        try:
+            span = mulclose(gens, len(members), mul)
+        except GuardExceeded:
+            span = None
+        if span is None or not span <= members:
+            raise ValueError(f"products of {g} escape the set: not a group")
+    return tuple(gens)

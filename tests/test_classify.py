@@ -11,7 +11,6 @@ from braidlift.classify import (
     as_symmetric_subgroup,
     bieberbach_bruteforce,
     cayley_embedding,
-    exceptional_bieberbach_list,
     free_action_general,
     free_action_symmetric,
     frobenius_coset_action,
@@ -54,11 +53,9 @@ def test_bieberbach_formula_equals_bruteforce_on_grid():
 
 
 def test_exceptional_list():
-    names = exceptional_bieberbach_list()
-    assert names is EXCEPTIONAL_BIEBERBACH
-    assert "G_5" in names
-    assert "G_8" not in names
-    assert len(names) == 12
+    assert "G_5" in EXCEPTIONAL_BIEBERBACH
+    assert "G_8" not in EXCEPTIONAL_BIEBERBACH
+    assert len(EXCEPTIONAL_BIEBERBACH) == 12
 
 
 def test_odd_lift_property_examples():

@@ -112,6 +112,8 @@ def test_survey(capsys):
 def test_survey_bad_grid(capsys):
     code, _, err = invoke(capsys, "survey", "--grid", "n<=4")
     assert code == 2
+    code, out, err = invoke(capsys, "survey", "--grid", "d<=0,e<=1,r<=1")
+    assert code == 2 and out == "" and "at least 1" in err
 
 
 def test_frobenius(capsys):
@@ -136,6 +138,13 @@ def test_cocycle_roundtrips(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["successes"] == doc["trips"] == 5
+    code, _, err = invoke(
+        capsys,
+        "cocycle", "--group", "S(3)",
+        "--generators", "perm=[2,3,1];exp=[0,0,0]",
+        "--random", "-1",
+    )
+    assert code == 2 and "non-negative" in err
 
 
 def test_verify_runs_all_criteria(capsys):

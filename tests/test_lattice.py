@@ -156,8 +156,9 @@ def test_trivialize_random_combinations_of_coboundaries():
 
 
 def test_trivialize_agrees_with_dense_global_solver():
-    # one route: orbit-blocked elimination over generators (trivialize_cocycle);
-    # other route: one dense system stacked over every group element.
+    # one route: propagation along the generators' Schreier graph
+    # (trivialize_cocycle); other route: one dense system stacked over every
+    # group element, solved by integer elimination (intlinalg.solve).
     rng = random.Random(31)
     for G in (three_cycle_group(), closure(S3, [from_permutation(S3, (1, 0, 2))])):
         n = len(hyperplanes(S3))

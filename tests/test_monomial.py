@@ -71,6 +71,8 @@ def test_descriptor_rejects_bad_input():
         GroupDescriptor.parse("G(4,3,2)")  # e does not divide de
     with pytest.raises(ParseError):
         GroupDescriptor.parse("H(1,1,2)")
+    with pytest.raises(ParseError):
+        GroupDescriptor.parse("S(0)")
     with pytest.raises(ValueError):
         GroupDescriptor(0, 1, 1)
 
