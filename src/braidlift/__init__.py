@@ -82,6 +82,7 @@ from .monomial import (
     MonomialElement,
     Subgroup,
     center,
+    center_order,
     closure,
     diagonal,
     enumerate_elements,

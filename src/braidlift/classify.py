@@ -182,16 +182,22 @@ class FrobeniusSpec:
     m: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p) or self.p % 2 == 0:
-            raise ValueError(f"p = {self.p} must be an odd prime")
-        if self.q % 2 == 0 or self.q <= 1 or (self.p - 1) % self.q:
-            raise ValueError(f"q = {self.q} must be an odd divisor > 1 of p - 1 = {self.p - 1}")
+        self._check_orders(self.p, self.q)
         if self.m % self.p == 0 or _multiplicative_order(self.m, self.p) != self.q:
             raise ValueError(f"m = {self.m} must have multiplicative order {self.q} mod {self.p}")
+
+    @staticmethod
+    def _check_orders(p: int, q: int) -> None:
+        # q first: it is O(1), while the primality test is O(sqrt p).
+        if q % 2 == 0 or q <= 1 or (p - 1) % q:
+            raise ValueError(f"q = {q} must be an odd divisor > 1 of p - 1 = {p - 1}")
+        if not _is_prime(p) or p % 2 == 0:
+            raise ValueError(f"p = {p} must be an odd prime")
 
     @classmethod
     def find(cls, p: int, q: int) -> "FrobeniusSpec":
         """The spec with the smallest admissible multiplier."""
+        cls._check_orders(p, q)
         for m in range(2, p):
             if _multiplicative_order(m, p) == q:
                 return cls(p, q, m)

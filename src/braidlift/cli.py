@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from itertools import product
 from random import Random
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle, subgr
 from .monomial import (
     ENUMERATION_GUARD,
     GroupDescriptor,
-    center,
+    center_order,
     closure,
     parse_element,
 )
@@ -133,7 +134,7 @@ def _classify_row(desc: GroupDescriptor) -> dict:
         "bieberbach_bruteforce": bieberbach_bruteforce(desc),
         "odd_lift_property": has_odd_lift_property(desc),
         "arrangement_size": len(hyperplanes(desc)),
-        "center_size": len(center(desc)),
+        "center_size": center_order(desc),
     }
 
 
@@ -164,19 +165,34 @@ def cmd_survey(args: argparse.Namespace) -> int:
     dmax, emax, rmax = map(int, m.groups())
     if min(dmax, emax, rmax) < 1:
         raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
-    rows = [
-        _classify_row(GroupDescriptor(d, e, r))
-        for d in range(1, dmax + 1)
-        for e in range(1, emax + 1)
-        for r in range(1, rmax + 1)
-    ]
-    _print_rows(rows, args.json)
+    # Each row's brute-force column enumerates its group, so the work is the
+    # sum of the orders.  Every order is at least 1: the row count is checked
+    # first, and the sum stops at the first row that crosses the guard.
+    if dmax * emax * rmax > ENUMERATION_GUARD:
+        raise GuardExceeded(f"grid {args.grid!r} has more than {ENUMERATION_GUARD} rows")
+    grid, work = [], 0
+    for d, e, r in product(range(1, dmax + 1), range(1, emax + 1), range(1, rmax + 1)):
+        desc = GroupDescriptor(d, e, r)
+        work += desc.order()
+        if work > ENUMERATION_GUARD:
+            raise GuardExceeded(
+                f"grid {args.grid!r} enumerates more than {ENUMERATION_GUARD} elements by {desc}"
+            )
+        grid.append(desc)
+    _print_rows([_classify_row(desc) for desc in grid], args.json)
     return EXIT_OK
 
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
+    p, q = args.p, args.q
+    # The lifting scan visits p*q elements times the p(p-1)/2 hyperplanes of S(p).
+    if p > 0 and q > 0 and p * q * (p * (p - 1) // 2) > ENUMERATION_GUARD:
+        raise GuardExceeded(
+            f"the lifting scan of Z/{p} : Z/{q} needs {p * q} elements x "
+            f"{p * (p - 1) // 2} hyperplanes, above the guard {ENUMERATION_GUARD}"
+        )
     try:
-        spec = FrobeniusSpec.find(args.p, args.q)
+        spec = FrobeniusSpec.find(p, q)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     group = frobenius_coset_action(spec)
@@ -208,6 +224,10 @@ def cmd_cocycle(args: argparse.Namespace) -> int:
     desc = GroupDescriptor.parse(args.group)
     gens = _parse_generators(desc, args.generators)
     G = closure(desc, gens, max_size=args.max_size)
+    if args.random * len(G) > ENUMERATION_GUARD:
+        raise GuardExceeded(
+            f"{args.random} round trips over {len(G)} elements exceed the guard {ENUMERATION_GUARD}"
+        )
     rng = Random(args.seed)
     width = len(hyperplanes(desc))
     successes = 0

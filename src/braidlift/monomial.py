@@ -126,15 +126,13 @@ class MonomialElement:
         return self.sigma == perms.identity(self.descriptor.r)
 
     def __mul__(self, other: "MonomialElement") -> "MonomialElement":
-        if self.descriptor != other.descriptor:
-            raise MismatchError(f"cannot compose elements of {self.descriptor} and {other.descriptor}")
-        de = self.descriptor.de
+        desc = self.descriptor
+        if other.descriptor is not desc and other.descriptor != desc:
+            raise MismatchError(f"cannot compose elements of {desc} and {other.descriptor}")
+        de, mine = desc.de, self.exponents
         sigma = perms.compose(self.sigma, other.sigma)
-        exps = tuple(
-            (other.exponents[i] + self.exponents[other.sigma[i]]) % de
-            for i in range(self.descriptor.r)
-        )
-        return MonomialElement(self.descriptor, sigma, exps)
+        exps = tuple([(a + mine[j]) % de for a, j in zip(other.exponents, other.sigma)])
+        return _trusted_element(desc, sigma, exps)
 
     def inverse(self) -> "MonomialElement":
         de = self.descriptor.de
@@ -142,7 +140,7 @@ class MonomialElement:
         exps = [0] * self.descriptor.r
         for i in range(self.descriptor.r):
             exps[self.sigma[i]] = (-self.exponents[i]) % de
-        return MonomialElement(self.descriptor, sigma, tuple(exps))
+        return _trusted_element(self.descriptor, sigma, tuple(exps))
 
     def __pow__(self, n: int) -> "MonomialElement":
         base = self
@@ -181,6 +179,23 @@ class MonomialElement:
     @classmethod
     def parse(cls, descriptor: GroupDescriptor, text: str) -> "MonomialElement":
         return parse_element(descriptor, text)
+
+
+def _trusted_element(
+    descriptor: GroupDescriptor, sigma: tuple[int, ...], exponents: tuple[int, ...]
+) -> MonomialElement:
+    """Build an element without ``__post_init__``'s validation.
+
+    Only for values that are valid by construction: sigma a permutation
+    tuple of length r, exponents a tuple reduced mod de with sum 0 mod e.
+    Products, inverses and enumeration produce such values; anything that
+    comes from outside goes through the public constructor.
+    """
+    w = object.__new__(MonomialElement)
+    object.__setattr__(w, "descriptor", descriptor)
+    object.__setattr__(w, "sigma", sigma)
+    object.__setattr__(w, "exponents", exponents)
+    return w
 
 
 def identity(descriptor: GroupDescriptor) -> MonomialElement:
@@ -254,7 +269,7 @@ def enumerate_elements(
         for head in _cartesian(range(de), repeat=r - 1):
             base = (-sum(head)) % e
             for k in range(d):
-                yield MonomialElement(descriptor, sigma, head + (base + k * e,))
+                yield _trusted_element(descriptor, sigma, head + (base + k * e,))
 
 
 @dataclass(frozen=True)
@@ -264,6 +279,7 @@ class Subgroup:
     The check picks generators greedily in element order and closes them
     (``permutations.greedy_generators``), so it costs O(|G| * k) products
     for k generators.  Those generators are kept in ``generators``.
+    ``closure`` skips the check: its output is closed by construction.
     """
 
     descriptor: GroupDescriptor
@@ -309,11 +325,34 @@ def closure(
     for g in gens:
         if g.descriptor != descriptor:
             raise MismatchError(f"generator {g} does not live in {descriptor}")
-    return Subgroup(descriptor, perms.mulclose(gens, max_size, operator.mul))
+    # The BFS output is closed by construction, so the greedy-generator
+    # check of Subgroup.__post_init__ would only repeat its products.
+    G = object.__new__(Subgroup)
+    object.__setattr__(G, "descriptor", descriptor)
+    object.__setattr__(G, "elements", perms.mulclose(gens, max_size, operator.mul))
+    object.__setattr__(G, "generators", tuple(dict.fromkeys(gens)))
+    return G
+
+
+def center_order(descriptor: GroupDescriptor) -> int:
+    """|Z(G(de, e, r))| = d * gcd(e, r), in closed form.
+
+    The formula holds whenever G acts irreducibly (Lehrer-Taylor, *Unitary
+    Reflection Groups*, ch. 2).  The two reducible groups are abelian and
+    equal their centre: G(1, 1, 2) = S_2 and the Klein group G(2, 2, 2).
+    The tests cross-check this against ``center``'s enumeration.
+    """
+    d, e, r = descriptor.d, descriptor.e, descriptor.r
+    if r == 2 and d == 1 and e <= 2:
+        return descriptor.order()
+    return d * math.gcd(e, r)
 
 
 def center(descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD) -> Subgroup:
-    """The centre, as the elements commuting with the standard generators."""
+    """The centre, as the elements commuting with the standard generators.
+
+    Enumerates the whole group; ``center_order`` gives its size in closed form.
+    """
     gens = standard_generators(descriptor)
     central = frozenset(
         w for w in enumerate_elements(descriptor, guard) if all(w * g == g * w for g in gens)

@@ -24,7 +24,7 @@ def is_permutation(p: Sequence[int]) -> bool:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """p after q."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[i] for i in q])
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:

@@ -1,6 +1,12 @@
 """The command-line frontend: output shapes and exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidlift.arrangement import parse_hyperplane
 from braidlift.cli import run
@@ -116,6 +122,13 @@ def test_survey_bad_grid(capsys):
     assert code == 2 and out == "" and "at least 1" in err
 
 
+def test_survey_guard_exceeded(capsys):
+    # refused up front: 10**9 rows, and S(1) .. S(10) sum past 10**6 elements
+    for grid in ("d<=1000000000,e<=1,r<=1", "d<=1,e<=1,r<=1000000"):
+        code, out, err = invoke(capsys, "survey", "--grid", grid)
+        assert code == 4 and out == "" and "guard" in err
+
+
 def test_frobenius(capsys):
     code, out, _ = invoke(capsys, "frobenius", "--p", "7", "--q", "3", "--json")
     assert code == 0
@@ -126,6 +139,12 @@ def test_frobenius(capsys):
     }
     code, _, err = invoke(capsys, "frobenius", "--p", "9", "--q", "3")
     assert code == 2
+
+
+def test_frobenius_guard_exceeded(capsys):
+    # 3027 elements x 508536 hyperplanes: refused before any group is built
+    code, out, err = invoke(capsys, "frobenius", "--p", "1009", "--q", "3")
+    assert code == 4 and out == "" and "guard" in err
 
 
 def test_cocycle_roundtrips(capsys):
@@ -145,6 +164,13 @@ def test_cocycle_roundtrips(capsys):
         "--random", "-1",
     )
     assert code == 2 and "non-negative" in err
+    code, _, err = invoke(
+        capsys,
+        "cocycle", "--group", "S(3)",
+        "--generators", "perm=[2,3,1];exp=[0,0,0]",
+        "--random", "1000000000",
+    )
+    assert code == 4 and "guard" in err
 
 
 def test_verify_runs_all_criteria(capsys):
@@ -166,3 +192,130 @@ def test_failed_criterion_maps_to_invariant_exit_code(capsys, monkeypatch):
     )
     code, out, _ = invoke(capsys, "verify")
     assert code == 5 and "[FAIL]" in out
+
+
+# --- fuzzing: every input ends in a documented exit code, never a traceback --
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+#: Every G(de, e, r) with de <= 12 and r <= 8.
+FUZZ_GROUPS = [
+    GroupDescriptor.from_deer(de, e, r)
+    for de in range(1, 13) for e in range(1, de + 1) if de % e == 0 for r in range(1, 9)
+]
+#: The groups small enough for classify's whole-group brute force.
+SCANNED_GROUPS = [desc for desc in FUZZ_GROUPS if desc.order() <= 1000]
+#: Descriptors out of range: empty, zero, e not dividing de, above the guard.
+BAD_GROUPS = ("", "S(0)", "S(-1)", "G(0,0,0)", "G(4,3,2)", "G(2,1,0)", "S(13)", "G(2,1,40)")
+DIGITS = "0123456789"
+#: Characters the mangler writes into descriptors and grids.  Leaving out the
+#: digits means a mangled descriptor can only name a smaller group.
+PUNCTUATION = "()[],;=<+- GSdeprmx\t"
+#: Above every guard and every sensible count.
+HUGE = 10**18 + 9
+
+
+@st.composite
+def mangled(draw, text, alphabet):
+    """text with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert":
+            chars.insert(k, draw(st.sampled_from(alphabet)))
+        elif k < len(chars) and op == "delete":
+            del chars[k]
+        elif k < len(chars):
+            chars[k] = draw(st.sampled_from(alphabet))
+    return "".join(chars)
+
+
+def mostly(valid, *invalid):
+    """Draw from valid three times in four, else from one of invalid."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda ok: valid if ok else st.one_of(*invalid)
+    )
+
+
+def group_text(desc):
+    text = str(desc)
+    return mostly(
+        st.just(text), mangled(text, PUNCTUATION), st.sampled_from(BAD_GROUPS), st.text(max_size=8)
+    )
+
+
+@st.composite
+def element_text(draw, desc):
+    """An element of desc, with exponents out of [0, de), maybe mangled."""
+    images = draw(st.permutations(range(1, desc.r + 1)))
+    exps = draw(st.lists(st.integers(-30, 30), min_size=desc.r, max_size=desc.r))
+    exps[-1] -= sum(exps) % desc.e
+    text = f"perm=[{','.join(map(str, images))}];exp=[{','.join(map(str, exps))}]"
+    return draw(mostly(st.just(text), mangled(text, DIGITS + PUNCTUATION)))
+
+
+def int_text(values):
+    return mostly(values.map(str), st.text(max_size=4))
+
+
+@st.composite
+def argvs(draw):
+    """A command line for one subcommand, its values mangled or out of range."""
+    command = draw(st.sampled_from(
+        ("check-element", "check-subgroup", "classify", "survey", "frobenius", "cocycle")
+    ))
+    pool = SCANNED_GROUPS if command == "classify" else FUZZ_GROUPS
+    desc = draw(st.sampled_from(pool))
+    gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=3)))
+    max_size = draw(int_text(st.integers(-2, 200)))
+    if command == "check-element":
+        method = draw(mostly(st.sampled_from(("oracle", "fast", "both")), st.just("none")))
+        argv = ["--group", draw(group_text(desc)), "--element", draw(element_text(desc)),
+                "--method", method]
+    elif command == "check-subgroup":
+        argv = ["--group", draw(group_text(desc)), "--generators", gens, "--max-size", max_size]
+    elif command == "classify":
+        argv = ["--group", draw(group_text(desc))]
+    elif command == "survey":
+        d, e, r = (draw(mostly(st.integers(1, 2), st.sampled_from((-1, 0, HUGE)))) for _ in "der")
+        argv = ["--grid", draw(mostly(st.just(f"d<={d},e<={e},r<={r}"),
+                                      mangled(f"d<={d},e<={e},r<={r}", PUNCTUATION)))]
+    elif command == "frobenius":
+        primes = st.sampled_from((7, 11, 13, 19, 31, 37))
+        argv = ["--p", draw(int_text(mostly(primes, st.integers(-5, 40), st.just(HUGE)))),
+                "--q", draw(int_text(mostly(st.sampled_from((3, 5)), st.integers(-3, 12))))]
+    else:
+        trips = mostly(st.integers(0, 3), st.sampled_from((-3, -1, HUGE)))
+        argv = ["--group", draw(group_text(desc)), "--generators", gens, "--max-size", max_size,
+                "--random", draw(int_text(trips)), "--seed", draw(int_text(st.integers()))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 9)) == 0:
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return [command, *argv]
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs())
+def test_cli_fuzz_ends_in_documented_exit_codes(argv):
+    code, err = run_quietly(argv)
+    assert code in DOCUMENTED_EXITS, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "extra"], ["verify", "--json"], ["check-element"], ["survey", "--grid"], [],
+])
+def test_cli_usage_errors_exit_2(argv):
+    code, err = run_quietly(argv)
+    assert code == 2 and "Traceback" not in err

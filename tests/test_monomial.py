@@ -18,6 +18,7 @@ from braidlift.monomial import (
     MonomialElement,
     Subgroup,
     center,
+    center_order,
     closure,
     diagonal,
     enumerate_elements,
@@ -220,6 +221,16 @@ def test_closure_small_cases():
     assert len(closure(s3, [from_permutation(s3, (1, 2, 0))])) == 3
 
 
+def test_closure_output_is_a_valid_subgroup():
+    # closure skips Subgroup's check; the public constructor must agree
+    desc = D(6, 3, 3)
+    t, c = from_permutation(desc, (1, 0, 2)), diagonal(desc, (1, 2, 0))
+    G = closure(desc, [t, c, t, identity(desc), c])
+    assert G.generators == (t, c, identity(desc))  # deduplicated, in input order
+    assert Subgroup(desc, G.elements) == G
+    assert len(closure(desc, G.generators)) == len(G)
+
+
 def test_closure_guard_and_empty_generators():
     desc = D(1, 1, 4)
     gens = standard_generators(desc)
@@ -243,6 +254,20 @@ def test_center_size_formula_on_grid():
             continue
         assert len(center(desc)) == desc.d * math.gcd(desc.e, desc.r)
     assert len(center(D(2, 2, 2))) == 4  # reducible: the whole Klein group is central
+
+
+def test_center_order_equals_enumeration():
+    # closed form (center_order) vs enumeration (center) on every
+    # G(de, e, r) with d, e <= 8, r <= 6 and at most 5,000 elements
+    checked = 0
+    for d in range(1, 9):
+        for e in range(1, 9):
+            for r in range(1, 7):
+                desc = GroupDescriptor(d, e, r)
+                if desc.order() <= 5000:
+                    assert center_order(desc) == len(center(desc)), desc
+                    checked += 1
+    assert checked == 169
 
 
 def test_is_central_agrees_with_center():

@@ -1,4 +1,4 @@
-"""Property tests on random subgroups of small G(de, e, r).
+"""Property tests on random elements and subgroups of small G(de, e, r).
 
 Subgroups are drawn as closures of one or two random elements; a closure
 above SUBGROUP_CAP elements falls back to the cyclic group of the first
@@ -8,19 +8,31 @@ element, which keeps the all-pairs reference check below cheap.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidlift.arrangement import hyperplanes
+from braidlift.arrangement import act, hyperplanes
 from braidlift.errors import GuardExceeded
 from braidlift.lattice import coboundary, trivialize_cocycle
-from braidlift.monomial import GroupDescriptor, MonomialElement, Subgroup, closure
+from braidlift.lifting import element_lifts_fast, element_lifts_oracle
+from braidlift.monomial import (
+    GroupDescriptor,
+    MonomialElement,
+    Subgroup,
+    closure,
+    enumerate_elements,
+)
 
 SUBGROUP_CAP = 60
+#: Largest group whose every element the enumeration property rebuilds.
+ENUMERATION_CAP = 1500
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+#: The element properties are cheap to check, but drawing an example costs
+#: Hypothesis ~5 ms, so they take fewer examples to keep the suite quick.
+ELEMENT_SETTINGS = settings(max_examples=50, deadline=None)
 
 
 @st.composite
-def descriptors(draw):
-    r = draw(st.integers(1, 4))
-    de = draw(st.integers(1, 6))
+def descriptors(draw, max_r=4, max_de=6):
+    r = draw(st.integers(1, max_r))
+    de = draw(st.integers(1, max_de))
     e = draw(st.sampled_from([k for k in range(1, de + 1) if de % k == 0]))
     return GroupDescriptor.from_deer(de, e, r)
 
@@ -71,3 +83,55 @@ def test_trivialize_cocycle_roundtrips_coboundaries(G, data):
     x0 = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)))
     c = coboundary(x0, G)
     assert coboundary(trivialize_cocycle(c, G), G) == c
+
+
+def rebuilt(w):
+    """w through the validating public constructor."""
+    return MonomialElement(w.descriptor, w.sigma, w.exponents)
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_trusted_products_and_inverses_pass_the_public_constructor(data):
+    desc = data.draw(descriptors(max_r=8, max_de=12))
+    u, v = elements(data.draw, desc), elements(data.draw, desc)
+    for w in (u * v, u.inverse(), (u * v).inverse() * u):
+        assert rebuilt(w) == w
+
+
+@ELEMENT_SETTINGS
+@given(descriptors().filter(lambda desc: desc.order() <= ENUMERATION_CAP))
+def test_enumerated_elements_pass_the_public_constructor(desc):
+    for w in enumerate_elements(desc):
+        assert rebuilt(w) == w
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_oracle_agrees_with_fast_criterion(data):
+    desc = data.draw(descriptors(max_r=8, max_de=12))
+    w = elements(data.draw, desc)
+    n = w.order()
+    # w itself mostly has even order; its odd part can lift and so tests both verdicts
+    for u in (w, w ** (n & -n)):
+        assert element_lifts_oracle(u).lifts == element_lifts_fast(u)
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_order_formula_equals_iteration(data):
+    desc = data.draw(descriptors(max_r=8, max_de=12))
+    w = elements(data.draw, desc)
+    n, power = 1, w
+    while not power.is_identity:
+        power, n = power * w, n + 1
+    assert w.order() == n
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_act_is_a_left_action(data):
+    desc = data.draw(descriptors(max_r=8, max_de=12).filter(hyperplanes))
+    u, v = elements(data.draw, desc), elements(data.draw, desc)
+    H = data.draw(st.sampled_from(hyperplanes(desc)))
+    assert act(u * v, H) == act(u, act(v, H))
