@@ -14,7 +14,6 @@ from functools import lru_cache
 from random import Random
 
 from . import permutations as perms
-from .arrangement import hyperplanes, orbits
 from .classify import (
     FrobeniusSpec,
     PermutationGroup,
@@ -28,7 +27,7 @@ from .classify import (
     is_bieberbach_series,
     permutation_group,
 )
-from .lattice import coboundary, fixed_lattice_rank, trivialize_cocycle
+from .lattice import coboundary_roundtrips, fixed_lattice_rank
 from .lifting import element_lifts_fast, element_lifts_oracle, subgroup_lifts
 from .monomial import (
     GroupDescriptor,
@@ -215,21 +214,9 @@ def _frobenius_group(p: int, q: int) -> PermutationGroup:
 def criterion_8() -> CriterionResult:
     """Frobenius coset actions: cycle structure, free type, and lifting."""
     for p, q in ((7, 3), (13, 3)):
+        # Construction raises InvariantViolation on a wrong cycle structure.
         P = _frobenius_group(p, q)
-        ident = perms.identity(p)
         for g in P:
-            if g == ident:
-                continue
-            k = perms.order(g)
-            fixed = sum(1 for x in range(p) if g[x] == x)
-            lengths = sorted((len(c) for c in perms.cycles(g) if len(c) > 1), reverse=True)
-            if (g[1] - g[0]) % p == 1:  # translation: kernel element
-                good = fixed == 0 and lengths == [k] * (p // k)
-            else:
-                good = fixed == 1 and lengths == [k] * ((p - 1) // k)
-            if not good:
-                return CriterionResult(8, "Frobenius coset actions", False,
-                                       f"bad cycle structure for {g} in F_{p*q}")
             if not has_free_cycle_type(g):
                 return CriterionResult(8, "Frobenius coset actions", False,
                                        f"{g} in F_{p*q} escapes the free cycle types")
@@ -270,18 +257,6 @@ def criterion_9() -> CriterionResult:
                            f"degrees 5, 7, 9, 21 in {elapsed:.1f}s")
 
 
-def _cocycle_roundtrips(G: Subgroup, trips: int, rng: Random) -> int:
-    successes = 0
-    width = len(hyperplanes(G.descriptor))
-    for _ in range(trips):
-        x0 = tuple(rng.randint(-9, 9) for _ in range(width))
-        c = coboundary(x0, G)
-        x = trivialize_cocycle(c, G)
-        if coboundary(x, G) == c:
-            successes += 1
-    return successes
-
-
 def criterion_10() -> CriterionResult:
     """100 generate-and-solve cocycle round trips per test group, all solvable."""
     rng = Random(0xC0C1)
@@ -294,10 +269,8 @@ def criterion_10() -> CriterionResult:
     ]
     report = []
     for name, G in settings:
-        good = _cocycle_roundtrips(G, 100, rng)
-        report.append(f"{name}: {good}/100")
-        if good != 100:
-            return CriterionResult(10, "constructive H^1 vanishing", False, "; ".join(report))
+        coboundary_roundtrips(G, 100, rng)  # a failed solve raises NoIntegralSolution
+        report.append(f"{name}: 100/100")
     return CriterionResult(10, "constructive H^1 vanishing", True, "; ".join(report))
 
 
@@ -324,9 +297,7 @@ def _rank_test_subgroups() -> tuple[Subgroup, ...]:
 def criterion_11() -> CriterionResult:
     """Fixed-lattice rank equals the orbit count for every tested subgroup."""
     for G in _rank_test_subgroups():
-        if fixed_lattice_rank(G) != len(orbits(G)):
-            return CriterionResult(11, "normalizer lattice rank", False,
-                                   f"rank/orbit mismatch for a subgroup of {G.descriptor}")
+        fixed_lattice_rank(G)  # raises InvariantViolation when the two routes disagree
     return CriterionResult(11, "normalizer lattice rank", True,
                            f"{len(_rank_test_subgroups())} subgroups checked")
 

@@ -122,11 +122,12 @@ class PermutationGroup:
         return iter(self.sorted_elements)
 
 
-def permutation_group(degree: int, generators: Sequence[Sequence[int]],
-                      max_size: int = ENUMERATION_GUARD) -> PermutationGroup:
+def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> PermutationGroup:
     """The group generated by the given permutations."""
     gens = [tuple(g) for g in generators]
-    return PermutationGroup(degree, perms.mulclose(gens, max_size) | {perms.identity(degree)})
+    return PermutationGroup(
+        degree, perms.mulclose(gens, ENUMERATION_GUARD) | {perms.identity(degree)}
+    )
 
 
 def free_action_symmetric(G: PermutationGroup) -> bool:

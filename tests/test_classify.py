@@ -20,6 +20,7 @@ from braidlift.classify import (
     is_bieberbach_series,
     permutation_group,
 )
+from braidlift.errors import InvariantViolation
 from braidlift.lifting import element_lifts_oracle, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
@@ -134,6 +135,12 @@ def test_frobenius_structure_holds_for_larger_parameters():
     for p, q in ((7, 3), (13, 3), (31, 5)):
         group = frobenius_coset_action(FrobeniusSpec.find(p, q))
         assert len(group) == p * q
+
+
+def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
+    monkeypatch.setattr(perms, "cycle_type", lambda g: (1,) * len(g))
+    with pytest.raises(InvariantViolation):
+        frobenius_coset_action(FrobeniusSpec(7, 3, 2))
 
 
 def test_free_action_equivalence_on_s4_cyclic_subgroups():

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +174,17 @@ def test_cocycle_roundtrips(capsys):
     assert code == 4 and "guard" in err
 
 
+def test_closure_guard_exceeded(capsys, monkeypatch):
+    from braidlift import cli as cli_module
+    from braidlift.monomial import closure
+
+    monkeypatch.setattr(cli_module, "closure", partial(closure, max_size=100))
+    s6 = "perm=[2,3,4,5,6,1];exp=[0,0,0,0,0,0];perm=[2,1,3,4,5,6];exp=[0,0,0,0,0,0]"
+    for command in ("check-subgroup", "cocycle"):
+        code, out, err = invoke(capsys, command, "--group", "S(6)", "--generators", s6)
+        assert code == 4 and out == "" and "exceeds 100 elements" in err, command
+
+
 def test_verify_runs_all_criteria(capsys):
     code, out, _ = invoke(capsys, "verify")
     assert code == 0
@@ -192,6 +204,23 @@ def test_failed_criterion_maps_to_invariant_exit_code(capsys, monkeypatch):
     )
     code, out, _ = invoke(capsys, "verify")
     assert code == 5 and "[FAIL]" in out
+
+
+def test_failed_solve_maps_to_invariant_exit_code(capsys, monkeypatch):
+    from braidlift import lattice
+    from braidlift.errors import NoIntegralSolution
+
+    def unsolvable(c, G):
+        raise NoIntegralSolution("forced failure")
+
+    monkeypatch.setattr(lattice, "trivialize_cocycle", unsolvable)
+    for argv in (
+        ["cocycle", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]"],
+        ["verify"],  # through criterion 10
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 5, argv
+        assert "internal invariant violated" in err and "Traceback" not in err
 
 
 # --- fuzzing: every input ends in a documented exit code, never a traceback --
@@ -266,14 +295,16 @@ def argvs(draw):
     ))
     pool = SCANNED_GROUPS if command == "classify" else FUZZ_GROUPS
     desc = draw(st.sampled_from(pool))
-    gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=3)))
-    max_size = draw(int_text(st.integers(-2, 200)))
+    # Above 1,000 elements one generator keeps the closure cyclic: no element
+    # of a G(de,e,r) with de <= 12, r <= 8 has order above 180.
+    max_gens = 3 if desc.order() <= 1000 else 1
+    gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=max_gens)))
     if command == "check-element":
         method = draw(mostly(st.sampled_from(("oracle", "fast", "both")), st.just("none")))
         argv = ["--group", draw(group_text(desc)), "--element", draw(element_text(desc)),
                 "--method", method]
     elif command == "check-subgroup":
-        argv = ["--group", draw(group_text(desc)), "--generators", gens, "--max-size", max_size]
+        argv = ["--group", draw(group_text(desc)), "--generators", gens]
     elif command == "classify":
         argv = ["--group", draw(group_text(desc))]
     elif command == "survey":
@@ -286,7 +317,7 @@ def argvs(draw):
                 "--q", draw(int_text(mostly(st.sampled_from((3, 5)), st.integers(-3, 12))))]
     else:
         trips = mostly(st.integers(0, 3), st.sampled_from((-3, -1, HUGE)))
-        argv = ["--group", draw(group_text(desc)), "--generators", gens, "--max-size", max_size,
+        argv = ["--group", draw(group_text(desc)), "--generators", gens,
                 "--random", draw(int_text(trips)), "--seed", draw(int_text(st.integers()))]
     if draw(st.booleans()):
         argv.append("--json")
@@ -315,6 +346,8 @@ def test_cli_fuzz_ends_in_documented_exit_codes(argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "extra"], ["verify", "--json"], ["check-element"], ["survey", "--grid"], [],
+    ["check-subgroup", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]",
+     "--max-size", "5"],
 ])
 def test_cli_usage_errors_exit_2(argv):
     code, err = run_quietly(argv)

@@ -6,7 +6,7 @@ import pytest
 
 from braidlift import intlinalg
 from braidlift.arrangement import Swap, hyperplanes, orbits
-from braidlift.errors import NoIntegralSolution
+from braidlift.errors import InvariantViolation, NoIntegralSolution
 from braidlift.lattice import (
     SemidirectElement,
     basis_vector,
@@ -209,6 +209,13 @@ def test_fixed_lattice_rank_equals_orbit_count():
         for w in enumerate_elements(desc):
             G = closure(desc, [w])
             assert fixed_lattice_rank(G) == len(orbits(G))
+
+
+def test_fixed_lattice_rank_rejects_a_wrong_elimination(monkeypatch):
+    rank = intlinalg.rank
+    monkeypatch.setattr(intlinalg, "rank", lambda rows: rank(rows) + 1)
+    with pytest.raises(InvariantViolation):
+        fixed_lattice_rank(three_cycle_group())
 
 
 def test_canonical_splitting_is_splitting():
