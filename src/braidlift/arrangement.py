@@ -16,6 +16,11 @@ lives in the group of 2de-th roots of unity: the line for ``Swap(i, j, t)``
 is spanned by e_i - zeta^{-t} e_j, and when w exchanges i and j the scalar
 picks up a sign, which is the exponent-de element of U_{2de}.
 
+``hyperplane_permutation`` turns the action of one element into a
+permutation of canonical indices, and ``element_permutations`` walks a
+subgroup from its generators' permutations, so whole-subgroup scans call
+``act`` once per generator and hyperplane instead of once per element.
+
 Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
 """
 
@@ -25,10 +30,16 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Iterator, Union
 
 from .errors import MismatchError, ParseError
-from .monomial import GroupDescriptor, MonomialElement, Subgroup
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, identity
+from .permutations import compose
+
+#: Entries kept by the element-keyed ``hyperplane_permutation`` cache: far
+#: above the 155 of the largest benchmark command and the 940 of the test
+#: suite, so neither evicts, while a long session stays bounded.
+HYPERPLANE_CACHE_SIZE = 4096
 
 _SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
 _COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
@@ -73,6 +84,12 @@ def hyperplanes(descriptor: GroupDescriptor) -> tuple[Hyperplane, ...]:
     return tuple(planes)
 
 
+def hyperplane_count(descriptor: GroupDescriptor) -> int:
+    """len(hyperplanes(descriptor)) in closed form, without building them."""
+    r, de = descriptor.r, descriptor.de
+    return de * r * (r - 1) // 2 + (r if descriptor.d >= 2 else 0)
+
+
 @lru_cache(maxsize=None)
 def hyperplane_index(descriptor: GroupDescriptor) -> dict[Hyperplane, int]:
     return {H: k for k, H in enumerate(hyperplanes(descriptor))}
@@ -94,6 +111,37 @@ def act(w: MonomialElement, H: Hyperplane) -> Hyperplane:
         H.t + w.exponents[H.i] - w.exponents[H.j],
         desc.de,
     )
+
+
+@lru_cache(maxsize=HYPERPLANE_CACHE_SIZE)
+def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
+    """The permutation k -> index(g(H_k)) induced on canonical indices."""
+    index = hyperplane_index(g.descriptor)
+    return tuple(index[act(g, H)] for H in hyperplanes(g.descriptor))
+
+
+def element_permutations(G: Subgroup) -> Iterator[tuple[MonomialElement, tuple[int, ...]]]:
+    """Each element g of G once, with its permutation of hyperplane indices.
+
+    A breadth-first walk from the identity over ``G.generators``: only the
+    generators' permutations come from ``act``, and every other one follows
+    from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  The order is the
+    walk's, not sorted; only the current frontier's permutations are held.
+    """
+    steps = [(s, hyperplane_permutation(s)) for s in G.generators]
+    start = identity(G.descriptor)
+    seen = {start}
+    frontier = [(start, tuple(range(len(hyperplanes(G.descriptor)))))]
+    while frontier:
+        yield from frontier
+        layer = []
+        for h, pi_h in frontier:
+            for s, pi_s in steps:
+                g = s * h
+                if g not in seen:
+                    seen.add(g)
+                    layer.append((g, compose(pi_s, pi_h)))
+        frontier = layer
 
 
 def stabilizes(w: MonomialElement, H: Hyperplane) -> bool:

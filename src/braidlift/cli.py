@@ -16,7 +16,7 @@ from random import Random
 from typing import Sequence
 
 from . import acceptance
-from .arrangement import hyperplanes, orbits, acts_faithfully_on_arrangement
+from .arrangement import hyperplane_count, orbits, acts_faithfully_on_arrangement
 from .classify import (
     FrobeniusSpec,
     as_symmetric_subgroup,
@@ -65,6 +65,16 @@ def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
     return gens
 
 
+def _guarded_closure(descriptor: GroupDescriptor, gens: list):
+    """The closure of gens, refused once its elements x hyperplanes pass the guard.
+
+    Both commands then do work per element and hyperplane: the lifting
+    scan, or the coboundary vectors of the cocycle round trips.
+    """
+    width = max(1, hyperplane_count(descriptor))
+    return closure(descriptor, gens, max_size=ENUMERATION_GUARD // width)
+
+
 def _print_report(report: LiftReport, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report.to_json(), indent=2))
@@ -105,8 +115,7 @@ def cmd_check_element(args: argparse.Namespace) -> int:
 
 def cmd_check_subgroup(args: argparse.Namespace) -> int:
     desc = GroupDescriptor.parse(args.group)
-    gens = _parse_generators(desc, args.generators)
-    G = closure(desc, gens)
+    G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     report = subgroup_lifts(G)
     try:
         faithful = acts_faithfully_on_arrangement(G)
@@ -128,12 +137,21 @@ def cmd_check_subgroup(args: argparse.Namespace) -> int:
 
 
 def _classify_row(desc: GroupDescriptor) -> dict:
+    """One classification row; every column but the brute force is a closed form.
+
+    Above the enumeration guard the brute-force column is None, printed as
+    "skipped", and the row is still reported.
+    """
+    try:
+        bruteforce = bieberbach_bruteforce(desc)
+    except GuardExceeded:
+        bruteforce = None
     return {
         "descriptor": str(desc),
         "bieberbach_formula": is_bieberbach_series(desc),
-        "bieberbach_bruteforce": bieberbach_bruteforce(desc),
+        "bieberbach_bruteforce": bruteforce,
         "odd_lift_property": has_odd_lift_property(desc),
-        "arrangement_size": len(hyperplanes(desc)),
+        "arrangement_size": hyperplane_count(desc),
         "center_size": center_order(desc),
     }
 
@@ -146,10 +164,11 @@ def _print_rows(rows: list[dict], as_json: bool) -> None:
     if as_json:
         print(json.dumps(rows, indent=2))
         return
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in _COLUMNS}
+    cells = [{c: "skipped" if r[c] is None else str(r[c]) for c in _COLUMNS} for r in rows]
+    widths = {c: max(len(c), *(len(r[c]) for r in cells)) for c in _COLUMNS}
     print("  ".join(c.ljust(widths[c]) for c in _COLUMNS))
-    for r in rows:
-        print("  ".join(str(r[c]).ljust(widths[c]) for c in _COLUMNS))
+    for r in cells:
+        print("  ".join(r[c].ljust(widths[c]) for c in _COLUMNS))
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
@@ -222,8 +241,7 @@ def cmd_cocycle(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise ParseError(f"--random must be non-negative, got {args.random}")
     desc = GroupDescriptor.parse(args.group)
-    gens = _parse_generators(desc, args.generators)
-    G = closure(desc, gens)
+    G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     if args.random * len(G) > ENUMERATION_GUARD:
         raise GuardExceeded(
             f"{args.random} round trips over {len(G)} elements exceed the guard {ENUMERATION_GUARD}"

@@ -13,23 +13,17 @@ treats a failure as a falsified theorem, not as a data error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from random import Random
 from typing import Dict, Optional
 
 from . import intlinalg
-from .arrangement import act, hyperplane_index, hyperplanes, orbits
+from .arrangement import hyperplane_index, hyperplane_permutation, hyperplanes, orbits
 from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
 
 LatticeVector = tuple[int, ...]
 Cocycle = Dict[MonomialElement, LatticeVector]
 SplittingMap = Dict[MonomialElement, "SemidirectElement"]
-
-#: Entries kept by the element-keyed ``hyperplane_permutation`` cache: far
-#: above the 155 of the largest benchmark command and the 390 of the test
-#: suite, so neither evicts, while a long session stays bounded.
-HYPERPLANE_CACHE_SIZE = 4096
 
 
 def zero_vector(descriptor) -> LatticeVector:
@@ -41,13 +35,6 @@ def basis_vector(descriptor, H) -> LatticeVector:
     v = [0] * len(hyperplanes(descriptor))
     v[k] = 1
     return tuple(v)
-
-
-@lru_cache(maxsize=HYPERPLANE_CACHE_SIZE)
-def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
-    """The permutation k -> index(g(H_k)) induced on canonical indices."""
-    index = hyperplane_index(g.descriptor)
-    return tuple(index[act(g, H)] for H in hyperplanes(g.descriptor))
 
 
 def permute_vector(g: MonomialElement, v: LatticeVector) -> LatticeVector:

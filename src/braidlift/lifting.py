@@ -22,6 +22,7 @@ from typing import Optional
 from .arrangement import (
     Hyperplane,
     act,
+    element_permutations,
     format_hyperplane,
     hyperplanes,
     scalar_on_normal,
@@ -117,16 +118,25 @@ def element_lifts_fast(w: MonomialElement) -> bool:
 def subgroup_lifts(G: Subgroup) -> LiftReport:
     """Whole-subgroup test: N_H meet G inside C_H for every hyperplane H.
 
-    The witness, when lifting fails, is the first violating (element,
-    hyperplane) pair in (sorted element, canonical hyperplane) order.
+    Each element comes with its permutation pi of the hyperplane indices
+    (``element_permutations``), so g stabilizes H_k exactly when
+    pi[k] == k, and only those pairs reach ``scalar_on_normal``.  The
+    witness, when lifting fails, is the first violating (element,
+    hyperplane) pair in (sorted element, canonical hyperplane) order: the
+    walk is not sorted, so it keeps the least violating element seen and
+    skips the larger ones.
     """
-    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
-    for g in G:
-        for H in hyperplanes(G.descriptor):
-            if act(g, H) == H and not scalar_on_normal(g, H).is_one:
+    planes = hyperplanes(G.descriptor)
+    witness = None
+    for g, pi in element_permutations(G):
+        if witness is not None and witness.element < g:
+            continue
+        for k, H in enumerate(planes):
+            if pi[k] == k and not scalar_on_normal(g, H).is_one:
                 witness = LiftWitness(H, element=g)
-                return LiftReport(subject, False, witness, "oracle", kind="subgroup")
-    return LiftReport(subject, True, None, "oracle", kind="subgroup")
+                break
+    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
+    return LiftReport(subject, witness is None, witness, "oracle", kind="subgroup")
 
 
 def subgroup_lifts_local(G: Subgroup) -> bool:

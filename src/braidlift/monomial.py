@@ -261,9 +261,7 @@ def enumerate_elements(
     determined up to the d multiples of e).
     """
     if descriptor.order() > guard:
-        raise GuardExceeded(
-            f"{descriptor} has {descriptor.order()} elements, above the guard {guard}"
-        )
+        raise GuardExceeded(f"{descriptor} has more than {guard} elements")
     d, e, r, de = descriptor.d, descriptor.e, descriptor.r, descriptor.de
     for sigma in perms.all_permutations(r):
         for head in _cartesian(range(de), repeat=r - 1):

@@ -88,6 +88,8 @@ def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset
     mul = mul or compose
     gens = list(gens)
     els = set(gens)
+    if max_size is not None and len(els) > max_size:
+        raise GuardExceeded(f"closure exceeds {max_size} elements")
     frontier = list(els)
     while frontier:
         new = []

@@ -11,6 +11,7 @@ from braidlift.arrangement import (
     act,
     acts_faithfully_on_arrangement,
     format_hyperplane,
+    hyperplane_count,
     hyperplane_index,
     hyperplanes,
     in_parabolic,
@@ -40,7 +41,7 @@ def test_hyperplane_counts():
     assert len(planes) == 3 and not any(isinstance(H, Coord) for H in planes)
     for desc in GRID:
         expected = desc.de * desc.r * (desc.r - 1) // 2 + (desc.r if desc.d >= 2 else 0)
-        assert len(hyperplanes(desc)) == expected
+        assert len(hyperplanes(desc)) == hyperplane_count(desc) == expected
 
 
 def test_canonical_order_swaps_then_coords():

@@ -3,7 +3,6 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -99,8 +98,21 @@ def test_classify(capsys):
 
 
 def test_classify_guard_exceeded(capsys):
-    code, _, err = invoke(capsys, "classify", "--group", "G(2,1,12)")
-    assert code == 4 and "guard" in err
+    # Above the guard only the brute-force column is skipped; the closed forms
+    # are still reported.
+    code, out, _ = invoke(capsys, "classify", "--group", "S(10)", "--json")
+    assert code == 0
+    assert json.loads(out) == [{
+        "descriptor": "G(1,1,10)", "bieberbach_formula": False, "bieberbach_bruteforce": None,
+        "odd_lift_property": True, "arrangement_size": 45, "center_size": 1,
+    }]
+    code, out, _ = invoke(capsys, "classify", "--group", "G(2,1,12)")
+    assert code == 0
+    assert out.splitlines()[1].split() == ["G(2,1,12)", "False", "skipped", "True", "144", "2"]
+    # 5000! has too many digits to print, and the arrangement is 12,497,500
+    # hyperplanes: neither is built.
+    code, out, _ = invoke(capsys, "classify", "--group", "S(5000)")
+    assert code == 0 and "skipped" in out and "12497500" in out
 
 
 def test_survey(capsys):
@@ -176,13 +188,21 @@ def test_cocycle_roundtrips(capsys):
 
 def test_closure_guard_exceeded(capsys, monkeypatch):
     from braidlift import cli as cli_module
-    from braidlift.monomial import closure
 
-    monkeypatch.setattr(cli_module, "closure", partial(closure, max_size=100))
+    # S(6) has 15 hyperplanes, so its closures stop at 1500 // 15 = 100 elements.
+    monkeypatch.setattr(cli_module, "ENUMERATION_GUARD", 1500)
     s6 = "perm=[2,3,4,5,6,1];exp=[0,0,0,0,0,0];perm=[2,1,3,4,5,6];exp=[0,0,0,0,0,0]"
     for command in ("check-subgroup", "cocycle"):
         code, out, err = invoke(capsys, command, "--group", "S(6)", "--generators", s6)
         assert code == 4 and out == "" and "exceeds 100 elements" in err, command
+
+
+def test_closure_guard_counts_hyperplanes(capsys):
+    # All of S(8) is 40,320 elements x 28 hyperplanes, above the 10**6 guard.
+    s8 = "perm=[2,3,4,5,6,7,8,1];exp=[0,0,0,0,0,0,0,0];perm=[2,1,3,4,5,6,7,8];exp=[0,0,0,0,0,0,0,0]"
+    for command in ("check-subgroup", "cocycle"):
+        code, out, err = invoke(capsys, command, "--group", "S(8)", "--generators", s8)
+        assert code == 4 and out == "" and "exceeds 35714 elements" in err, command
 
 
 def test_verify_runs_all_criteria(capsys):
@@ -295,9 +315,11 @@ def argvs(draw):
     ))
     pool = SCANNED_GROUPS if command == "classify" else FUZZ_GROUPS
     desc = draw(st.sampled_from(pool))
-    # Above 1,000 elements one generator keeps the closure cyclic: no element
-    # of a G(de,e,r) with de <= 12, r <= 8 has order above 180.
-    max_gens = 3 if desc.order() <= 1000 else 1
+    # The closure guard caps elements x hyperplanes, which bounds check-subgroup's
+    # scan.  Each cocycle round trip costs more per element, so above 1,000
+    # elements cocycle draws one generator, which keeps the closure cyclic: no
+    # element of a G(de,e,r) with de <= 12, r <= 8 has order above 180.
+    max_gens = 1 if command == "cocycle" and desc.order() > 1000 else 3
     gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=max_gens)))
     if command == "check-element":
         method = draw(mostly(st.sampled_from(("oracle", "fast", "both")), st.just("none")))

@@ -31,6 +31,8 @@ def test_mulclose_symmetric_group():
     assert len(perms.mulclose(gens)) == 24
     with pytest.raises(GuardExceeded):
         perms.mulclose(gens, max_size=10)
+    with pytest.raises(GuardExceeded):  # the generators themselves count
+        perms.mulclose([perms.identity(4)], max_size=0)
 
 
 def test_greedy_generators():

@@ -8,10 +8,22 @@ element, which keeps the all-pairs reference check below cheap.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidlift.arrangement import act, hyperplanes
+from braidlift.arrangement import (
+    act,
+    element_permutations,
+    hyperplane_permutation,
+    hyperplanes,
+    scalar_on_normal,
+)
 from braidlift.errors import GuardExceeded
 from braidlift.lattice import coboundary, trivialize_cocycle
-from braidlift.lifting import element_lifts_fast, element_lifts_oracle
+from braidlift.lifting import (
+    LiftReport,
+    LiftWitness,
+    element_lifts_fast,
+    element_lifts_oracle,
+    subgroup_lifts,
+)
 from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
@@ -135,3 +147,37 @@ def test_act_is_a_left_action(data):
     u, v = elements(data.draw, desc), elements(data.draw, desc)
     H = data.draw(st.sampled_from(hyperplanes(desc)))
     assert act(u * v, H) == act(u, act(v, H))
+
+
+def validated(G):
+    """G rebuilt through the public constructor, which picks greedy generators."""
+    return Subgroup(G.descriptor, G.elements)
+
+
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_walk_yields_each_element_once_with_its_permutation(G):
+    for H in (G, validated(G)):
+        walked = list(element_permutations(H))
+        assert sorted(g for g, _ in walked) == list(H.sorted_elements)
+        for g, pi in walked:
+            assert pi == hyperplane_permutation(g)
+
+
+def reference_subgroup_lifts(G):
+    """The scan that calls act on every element x hyperplane pair, in sorted order."""
+    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
+    for g in G:
+        for H in hyperplanes(G.descriptor):
+            if act(g, H) == H and not scalar_on_normal(g, H).is_one:
+                witness = LiftWitness(H, element=g)
+                return LiftReport(subject, False, witness, "oracle", kind="subgroup")
+    return LiftReport(subject, True, None, "oracle", kind="subgroup")
+
+
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_subgroup_scan_equals_the_per_pair_reference(G):
+    expected = reference_subgroup_lifts(G).to_json()
+    for H in (G, validated(G)):
+        assert subgroup_lifts(H).to_json() == expected
