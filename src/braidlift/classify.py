@@ -44,9 +44,16 @@ def is_bieberbach_series(descriptor: GroupDescriptor) -> bool:
 
 
 def bieberbach_bruteforce(descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD) -> bool:
-    """Oracle route: torsion-free iff no nonidentity element lifts."""
+    """Oracle route: torsion-free iff no nonidentity element lifts.
+
+    Only elements of prime order are handed to the oracle.  The oracle's
+    condition ("every power of w that lies in N_H also lies in C_H") passes
+    to every power of w, since the powers of w^k are powers of w.  So if some
+    w != 1 of order n lifts, then w^(n/p) lifts for each prime p | n, and
+    w^(n/p) has order p; an element of prime order is never the identity.
+    """
     for w in enumerate_elements(descriptor, guard):
-        if not w.is_identity and element_lifts_oracle(w).lifts:
+        if _is_prime(w.order()) and element_lifts_oracle(w).lifts:
             return False
     return True
 

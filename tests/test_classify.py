@@ -3,7 +3,7 @@
 import pytest
 
 from braidlift import permutations as perms
-from braidlift.acceptance import GRID
+from braidlift.acceptance import GRID, _oracle_lifts
 from braidlift.classify import (
     EXCEPTIONAL_BIEBERBACH,
     FrobeniusSpec,
@@ -51,6 +51,15 @@ def test_bieberbach_bruteforce_examples():
 def test_bieberbach_formula_equals_bruteforce_on_grid():
     for desc in GRID:
         assert is_bieberbach_series(desc) == bieberbach_bruteforce(desc), desc
+
+
+def test_powers_of_lifting_elements_lift_on_grid():
+    # The lemma behind bieberbach_bruteforce's prime-order filter.
+    for desc in GRID:
+        lifts = _oracle_lifts(desc)
+        for w in (w for w, ok in lifts.items() if ok):
+            for k in range(2, w.order()):
+                assert lifts[w**k], (desc, w, k)
 
 
 def test_exceptional_list():

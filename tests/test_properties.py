@@ -15,6 +15,7 @@ from braidlift.arrangement import (
     hyperplanes,
     scalar_on_normal,
 )
+from braidlift.classify import bieberbach_bruteforce
 from braidlift.errors import GuardExceeded
 from braidlift.lattice import coboundary, trivialize_cocycle
 from braidlift.lifting import (
@@ -116,6 +117,15 @@ def test_trusted_products_and_inverses_pass_the_public_constructor(data):
 def test_enumerated_elements_pass_the_public_constructor(desc):
     for w in enumerate_elements(desc):
         assert rebuilt(w) == w
+
+
+@ELEMENT_SETTINGS
+@given(descriptors(max_de=12).filter(lambda desc: desc.order() <= ENUMERATION_CAP))
+def test_prime_order_bieberbach_scan_equals_full_scan(desc):
+    full_scan = not any(
+        element_lifts_oracle(w).lifts for w in enumerate_elements(desc) if not w.is_identity
+    )
+    assert bieberbach_bruteforce(desc) == full_scan
 
 
 @ELEMENT_SETTINGS
