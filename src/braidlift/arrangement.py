@@ -17,9 +17,9 @@ is spanned by e_i - zeta^{-t} e_j, and when w exchanges i and j the scalar
 picks up a sign, which is the exponent-de element of U_{2de}.
 
 ``hyperplane_permutation`` turns the action of one element into a
-permutation of canonical indices, and ``element_permutations`` walks a
-subgroup from its generators' permutations, so whole-subgroup scans call
-``act`` once per generator and hyperplane instead of once per element.
+permutation of canonical indices.  ``element_permutations`` is the table
+g -> pi_g of a whole subgroup, which every loop over all of its elements
+reads, so ``act`` runs once per generator and hyperplane, not per element.
 
 Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
 """
@@ -30,15 +30,16 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Union
+from types import MappingProxyType
+from typing import Mapping, Union
 
-from .errors import MismatchError, ParseError
-from .monomial import GroupDescriptor, MonomialElement, Subgroup, identity
+from .errors import GuardExceeded, MismatchError, ParseError
+from .monomial import ENUMERATION_GUARD, GroupDescriptor, MonomialElement, Subgroup, identity
 from .permutations import compose
 
-#: Entries kept by the element-keyed ``hyperplane_permutation`` cache: far
-#: above the 155 of the largest benchmark command and the 940 of the test
-#: suite, so neither evicts, while a long session stays bounded.
+#: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
+#: tables call it on generators only: ``verify`` fills 111 entries and the test
+#: suite 840-1,060, so neither evicts, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
 
 _SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
@@ -120,28 +121,32 @@ def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
     return tuple(index[act(g, H)] for H in hyperplanes(g.descriptor))
 
 
-def element_permutations(G: Subgroup) -> Iterator[tuple[MonomialElement, tuple[int, ...]]]:
-    """Each element g of G once, with its permutation of hyperplane indices.
+def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...]]:
+    """The read-only table g -> pi_g of G's permutations of hyperplane indices.
 
-    A breadth-first walk from the identity over ``G.generators``: only the
+    Built once per subgroup and kept on it, like ``sorted_elements``, by a
+    breadth-first walk from the identity over ``G.generators``: only the
     generators' permutations come from ``act``, and every other one follows
-    from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  The order is the
-    walk's, not sorted; only the current frontier's permutations are held.
+    from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  Keys are in walk
+    order.  Raises GuardExceeded, before the walk, when |G| * |A| exceeds
+    ENUMERATION_GUARD.
     """
+    if table := vars(G).get("_hyperplane_permutations"):
+        return table
+    width = len(hyperplanes(G.descriptor))
+    if len(G) * width > ENUMERATION_GUARD:
+        raise GuardExceeded(f"{len(G)} elements x {width} hyperplanes exceed the guard")
     steps = [(s, hyperplane_permutation(s)) for s in G.generators]
-    start = identity(G.descriptor)
-    seen = {start}
-    frontier = [(start, tuple(range(len(hyperplanes(G.descriptor)))))]
-    while frontier:
-        yield from frontier
-        layer = []
-        for h, pi_h in frontier:
-            for s, pi_s in steps:
-                g = s * h
-                if g not in seen:
-                    seen.add(g)
-                    layer.append((g, compose(pi_s, pi_h)))
-        frontier = layer
+    queue = [(identity(G.descriptor), tuple(range(width)))]
+    table = dict(queue)
+    for h, pi_h in queue:
+        for s, pi_s in steps:
+            g = s * h
+            if g not in table:
+                table[g] = pi_g = compose(pi_s, pi_h)
+                queue.append((g, pi_g))
+    vars(G)["_hyperplane_permutations"] = table = MappingProxyType(table)
+    return table
 
 
 def stabilizes(w: MonomialElement, H: Hyperplane) -> bool:
@@ -199,14 +204,13 @@ def in_parabolic(w: MonomialElement, H: Hyperplane) -> bool:
 
 def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
     """Orbits of G on the hyperplanes, as sorted tuples of canonical indices."""
-    desc = G.descriptor
-    index = hyperplane_index(desc)
+    table = element_permutations(G).values()
     seen: set[int] = set()
     out: list[tuple[int, ...]] = []
-    for k, H in enumerate(hyperplanes(desc)):
+    for k in range(len(hyperplanes(G.descriptor))):
         if k in seen:
             continue
-        orbit = {index[act(g, H)] for g in G}
+        orbit = {pi[k] for pi in table}
         seen |= orbit
         out.append(tuple(sorted(orbit)))
     return tuple(out)
@@ -222,12 +226,8 @@ def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
     planes = hyperplanes(G.descriptor)
     if not planes:
         raise ValueError(f"{G.descriptor} has an empty arrangement")
-    for g in G:
-        if g.is_identity:
-            continue
-        if all(act(g, H) == H for H in planes):
-            return False
-    return True
+    fixed = tuple(range(len(planes)))
+    return list(element_permutations(G).values()).count(fixed) == 1
 
 
 def format_hyperplane(H: Hyperplane) -> str:

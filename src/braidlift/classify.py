@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 from . import permutations as perms
-from .arrangement import hyperplanes, stabilizes
+from .arrangement import element_permutations
 from .errors import GuardExceeded, InvariantViolation
 from .lifting import element_lifts_oracle
 from .monomial import (
@@ -151,11 +151,9 @@ def free_action_symmetric(G: PermutationGroup) -> bool:
 
 
 def free_action_general(G: Subgroup) -> bool:
-    """Whether no nonidentity element of G stabilizes any hyperplane."""
-    for g in G:
-        if g.is_identity:
-            continue
-        if any(stabilizes(g, H) for H in hyperplanes(G.descriptor)):
+    """Whether no nonidentity element of G stabilizes any hyperplane (pi_g[k] == k)."""
+    for g, pi in element_permutations(G).items():
+        if not g.is_identity and any(k == j for k, j in enumerate(pi)):
             return False
     return True
 

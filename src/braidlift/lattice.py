@@ -17,7 +17,9 @@ from random import Random
 from typing import Dict, Optional
 
 from . import intlinalg
-from .arrangement import hyperplane_index, hyperplane_permutation, hyperplanes, orbits
+from .arrangement import (
+    element_permutations, hyperplane_index, hyperplane_permutation, hyperplanes, orbits
+)
 from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
 
@@ -39,10 +41,14 @@ def basis_vector(descriptor, H) -> LatticeVector:
 
 def permute_vector(g: MonomialElement, v: LatticeVector) -> LatticeVector:
     """g.v: the coefficient of v at H moves to g(H)."""
-    pi = hyperplane_permutation(g)
+    return _permute(hyperplane_permutation(g), v)
+
+
+def _permute(pi: tuple[int, ...], v: LatticeVector) -> LatticeVector:
+    """v with the coefficient at index k moved to pi[k]."""
     out = [0] * len(v)
-    for k, c in enumerate(v):
-        out[pi[k]] = c
+    for j, c in zip(pi, v, strict=True):
+        out[j] = c
     return tuple(out)
 
 
@@ -50,8 +56,12 @@ def _add(u: LatticeVector, v: LatticeVector) -> LatticeVector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def _sub(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+def _difference(pi: tuple[int, ...], x: LatticeVector) -> LatticeVector:
+    """x - g.x, for the g that permutes hyperplane indices by pi."""
+    out = list(x)
+    for j, c in zip(pi, x, strict=True):
+        out[j] -= c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -99,17 +109,17 @@ def semidirect_order(x: SemidirectElement) -> Optional[int]:
 
 def coboundary(x: LatticeVector, G: Subgroup) -> Cocycle:
     """The principal cocycle g -> x - g.x on all of G."""
-    return {g: _sub(x, permute_vector(g, x)) for g in G}
+    return {g: _difference(pi, x) for g, pi in element_permutations(G).items()}
 
 
 def is_cocycle(c: Cocycle, G: Subgroup) -> bool:
     """Exhaustive check of c(gh) = c(g) + g.c(h) over G x G."""
     if set(c) != set(G.elements):
         return False
-    for g in G:
+    for g, pi in element_permutations(G).items():
         cg = c[g]
         for h in G:
-            if c[g * h] != _add(cg, permute_vector(g, c[h])):
+            if c[g * h] != _add(cg, _permute(pi, c[h])):
                 return False
     return True
 
@@ -153,8 +163,8 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
                     x[j] = x[k] + cs[j]
                     stack.append(j)
     result = tuple(x)
-    for g in G:
-        if _sub(result, permute_vector(g, result)) != c[g]:
+    for g, pi in element_permutations(G).items():
+        if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
     return result
 
@@ -207,25 +217,20 @@ def canonical_splitting(G: Subgroup) -> SplittingMap:
     return {g: SemidirectElement(zero, g) for g in G}
 
 
-def conjugate_splitting(s: SplittingMap, x: LatticeVector) -> SplittingMap:
-    """Conjugate a section by the lattice element x: g -> (x + s(g) - g.x, g)."""
-    return {
-        g: SemidirectElement(_sub(_add(x, sg.vector), permute_vector(g, x)), g)
-        for g, sg in s.items()
-    }
+def conjugate_splitting(s: SplittingMap, x: LatticeVector, G: Subgroup) -> SplittingMap:
+    """Conjugate a section of G by the lattice element x: g -> (x + s(g) - g.x, g)."""
+    return {g: SemidirectElement(_add(s[g].vector, d), g) for g, d in coboundary(x, G).items()}
 
 
 def is_splitting(s: SplittingMap, G: Subgroup) -> bool:
-    """Whether s is a homomorphic section of the projection to G."""
-    if set(s) != set(G.elements):
+    """Whether s is a homomorphic section of the projection to G.
+
+    With s(g) = (c(g), g), s(g)s(h) = (c(g) + g.c(h), gh), so s is a
+    homomorphism exactly when c is a cocycle.
+    """
+    if any(sg.element != g for g, sg in s.items()):
         return False
-    if any(s[g].element != g for g in G):
-        return False
-    for g in G:
-        for h in G:
-            if semidirect_compose(s[g], s[h]) != s[g * h]:
-                return False
-    return True
+    return is_cocycle({g: sg.vector for g, sg in s.items()}, G)
 
 
 def conjugate_complement(s1: SplittingMap, s2: SplittingMap, G: Subgroup) -> LatticeVector:
@@ -237,5 +242,5 @@ def conjugate_complement(s1: SplittingMap, s2: SplittingMap, G: Subgroup) -> Lat
     """
     if not is_splitting(s1, G) or not is_splitting(s2, G):
         raise ValueError("inputs are not homomorphic sections")
-    difference = {g: _sub(s2[g].vector, s1[g].vector) for g in G}
+    difference = {g: tuple(a - b for a, b in zip(s2[g].vector, s1[g].vector)) for g in G}
     return trivialize_cocycle(difference, G)

@@ -92,25 +92,25 @@ def element_lifts_fast(w: MonomialElement) -> bool:
     """Combinatorial test, no hyperplane scan.
 
     Case analysis: rank 1 groups embed in Z, so only the identity lifts.
-    Even order never lifts.  For d >= 2, and for d = 1 with sigma != id,
-    w lifts iff it has odd order and every cycle of sigma (fixed points
-    included) has exponent sum 0 mod de.  For d = 1 diagonal w, the order of
-    zeta^{a_i - a_j} must be a multiple of the orders of zeta^{a_i} and
-    zeta^{a_j} for every pair i != j.
+    Even order never lifts.  Otherwise w lifts iff every cycle of sigma of
+    length >= 2 has exponent sum 0 mod de, so does every fixed point when
+    d >= 2 (its coordinate hyperplane exists), and for any two fixed points
+    i != j the order of zeta^{a_i - a_j} is a multiple of the orders of
+    zeta^{a_i} and zeta^{a_j}.
     """
     desc = w.descriptor
     if desc.r == 1:
         return w.is_identity
     if w.order() % 2 == 0:
         return False
-    if desc.d >= 2 or not w.is_diagonal:
-        return all(c.product_exponent == 0 for c in w.cycles())
-    de = desc.de
-    a = w.exponents
-    for i in range(desc.r):
-        for j in range(i + 1, desc.r):
-            m = _root_order(a[i] - a[j], de)
-            if m % _root_order(a[i], de) or m % _root_order(a[j], de):
+    cycles = w.cycles()
+    if any(c.product_exponent for c in cycles if c.length > 1 or desc.d >= 2):
+        return False
+    a = [c.product_exponent for c in cycles if c.length == 1]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            m = _root_order(a[i] - a[j], desc.de)
+            if m % _root_order(a[i], desc.de) or m % _root_order(a[j], desc.de):
                 return False
     return True
 
@@ -118,25 +118,22 @@ def element_lifts_fast(w: MonomialElement) -> bool:
 def subgroup_lifts(G: Subgroup) -> LiftReport:
     """Whole-subgroup test: N_H meet G inside C_H for every hyperplane H.
 
-    Each element comes with its permutation pi of the hyperplane indices
-    (``element_permutations``), so g stabilizes H_k exactly when
-    pi[k] == k, and only those pairs reach ``scalar_on_normal``.  The
-    witness, when lifting fails, is the first violating (element,
-    hyperplane) pair in (sorted element, canonical hyperplane) order: the
-    walk is not sorted, so it keeps the least violating element seen and
-    skips the larger ones.
+    Each element's permutation pi of the hyperplane indices comes from G's
+    table (``element_permutations``), so g stabilizes H_k exactly when
+    pi[k] == k, and only those pairs reach ``scalar_on_normal``.  Elements
+    are scanned in sorted order and hyperplanes in canonical order, and the
+    first violating (element, hyperplane) pair is the witness.
     """
     planes = hyperplanes(G.descriptor)
-    witness = None
-    for g, pi in element_permutations(G):
-        if witness is not None and witness.element < g:
-            continue
+    table = element_permutations(G)
+    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
+    for g in G:
+        pi = table[g]
         for k, H in enumerate(planes):
             if pi[k] == k and not scalar_on_normal(g, H).is_one:
                 witness = LiftWitness(H, element=g)
-                break
-    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
-    return LiftReport(subject, witness is None, witness, "oracle", kind="subgroup")
+                return LiftReport(subject, False, witness, "oracle", kind="subgroup")
+    return LiftReport(subject, True, None, "oracle", kind="subgroup")
 
 
 def subgroup_lifts_local(G: Subgroup) -> bool:

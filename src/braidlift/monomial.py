@@ -121,10 +121,6 @@ class MonomialElement:
     def is_identity(self) -> bool:
         return self.sigma == perms.identity(self.descriptor.r) and not any(self.exponents)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.sigma == perms.identity(self.descriptor.r)
-
     def __mul__(self, other: "MonomialElement") -> "MonomialElement":
         desc = self.descriptor
         if other.descriptor is not desc and other.descriptor != desc:

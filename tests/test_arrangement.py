@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from braidlift import arrangement
 from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
     Swap,
     act,
     acts_faithfully_on_arrangement,
+    element_permutations,
     format_hyperplane,
     hyperplane_count,
     hyperplane_index,
@@ -20,7 +22,7 @@ from braidlift.arrangement import (
     scalar_on_normal,
     stabilizes,
 )
-from braidlift.errors import MismatchError, ParseError
+from braidlift.errors import GuardExceeded, MismatchError, ParseError
 from braidlift.monomial import (
     GroupDescriptor,
     center,
@@ -175,6 +177,20 @@ def test_faithfulness_needs_nonempty_arrangement():
     desc = D(1, 1, 1)
     with pytest.raises(ValueError):
         acts_faithfully_on_arrangement(closure(desc, [identity(desc)]))
+
+
+def test_permutation_table_checks_its_guard_first(monkeypatch):
+    s4 = D(1, 1, 4)  # 24 elements x 6 hyperplanes = 144 table entries
+    gens = [from_permutation(s4, (1, 2, 3, 0)), from_permutation(s4, (1, 0, 2, 3))]
+    monkeypatch.setattr(arrangement, "ENUMERATION_GUARD", 143)
+    G = closure(s4, gens)
+    with pytest.raises(GuardExceeded, match="24 elements x 6 hyperplanes exceed"):
+        element_permutations(G)
+    with pytest.raises(GuardExceeded):
+        orbits(G)
+    monkeypatch.setattr(arrangement, "ENUMERATION_GUARD", 144)
+    table = element_permutations(G)
+    assert len(table) == 24 and element_permutations(G) is table
 
 
 def test_hyperplane_text_roundtrip():

@@ -327,12 +327,7 @@ def argvs(draw):
     ))
     pool = SCANNED_GROUPS if command == "classify" else FUZZ_GROUPS
     desc = draw(st.sampled_from(pool))
-    # The closure guard caps elements x hyperplanes, which bounds check-subgroup's
-    # scan.  Each cocycle round trip costs more per element, so above 1,000
-    # elements cocycle draws one generator, which keeps the closure cyclic: no
-    # element of a G(de,e,r) with de <= 12, r <= 8 has order above 180.
-    max_gens = 1 if command == "cocycle" and desc.order() > 1000 else 3
-    gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=max_gens)))
+    gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=3)))
     if command == "check-element":
         method = draw(mostly(st.sampled_from(("oracle", "fast", "both")), st.just("none")))
         argv = ["--group", draw(group_text(desc)), "--element", draw(element_text(desc)),

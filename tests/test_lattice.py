@@ -222,7 +222,7 @@ def test_canonical_splitting_is_splitting():
     G = three_cycle_group()
     s = canonical_splitting(G)
     assert is_splitting(s, G)
-    shifted = conjugate_splitting(s, basis_vector(S3, Swap(0, 1, 0)))
+    shifted = conjugate_splitting(s, basis_vector(S3, Swap(0, 1, 0)), G)
     assert is_splitting(shifted, G)
 
 
@@ -238,9 +238,9 @@ def test_conjugate_complement_recovers_conjugator():
     s1 = canonical_splitting(G)
     for _ in range(25):
         v = random_vector(rng, S3)
-        s2 = conjugate_splitting(s1, v)
+        s2 = conjugate_splitting(s1, v, G)
         x = conjugate_complement(s1, s2, G)
-        assert conjugate_splitting(s1, x) == s2  # x need not equal v
+        assert conjugate_splitting(s1, x, G) == s2  # x need not equal v
 
 
 def test_conjugate_complement_rejects_non_homomorphisms():

@@ -53,6 +53,15 @@ def test_fast_examples():
     assert element_lifts_fast(from_permutation(D(1, 1, 4), (1, 2, 0, 3)))
 
 
+def test_fast_fixed_points_beside_a_cycle_when_d_is_1():
+    # d = 1 has no coordinate hyperplanes, so fixed points beside a zero-sum
+    # 3-cycle need only the pairwise diagonal rule, not exponent 0
+    lifting = parse_element(D(5, 5, 5), "perm=[1,2,4,5,3];exp=[1,4,0,0,0]")
+    blocked = parse_element(D(9, 9, 6), "perm=[1,2,3,5,6,4];exp=[3,3,3,0,0,0]")
+    for w, lifts in ((lifting, True), (blocked, False)):
+        assert element_lifts_oracle(w).lifts == element_lifts_fast(w) == lifts
+
+
 def test_fast_rank_one_only_identity():
     desc = D(4, 2, 1)
     for w in enumerate_elements(desc):

@@ -5,19 +5,31 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidlift.arrangement import (
     act,
+    acts_faithfully_on_arrangement,
     element_permutations,
+    hyperplane_index,
     hyperplane_permutation,
     hyperplanes,
+    orbits,
     scalar_on_normal,
 )
-from braidlift.classify import bieberbach_bruteforce
+from braidlift.classify import bieberbach_bruteforce, free_action_general
 from braidlift.errors import GuardExceeded
-from braidlift.lattice import coboundary, trivialize_cocycle
+from braidlift.lattice import (
+    SemidirectElement,
+    canonical_splitting,
+    coboundary,
+    conjugate_splitting,
+    is_splitting,
+    semidirect_compose,
+    trivialize_cocycle,
+)
 from braidlift.lifting import (
     LiftReport,
     LiftWitness,
@@ -168,9 +180,9 @@ def validated(G):
 @given(subgroups())
 def test_walk_yields_each_element_once_with_its_permutation(G):
     for H in (G, validated(G)):
-        walked = list(element_permutations(H))
-        assert sorted(g for g, _ in walked) == list(H.sorted_elements)
-        for g, pi in walked:
+        table = element_permutations(H)
+        assert table.keys() == H.elements
+        for g, pi in table.items():
             assert pi == hyperplane_permutation(g)
 
 
@@ -191,3 +203,80 @@ def test_subgroup_scan_equals_the_per_pair_reference(G):
     expected = reference_subgroup_lifts(G).to_json()
     for H in (G, validated(G)):
         assert subgroup_lifts(H).to_json() == expected
+
+
+# References for the whole-subgroup loops that read the permutation table:
+# each calls act on every element x hyperplane pair.
+
+
+def reference_orbits(G):
+    index = hyperplane_index(G.descriptor)
+    seen, out = set(), []
+    for k, H in enumerate(hyperplanes(G.descriptor)):
+        if k not in seen:
+            orbit = {index[act(g, H)] for g in G}
+            seen |= orbit
+            out.append(tuple(sorted(orbit)))
+    return tuple(out)
+
+
+def reference_faithful(G):
+    planes = hyperplanes(G.descriptor)
+    return not any(all(act(g, H) == H for H in planes) for g in G if not g.is_identity)
+
+
+def reference_free_action(G):
+    planes = hyperplanes(G.descriptor)
+    return not any(act(g, H) == H for g in G if not g.is_identity for H in planes)
+
+
+def reference_coboundary(x, G):
+    index = hyperplane_index(G.descriptor)
+    cocycle = {}
+    for g in G:
+        gx = [0] * len(x)
+        for k, H in enumerate(hyperplanes(G.descriptor)):
+            gx[index[act(g, H)]] = x[k]
+        cocycle[g] = tuple(a - b for a, b in zip(x, gx))
+    return cocycle
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.data())
+def test_table_loops_equal_the_per_element_references(G, data):
+    width = len(hyperplanes(G.descriptor))
+    x = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)))
+    for H in (G, validated(G)):
+        assert orbits(H) == reference_orbits(G)
+        assert free_action_general(H) == reference_free_action(G)
+        assert coboundary(x, H) == reference_coboundary(x, G)
+        if width:
+            assert acts_faithfully_on_arrangement(H) == reference_faithful(G)
+        else:
+            with pytest.raises(ValueError):
+                acts_faithfully_on_arrangement(H)
+
+
+def reference_is_splitting(s, G):
+    """The definition: s(g) lies over g and s(g)s(h) = s(gh), by semidirect products."""
+    return (
+        s.keys() == G.elements
+        and all(s[g].element == g for g in G)
+        and all(semidirect_compose(s[g], s[h]) == s[g * h] for g in G for h in G)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.data())
+def test_splitting_check_equals_the_all_pairs_reference(G, data):
+    width = len(hyperplanes(G.descriptor))
+    vectors = st.lists(st.integers(-9, 9), min_size=width, max_size=width).map(tuple)
+    s = conjugate_splitting(canonical_splitting(G), data.draw(vectors), G)
+    assert reference_is_splitting(s, G)
+    if data.draw(st.booleans()):
+        # replace the vector of s(g), its element, both or neither
+        g = data.draw(st.sampled_from(G.sorted_elements))
+        h = data.draw(st.sampled_from(G.sorted_elements))
+        s[g] = SemidirectElement(data.draw(st.just(s[g].vector) | vectors), h)
+    for H in (G, validated(G)):
+        assert is_splitting(s, H) == reference_is_splitting(s, G)
