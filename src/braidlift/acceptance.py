@@ -9,7 +9,7 @@ subcommand and tests/test_acceptance.py both run these.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from random import Random
 
@@ -52,12 +52,8 @@ GRID: tuple[GroupDescriptor, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "number title passed detail")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Union
 
 from .errors import GuardExceeded, MismatchError, ParseError
 from .monomial import ENUMERATION_GUARD, GroupDescriptor, MonomialElement, Subgroup, identity
@@ -46,23 +46,19 @@ _SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
 _COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
 
 
-@dataclass(frozen=True, order=True)
-class Swap:
+class Swap(namedtuple("Swap", "i j t")):
     """The hyperplane z_i = zeta_de^t z_j, normalized so i < j."""
 
-    i: int
-    j: int
-    t: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class Coord:
+class Coord(namedtuple("Coord", "i")):
     """The coordinate hyperplane z_i = 0."""
 
-    i: int
+    __slots__ = ()
 
 
-Hyperplane = Union[Swap, Coord]
+Hyperplane = Swap | Coord
 
 
 def _swap(i: int, j: int, t: int, de: int) -> Swap:
@@ -154,19 +150,17 @@ def stabilizes(w: MonomialElement, H: Hyperplane) -> bool:
     return act(w, H) == H
 
 
-@dataclass(frozen=True)
-class ScalarRoot:
+class ScalarRoot(namedtuple("ScalarRoot", "exponent modulus")):
     """A root of unity zeta_{2de}^exponent.
 
     Elements of U_de embed with even exponents; the sign -1 sits at
     exponent de.
     """
 
-    exponent: int
-    modulus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % self.modulus)
+    def __new__(cls, exponent: int, modulus: int) -> ScalarRoot:
+        return tuple.__new__(cls, (exponent % modulus, modulus))
 
     @property
     def is_one(self) -> bool:

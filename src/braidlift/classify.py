@@ -8,9 +8,9 @@ on the lifting oracle, so the two routes stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
-from typing import Iterator, Sequence, Union
 
 from . import permutations as perms
 from .arrangement import element_permutations
@@ -103,20 +103,30 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
     return all(c.length == k and c.product_exponent == 0 for c in cycles)
 
 
-@dataclass(frozen=True)
 class PermutationGroup:
-    """A closed set of permutations of {0..degree-1}, verified on construction."""
+    """A closed set of permutations of {0..degree-1}, verified on construction.
 
-    degree: int
-    elements: frozenset[tuple[int, ...]]
+    Groups compare and hash by (degree, elements).
+    """
+
+    def __init__(self, degree: int, elements: Iterable[tuple[int, ...]]) -> None:
+        self.degree = degree
+        self.elements = frozenset(elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        els = frozenset(self.elements)
-        object.__setattr__(self, "elements", els)
-        for p in els:
+        for p in self.elements:
             if len(p) != self.degree or not perms.is_permutation(p):
                 raise ValueError(f"{p} is not a permutation of 0..{self.degree - 1}")
         perms.greedy_generators(self.sorted_elements, perms.identity(self.degree))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PermutationGroup):
+            return NotImplemented
+        return (self.degree, self.elements) == (other.degree, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, self.elements))
 
     @cached_property
     def sorted_elements(self) -> tuple[tuple[int, ...], ...]:
@@ -179,18 +189,16 @@ def _multiplicative_order(m: int, p: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class FrobeniusSpec:
+class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
     """The affine Frobenius group Z/p x| Z/q with multiplier m of order q mod p."""
 
-    p: int
-    q: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self._check_orders(self.p, self.q)
-        if self.m % self.p == 0 or _multiplicative_order(self.m, self.p) != self.q:
-            raise ValueError(f"m = {self.m} must have multiplicative order {self.q} mod {self.p}")
+    def __new__(cls, p: int, q: int, m: int) -> FrobeniusSpec:
+        cls._check_orders(p, q)
+        if m % p == 0 or _multiplicative_order(m, p) != q:
+            raise ValueError(f"m = {m} must have multiplicative order {q} mod {p}")
+        return tuple.__new__(cls, (p, q, m))
 
     @staticmethod
     def _check_orders(p: int, q: int) -> None:
@@ -248,7 +256,7 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> PermutationGroup:
 
 
 def cayley_embedding(
-    G: Union[PermutationGroup, Subgroup], max_degree: int = 10**4
+    G: PermutationGroup | Subgroup, max_degree: int = 10**4
 ) -> PermutationGroup:
     """The left-translation action of G on its own sorted element list."""
     elements = G.sorted_elements

@@ -11,9 +11,9 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Sequence
 from itertools import product
 from random import Random
-from typing import Sequence
 
 from . import acceptance
 from .arrangement import hyperplane_count, orbits, acts_faithfully_on_arrangement
@@ -192,11 +192,11 @@ def cmd_survey(args: argparse.Namespace) -> int:
     grid, work = [], 0
     for d, e, r in product(range(1, dmax + 1), range(1, emax + 1), range(1, rmax + 1)):
         desc = GroupDescriptor(d, e, r)
-        work += desc.order()
-        if work > ENUMERATION_GUARD:
+        if desc.order_exceeds(ENUMERATION_GUARD - work):
             raise GuardExceeded(
                 f"grid {args.grid!r} enumerates more than {ENUMERATION_GUARD} elements by {desc}"
             )
+        work += desc.order()
         grid.append(desc)
     _print_rows([_classify_row(desc) for desc in grid], args.json)
     return EXIT_OK

@@ -7,7 +7,7 @@ rounding; pivoting orders are fixed so results are deterministic.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 
 def rank(rows: Iterable[Mapping[int, int] | Sequence[int]]) -> int:

@@ -12,9 +12,8 @@ treats a failure as a falsified theorem, not as a data error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from random import Random
-from typing import Dict, Optional
 
 from . import intlinalg
 from .arrangement import (
@@ -24,8 +23,7 @@ from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
 
 LatticeVector = tuple[int, ...]
-Cocycle = Dict[MonomialElement, LatticeVector]
-SplittingMap = Dict[MonomialElement, "SemidirectElement"]
+Cocycle = dict[MonomialElement, LatticeVector]
 
 
 def zero_vector(descriptor) -> LatticeVector:
@@ -64,12 +62,13 @@ def _difference(pi: tuple[int, ...], x: LatticeVector) -> LatticeVector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
+class SemidirectElement(namedtuple("SemidirectElement", "vector element")):
     """An element (v, g) of Z[A] x| G, composing as (v, g)(w, h) = (v + g.w, gh)."""
 
-    vector: LatticeVector
-    element: MonomialElement
+    __slots__ = ()
+
+
+SplittingMap = dict[MonomialElement, SemidirectElement]
 
 
 def semidirect_identity(descriptor) -> SemidirectElement:
@@ -91,7 +90,7 @@ def semidirect_inverse(x: SemidirectElement) -> SemidirectElement:
     )
 
 
-def semidirect_order(x: SemidirectElement) -> Optional[int]:
+def semidirect_order(x: SemidirectElement) -> int | None:
     """Order of (v, g), or None when infinite.
 
     (v, g)^n = (v + g.v + ... + g^{n-1}.v, g^n) with n = order(g); the
@@ -114,7 +113,7 @@ def coboundary(x: LatticeVector, G: Subgroup) -> Cocycle:
 
 def is_cocycle(c: Cocycle, G: Subgroup) -> bool:
     """Exhaustive check of c(gh) = c(g) + g.c(h) over G x G."""
-    if set(c) != set(G.elements):
+    if c.keys() != G.elements:
         return False
     for g, pi in element_permutations(G).items():
         cg = c[g]
@@ -145,9 +144,9 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     Raises NoIntegralSolution if no integral x exists; on a genuine cocycle
     that would falsify the vanishing of H^1 and must fail the build.
     """
-    missing = [g for g in G if g not in c]
+    missing = G.elements - c.keys()
     if missing:
-        raise ValueError(f"cocycle is not defined on all of the subgroup: missing {missing[0]}")
+        raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
     edges = [(hyperplane_permutation(s), c[s]) for s in small_generating_set(G)]
     x: list[int | None] = [None] * len(hyperplanes(G.descriptor))
     for root in range(len(x)):
@@ -169,7 +168,7 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     return result
 
 
-def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> Optional[LatticeVector]:
+def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector | None:
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
     Each trip draws x0 with one entry in [-9, 9] per hyperplane, in

@@ -16,11 +16,9 @@ data.  Their agreement on whole groups is part of the verification suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .arrangement import (
-    Hyperplane,
     act,
     element_permutations,
     format_hyperplane,
@@ -30,13 +28,13 @@ from .arrangement import (
 from .monomial import MonomialElement, Subgroup, format_element, is_central
 
 
-@dataclass(frozen=True)
-class LiftWitness:
-    """A violation certificate: some power (or element) sits in N_H minus C_H."""
+class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
+    """A violation certificate: some power (or element) sits in N_H minus C_H.
 
-    hyperplane: Hyperplane
-    power: Optional[int] = None
-    element: Optional[MonomialElement] = None
+    Fields: ``hyperplane``, and ``power`` (an int) or ``element``.
+    """
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         data: dict = {"hyperplane": format_hyperplane(self.hyperplane)}
@@ -47,15 +45,12 @@ class LiftWitness:
         return data
 
 
-@dataclass(frozen=True)
-class LiftReport:
+class LiftReport(
+    namedtuple("LiftReport", "subject lifts witness method kind", defaults=("element",))
+):
     """Verdict of a lifting test, with a verifiable witness when it fails."""
 
-    subject: str
-    lifts: bool
-    witness: Optional[LiftWitness]
-    method: str
-    kind: str = "element"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -141,7 +136,7 @@ def subgroup_lifts_local(G: Subgroup) -> bool:
     return all(element_lifts_oracle(g).lifts for g in G)
 
 
-def obstruction_shortcuts(w: MonomialElement) -> Optional[str]:
+def obstruction_shortcuts(w: MonomialElement) -> str | None:
     """A cheap reason why w cannot lift, or None.
 
     "even-order": a power of w is an order-2 element, which never lifts.

@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Sequence
 
 from . import permutations as perms
 from .errors import GuardExceeded, MismatchError, ParseError
@@ -39,21 +39,23 @@ _SYMMETRIC_RE = re.compile(r"^\s*S\(\s*(\d+)\s*\)\s*$")
 _ELEMENT_RE = re.compile(r"^\s*perm=\[([0-9,\s]*)\]\s*;\s*exp=\[([0-9,\s+-]*)\]\s*$")
 
 
-@dataclass(frozen=True, order=True)
-class GroupDescriptor:
+#: Builds a tuple-backed value without its class's validating ``__new__``.
+_new = tuple.__new__
+
+
+class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
     """The triple (d, e, r) naming G(de, e, r).
 
     Note the constructor takes d, not de.  Use ``from_deer`` or ``parse`` to
     build a descriptor from the traditional G(de, e, r) spelling.
     """
 
-    d: int
-    e: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.d, self.e, self.r) < 1:
-            raise ValueError(f"d, e, r must be positive, got ({self.d},{self.e},{self.r})")
+    def __new__(cls, d: int, e: int, r: int) -> GroupDescriptor:
+        if min(d, e, r) < 1:
+            raise ValueError(f"d, e, r must be positive, got ({d},{e},{r})")
+        return _new(cls, (d, e, r))
 
     @property
     def de(self) -> int:
@@ -62,6 +64,16 @@ class GroupDescriptor:
     def order(self) -> int:
         """|G(de,e,r)| = (de)^r * r! / e."""
         return self.de**self.r * math.factorial(self.r) // self.e
+
+    def order_exceeds(self, bound: int) -> bool:
+        """Whether order() > bound, by a product (de)(2de)...(r de) that stops
+        once it passes bound * e, so huge groups cost a few steps."""
+        total, limit = 1, bound * self.e
+        for k in range(1, self.r + 1):
+            total *= self.de * k
+            if total > limit:
+                return True
+        return False
 
     @classmethod
     def from_deer(cls, de: int, e: int, r: int) -> "GroupDescriptor":
@@ -84,38 +96,42 @@ class GroupDescriptor:
         return f"G({self.de},{self.e},{self.r})"
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(namedtuple("CycleData", "support product_exponent")):
     """One cycle of the underlying permutation, with its exponent sum."""
 
-    support: tuple[int, ...]
-    product_exponent: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:
         return len(self.support)
 
 
-@dataclass(frozen=True, order=True)
-class MonomialElement:
-    """A monomial matrix w(e_i) = zeta_de^{exponents[i]} e_{sigma[i]}."""
+class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents")):
+    """A monomial matrix w(e_i) = zeta_de^{exponents[i]} e_{sigma[i]}.
 
-    descriptor: GroupDescriptor
-    sigma: tuple[int, ...]
-    exponents: tuple[int, ...]
+    A tuple (descriptor, sigma, exponents): equality, hashing and order are
+    those of the tuple.  The constructor reduces the exponents mod de and
+    validates; products, inverses and enumeration skip both (``_new``).
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, descriptor: GroupDescriptor, sigma: Sequence[int], exponents: Sequence[int]
+    ) -> MonomialElement:
+        de = descriptor.de
+        w = _new(cls, (descriptor, tuple(sigma), tuple(a % de for a in exponents)))
+        w.__post_init__()
+        return w
 
     def __post_init__(self) -> None:
-        desc = self.descriptor
-        sigma = tuple(self.sigma)
-        exps = tuple(a % desc.de for a in self.exponents)
+        desc, sigma, exps = self
         if len(sigma) != desc.r or not perms.is_permutation(sigma):
             raise ValueError(f"sigma {sigma} is not a permutation of 0..{desc.r - 1}")
         if len(exps) != desc.r:
             raise ValueError(f"expected {desc.r} exponents, got {len(exps)}")
         if sum(exps) % desc.e:
             raise ValueError(f"exponent sum {sum(exps)} is not 0 mod e = {desc.e}: not in {desc}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "exponents", exps)
 
     @property
     def is_identity(self) -> bool:
@@ -128,7 +144,7 @@ class MonomialElement:
         de, mine = desc.de, self.exponents
         sigma = perms.compose(self.sigma, other.sigma)
         exps = tuple([(a + mine[j]) % de for a, j in zip(other.exponents, other.sigma)])
-        return _trusted_element(desc, sigma, exps)
+        return _new(MonomialElement, (desc, sigma, exps))
 
     def inverse(self) -> "MonomialElement":
         de = self.descriptor.de
@@ -136,7 +152,7 @@ class MonomialElement:
         exps = [0] * self.descriptor.r
         for i in range(self.descriptor.r):
             exps[self.sigma[i]] = (-self.exponents[i]) % de
-        return _trusted_element(self.descriptor, sigma, tuple(exps))
+        return _new(MonomialElement, (self.descriptor, sigma, tuple(exps)))
 
     def __pow__(self, n: int) -> "MonomialElement":
         base = self
@@ -175,23 +191,6 @@ class MonomialElement:
     @classmethod
     def parse(cls, descriptor: GroupDescriptor, text: str) -> "MonomialElement":
         return parse_element(descriptor, text)
-
-
-def _trusted_element(
-    descriptor: GroupDescriptor, sigma: tuple[int, ...], exponents: tuple[int, ...]
-) -> MonomialElement:
-    """Build an element without ``__post_init__``'s validation.
-
-    Only for values that are valid by construction: sigma a permutation
-    tuple of length r, exponents a tuple reduced mod de with sum 0 mod e.
-    Products, inverses and enumeration produce such values; anything that
-    comes from outside goes through the public constructor.
-    """
-    w = object.__new__(MonomialElement)
-    object.__setattr__(w, "descriptor", descriptor)
-    object.__setattr__(w, "sigma", sigma)
-    object.__setattr__(w, "exponents", exponents)
-    return w
 
 
 def identity(descriptor: GroupDescriptor) -> MonomialElement:
@@ -256,17 +255,16 @@ def enumerate_elements(
     vectors with sum = 0 mod e (the first r-1 entries are free, the last is
     determined up to the d multiples of e).
     """
-    if descriptor.order() > guard:
+    if descriptor.order_exceeds(guard):
         raise GuardExceeded(f"{descriptor} has more than {guard} elements")
     d, e, r, de = descriptor.d, descriptor.e, descriptor.r, descriptor.de
     for sigma in perms.all_permutations(r):
         for head in _cartesian(range(de), repeat=r - 1):
             base = (-sum(head)) % e
             for k in range(d):
-                yield _trusted_element(descriptor, sigma, head + (base + k * e,))
+                yield _new(MonomialElement, (descriptor, sigma, head + (base + k * e,)))
 
 
-@dataclass(frozen=True)
 class Subgroup:
     """A finite subgroup of G(de, e, r), verified on construction.
 
@@ -274,24 +272,31 @@ class Subgroup:
     (``permutations.greedy_generators``), so it costs O(|G| * k) products
     for k generators.  Those generators are kept in ``generators``.
     ``closure`` skips the check: its output is closed by construction.
+    Subgroups compare and hash by (descriptor, elements).
     """
 
-    descriptor: GroupDescriptor
-    elements: frozenset[MonomialElement]
-    generators: tuple[MonomialElement, ...] = field(init=False, compare=False, repr=False)
+    def __init__(self, descriptor: GroupDescriptor, elements: Iterable[MonomialElement]) -> None:
+        self.descriptor = descriptor
+        self.elements = frozenset(elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        els = frozenset(self.elements)
-        object.__setattr__(self, "elements", els)
-        if not els:
+        if not self.elements:
             raise ValueError("a subgroup must contain at least the identity")
-        for w in els:
+        for w in self.elements:
             if w.descriptor != self.descriptor:
                 raise MismatchError(f"element {w} does not live in {self.descriptor}")
-        gens = perms.greedy_generators(
+        self.generators = perms.greedy_generators(
             self.sorted_elements, identity(self.descriptor), operator.mul
         )
-        object.__setattr__(self, "generators", gens)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return (self.descriptor, self.elements) == (other.descriptor, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.descriptor, self.elements))
 
     @cached_property
     def sorted_elements(self) -> tuple[MonomialElement, ...]:
@@ -322,9 +327,9 @@ def closure(
     # The BFS output is closed by construction, so the greedy-generator
     # check of Subgroup.__post_init__ would only repeat its products.
     G = object.__new__(Subgroup)
-    object.__setattr__(G, "descriptor", descriptor)
-    object.__setattr__(G, "elements", perms.mulclose(gens, max_size, operator.mul))
-    object.__setattr__(G, "generators", tuple(dict.fromkeys(gens)))
+    G.descriptor = descriptor
+    G.elements = perms.mulclose(gens, max_size, operator.mul)
+    G.generators = tuple(dict.fromkeys(gens))
     return G
 
 

@@ -8,8 +8,8 @@ package: compose(p, q) applies q first, then p.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations as _all_perms
-from typing import Iterable, Iterator, Sequence
 
 from .errors import GuardExceeded
 

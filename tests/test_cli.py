@@ -113,6 +113,11 @@ def test_classify_guard_exceeded(capsys):
     # hyperplanes: neither is built.
     code, out, _ = invoke(capsys, "classify", "--group", "S(5000)")
     assert code == 0 and "skipped" in out and "12497500" in out
+    # The guard compares the order by a product that stops past the bound,
+    # so the order of a huge group is never computed in full.
+    for group in ("S(1000000)", "G(2,1,3000000)", "G(99999999999,1,99999999)"):
+        code, out, _ = invoke(capsys, "classify", "--group", group)
+        assert code == 0 and out.splitlines()[1].split()[2] == "skipped"
 
 
 def test_classify_scans_only_prime_order_elements(capsys):

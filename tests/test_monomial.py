@@ -206,6 +206,20 @@ def test_enumeration_is_duplicate_free_and_valid():
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         next(enumerate_elements(D(2, 1, 12)))
+    # (10^8)! is never computed: the bounded product passes the guard at 10.
+    with pytest.raises(GuardExceeded):
+        next(enumerate_elements(GroupDescriptor(1, 1, 10**8)))
+
+
+def test_order_exceeds_equals_the_order_comparison():
+    for d in range(1, 5):
+        for e in range(1, 5):
+            for r in range(1, 6):
+                desc = GroupDescriptor(d, e, r)
+                n = desc.order()
+                for bound in (0, 1, n - 1, n, n + 1, 10**6):
+                    assert desc.order_exceeds(bound) == (n > bound)
+    assert GroupDescriptor(99999999999, 1, 99999999).order_exceeds(10**6)
 
 
 def test_closure_of_standard_generators_matches_order_formula():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidlift.arrangement import (
+    Swap,
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
@@ -280,3 +281,53 @@ def test_splitting_check_equals_the_all_pairs_reference(G, data):
         s[g] = SemidirectElement(data.draw(st.just(s[g].vector) | vectors), h)
     for H in (G, validated(G)):
         assert is_splitting(s, H) == reference_is_splitting(s, G)
+
+
+def element_key(w):
+    desc = w.descriptor
+    return ((desc.d, desc.e, desc.r), w.sigma, w.exponents)
+
+
+def hyperplane_key(H):
+    return (H.i, H.j, H.t) if isinstance(H, Swap) else (H.i,)
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_value_types_compare_and_hash_as_their_key(data):
+    desc = data.draw(descriptors())
+    other = data.draw(st.sampled_from([desc, data.draw(descriptors())]))
+    u, v = elements(data.draw, desc), elements(data.draw, other)
+    pairs = [(u, v, element_key)]
+    if hyperplanes(desc):
+        planes = st.sampled_from(hyperplanes(desc))
+        pairs.append((data.draw(planes), data.draw(planes), hyperplane_key))
+    for a, b, key in pairs:
+        assert (a == b) == (key(a) == key(b))
+        assert (a < b) == (key(a) < key(b))
+        assert hash(a) == hash(key(a))
+        with pytest.raises(AttributeError):
+            a.i = 0
+    with pytest.raises(AttributeError):
+        u.sigma = v.sigma
+    with pytest.raises(AttributeError):
+        desc.r = 1
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_public_constructors_still_validate(data):
+    G = data.draw(subgroups())
+    desc = G.descriptor
+    w = data.draw(st.sampled_from(G.sorted_elements))
+    assert Subgroup(desc, G.elements) == G
+    assert MonomialElement(desc, list(w.sigma), [a + desc.de for a in w.exponents]) == w
+    with pytest.raises(ValueError):
+        MonomialElement(desc, w.sigma + (desc.r,), w.exponents + (0,))
+    with pytest.raises(ValueError):
+        MonomialElement(desc, (0,) * desc.r if desc.r > 1 else (1,), w.exponents)
+    if desc.e > 1:
+        with pytest.raises(ValueError):
+            MonomialElement(desc, w.sigma, (w.exponents[0] + 1,) + w.exponents[1:])
+    with pytest.raises(ValueError):
+        GroupDescriptor(desc.d, 0, desc.r)
