@@ -17,9 +17,11 @@ is spanned by e_i - zeta^{-t} e_j, and when w exchanges i and j the scalar
 picks up a sign, which is the exponent-de element of U_{2de}.
 
 ``hyperplane_permutation`` turns the action of one element into a
-permutation of canonical indices.  ``element_permutations`` is the table
-g -> pi_g of a whole subgroup, which every loop over all of its elements
-reads, so ``act`` runs once per generator and hyperplane, not per element.
+permutation of canonical indices.  ``orbits`` follows the generators'
+permutations breadth-first, and ``acts_faithfully_on_arrangement`` stops at
+each element's first moved hyperplane, so neither builds a table of every
+element's permutation.  ``element_permutations`` is that table g -> pi_g,
+read only by the cocycle code of ``lattice``, which uses every entry.
 
 Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
 """
@@ -120,7 +122,9 @@ def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
 def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...]]:
     """The read-only table g -> pi_g of G's permutations of hyperplane indices.
 
-    Built once per subgroup and kept on it, like ``sorted_elements``, by a
+    For the cocycle code, which reads every entry; the whole-subgroup tests
+    here and in ``lifting`` and ``classify`` need none of it.  Built once per
+    subgroup and kept on it, like ``sorted_elements``, by a
     breadth-first walk from the identity over ``G.generators``: only the
     generators' permutations come from ``act``, and every other one follows
     from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  Keys are in walk
@@ -197,15 +201,25 @@ def in_parabolic(w: MonomialElement, H: Hyperplane) -> bool:
 
 
 def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """Orbits of G on the hyperplanes, as sorted tuples of canonical indices."""
-    table = element_permutations(G).values()
-    seen: set[int] = set()
+    """Orbits of G on the hyperplanes, as sorted tuples of canonical indices.
+
+    A breadth-first search from each hyperplane not yet reached, along the
+    generators' permutations: O(|A| * k) steps for k generators.  In a finite
+    group every inverse is a power, so these edges reach the whole orbit.
+    """
+    steps = [hyperplane_permutation(s) for s in G.generators]
+    seen = [False] * len(hyperplanes(G.descriptor))
     out: list[tuple[int, ...]] = []
-    for k in range(len(hyperplanes(G.descriptor))):
-        if k in seen:
+    for root in range(len(seen)):
+        if seen[root]:
             continue
-        orbit = {pi[k] for pi in table}
-        seen |= orbit
+        seen[root] = True
+        orbit = [root]
+        for k in orbit:
+            for pi in steps:
+                if not seen[j := pi[k]]:
+                    seen[j] = True
+                    orbit.append(j)
         out.append(tuple(sorted(orbit)))
     return tuple(out)
 
@@ -215,13 +229,15 @@ def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
 
     Equivalent to G meeting the centre of the ambient group trivially, since
     the kernel of the action of the full group on its arrangement is its
-    centre.
+    centre.  Each element is tested with ``act`` and stops at its first
+    moved hyperplane, which for most elements is one of the first few.
     """
     planes = hyperplanes(G.descriptor)
     if not planes:
         raise ValueError(f"{G.descriptor} has an empty arrangement")
-    fixed = tuple(range(len(planes)))
-    return list(element_permutations(G).values()).count(fixed) == 1
+    return not any(
+        all(act(g, H) == H for H in planes) for g in G.elements if not g.is_identity
+    )
 
 
 def format_hyperplane(H: Hyperplane) -> str:

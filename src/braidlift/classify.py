@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
 from . import permutations as perms
-from .arrangement import element_permutations
+from .arrangement import hyperplane_count, orbits
 from .errors import GuardExceeded, InvariantViolation
 from .lifting import element_lifts_oracle
 from .monomial import (
@@ -43,7 +43,30 @@ def is_bieberbach_series(descriptor: GroupDescriptor) -> bool:
     return r == 1 or (r == 2 and (d >= 2 or _is_power_of_two(e)))
 
 
-def bieberbach_bruteforce(descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD) -> bool:
+class OracleBudget:
+    """Oracle steps left to a run of brute-force scans.
+
+    One ``element_lifts_oracle`` call on w costs order(w) powers times |A|
+    hyperplanes.  ``spend`` is called before each call and raises
+    GuardExceeded, without spending, once the steps would pass the budget.
+    """
+
+    __slots__ = ("total", "left")
+
+    def __init__(self, total: int) -> None:
+        self.total = self.left = total
+
+    def spend(self, steps: int) -> None:
+        if steps > self.left:
+            raise GuardExceeded(f"the brute-force scans need more than {self.total} oracle steps")
+        self.left -= steps
+
+
+def bieberbach_bruteforce(
+    descriptor: GroupDescriptor,
+    guard: int = ENUMERATION_GUARD,
+    budget: OracleBudget | None = None,
+) -> bool:
     """Oracle route: torsion-free iff no nonidentity element lifts.
 
     Only elements of prime order are handed to the oracle.  The oracle's
@@ -51,10 +74,16 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, guard: int = ENUMERATION_
     to every power of w, since the powers of w^k are powers of w.  So if some
     w != 1 of order n lifts, then w^(n/p) lifts for each prime p | n, and
     w^(n/p) has order p; an element of prime order is never the identity.
+    Each oracle call is charged to ``budget``, when one is given.
     """
+    width = hyperplane_count(descriptor)
     for w in enumerate_elements(descriptor, guard):
-        if _is_prime(w.order()) and element_lifts_oracle(w).lifts:
-            return False
+        n = w.order()
+        if _is_prime(n):
+            if budget is not None:
+                budget.spend(n * width)
+            if element_lifts_oracle(w).lifts:
+                return False
     return True
 
 
@@ -161,11 +190,13 @@ def free_action_symmetric(G: PermutationGroup) -> bool:
 
 
 def free_action_general(G: Subgroup) -> bool:
-    """Whether no nonidentity element of G stabilizes any hyperplane (pi_g[k] == k)."""
-    for g, pi in element_permutations(G).items():
-        if not g.is_identity and any(k == j for k, j in enumerate(pi)):
-            return False
-    return True
+    """Whether no nonidentity element of G stabilizes any hyperplane.
+
+    The stabilizers along an orbit are conjugate, so it suffices that each
+    orbit's stabilizer is trivial, that is (orbit-stabilizer) that every
+    orbit has |G| hyperplanes.
+    """
+    return all(len(orbit) == len(G) for orbit in orbits(G))
 
 
 def _is_prime(n: int) -> bool:

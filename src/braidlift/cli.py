@@ -19,6 +19,7 @@ from . import acceptance
 from .arrangement import hyperplane_count, orbits, acts_faithfully_on_arrangement
 from .classify import (
     FrobeniusSpec,
+    OracleBudget,
     as_symmetric_subgroup,
     bieberbach_bruteforce,
     frobenius_coset_action,
@@ -68,8 +69,9 @@ def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
 def _guarded_closure(descriptor: GroupDescriptor, gens: list):
     """The closure of gens, refused once its elements x hyperplanes pass the guard.
 
-    Both commands then do work per element and hyperplane: the lifting
-    scan, or the coboundary vectors of the cocycle round trips.
+    Both commands then may do work per element and hyperplane: the scan
+    that names a subgroup's witness, or the coboundary vectors of the
+    cocycle round trips.
     """
     width = max(1, hyperplane_count(descriptor))
     return closure(descriptor, gens, max_size=ENUMERATION_GUARD // width)
@@ -136,16 +138,16 @@ def cmd_check_subgroup(args: argparse.Namespace) -> int:
     return EXIT_OK if report.lifts else EXIT_NO_LIFT
 
 
-def _classify_row(desc: GroupDescriptor) -> dict:
+def _classify_row(desc: GroupDescriptor, budget: OracleBudget | None = None) -> dict:
     """One classification row; every column but the brute force is a closed form.
 
     Above the enumeration guard the brute-force column is None, printed as
-    "skipped", and the row is still reported.
+    "skipped", and the row is still reported.  The brute force charges its
+    oracle calls to ``budget``, if one is given, and a spent budget raises.
     """
-    try:
-        bruteforce = bieberbach_bruteforce(desc)
-    except GuardExceeded:
-        bruteforce = None
+    bruteforce = None
+    if not desc.order_exceeds(ENUMERATION_GUARD):
+        bruteforce = bieberbach_bruteforce(desc, budget=budget)
     return {
         "descriptor": str(desc),
         "bieberbach_formula": is_bieberbach_series(desc),
@@ -198,16 +200,20 @@ def cmd_survey(args: argparse.Namespace) -> int:
             )
         work += desc.order()
         grid.append(desc)
-    _print_rows([_classify_row(desc) for desc in grid], args.json)
+    # The rows share one budget of oracle steps: a prime d costs about d^2.
+    budget = OracleBudget(ENUMERATION_GUARD)
+    _print_rows([_classify_row(desc, budget) for desc in grid], args.json)
     return EXIT_OK
 
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
     p, q = args.p, args.q
-    # The lifting scan visits p*q elements times the p(p-1)/2 hyperplanes of S(p).
+    # p*q elements times the p(p-1)/2 hyperplanes of S(p).  The lifting scan
+    # reads one hyperplane per orbit, but the coset action builds and checks
+    # all p*q permutations of degree p, so the guard bounds the group up front.
     if p > 0 and q > 0 and p * q * (p * (p - 1) // 2) > ENUMERATION_GUARD:
         raise GuardExceeded(
-            f"the lifting scan of Z/{p} : Z/{q} needs {p * q} elements x "
+            f"Z/{p} : Z/{q} has {p * q} elements x "
             f"{p * (p - 1) // 2} hyperplanes, above the guard {ENUMERATION_GUARD}"
         )
     try:

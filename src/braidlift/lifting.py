@@ -20,11 +20,12 @@ from collections import namedtuple
 
 from .arrangement import (
     act,
-    element_permutations,
     format_hyperplane,
     hyperplanes,
+    orbits,
     scalar_on_normal,
 )
+from .errors import InvariantViolation
 from .monomial import MonomialElement, Subgroup, format_element, is_central
 
 
@@ -113,22 +114,28 @@ def element_lifts_fast(w: MonomialElement) -> bool:
 def subgroup_lifts(G: Subgroup) -> LiftReport:
     """Whole-subgroup test: N_H meet G inside C_H for every hyperplane H.
 
-    Each element's permutation pi of the hyperplane indices comes from G's
-    table (``element_permutations``), so g stabilizes H_k exactly when
-    pi[k] == k, and only those pairs reach ``scalar_on_normal``.  Elements
-    are scanned in sorted order and hyperplanes in canonical order, and the
-    first violating (element, hyperplane) pair is the witness.
+    The criterion is invariant under conjugation by G: t in G sends a
+    violating pair (g, H) to (t g t^-1, t(H)), with the same scalar on the
+    normal line.  So G is scanned once per orbit, at the orbit's least
+    hyperplane, and if no element violates there, G lifts.  Otherwise a
+    second scan names the witness: elements in sorted order, hyperplanes in
+    canonical order, the first violating (element, hyperplane) pair.  The
+    two scans agreeing is a theorem; InvariantViolation if they do not.
     """
     planes = hyperplanes(G.descriptor)
-    table = element_permutations(G)
     subject = f"subgroup of {G.descriptor} with {len(G)} elements"
+    representatives = [planes[orbit[0]] for orbit in orbits(G)]
+    if all(
+        scalar_on_normal(g, H).is_one
+        for H in representatives for g in G.elements if act(g, H) == H
+    ):
+        return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in G:
-        pi = table[g]
-        for k, H in enumerate(planes):
-            if pi[k] == k and not scalar_on_normal(g, H).is_one:
+        for H in planes:
+            if act(g, H) == H and not scalar_on_normal(g, H).is_one:
                 witness = LiftWitness(H, element=g)
                 return LiftReport(subject, False, witness, "oracle", kind="subgroup")
-    return LiftReport(subject, True, None, "oracle", kind="subgroup")
+    raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")
 
 
 def subgroup_lifts_local(G: Subgroup) -> bool:

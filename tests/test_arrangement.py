@@ -23,6 +23,8 @@ from braidlift.arrangement import (
     stabilizes,
 )
 from braidlift.errors import GuardExceeded, MismatchError, ParseError
+from braidlift.lattice import coboundary
+from braidlift.lifting import subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
     center,
@@ -187,10 +189,28 @@ def test_permutation_table_checks_its_guard_first(monkeypatch):
     with pytest.raises(GuardExceeded, match="24 elements x 6 hyperplanes exceed"):
         element_permutations(G)
     with pytest.raises(GuardExceeded):
-        orbits(G)
+        coboundary((0,) * 6, G)
     monkeypatch.setattr(arrangement, "ENUMERATION_GUARD", 144)
     table = element_permutations(G)
     assert len(table) == 24 and element_permutations(G) is table
+
+
+def affine_closure(p, m):
+    """Z/p : Z/q in S(p), generated by x -> x + 1 and x -> m*x."""
+    desc = D(1, 1, p)
+    return closure(desc, [from_permutation(desc, [(x + 1) % p for x in range(p)]),
+                          from_permutation(desc, [m * x % p for x in range(p)])])
+
+
+def test_whole_subgroup_tests_build_no_permutation_table():
+    # Z/31 : Z/5 has 155 elements and 3 orbits on 465 hyperplanes, Z/7 : Z/3
+    # 21 elements and one orbit on 21; both lift and act freely.
+    for p, m, n_orbits in ((31, 2, 3), (7, 2, 1)):
+        G = affine_closure(p, m)
+        assert len(orbits(G)) == n_orbits
+        assert subgroup_lifts(G).lifts
+        assert acts_faithfully_on_arrangement(G)
+        assert "_hyperplane_permutations" not in vars(G)
 
 
 def test_hyperplane_text_roundtrip():

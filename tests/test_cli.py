@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -155,6 +156,16 @@ def test_survey_guard_exceeded(capsys):
     for grid in ("d<=1000000000,e<=1,r<=1", "d<=1,e<=1,r<=1000000"):
         code, out, err = invoke(capsys, "survey", "--grid", grid)
         assert code == 4 and out == "" and "guard" in err
+
+
+def test_survey_oracle_budget_exceeded(capsys):
+    # The cyclic groups G(d,1,1), d <= 1000, pass the element guard (500,500
+    # elements), but a prime d costs about d^2 oracle steps: the shared
+    # budget of 10**6 steps runs out near d = 140, after a few seconds.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "survey", "--grid", "d<=1000,e<=1,r<=1")
+    assert code == 4 and out == "" and "oracle steps" in err
+    assert time.perf_counter() - start < 30
 
 
 def test_frobenius(capsys):

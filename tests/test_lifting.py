@@ -3,7 +3,14 @@
 import json
 import random
 
-from braidlift.arrangement import in_parabolic, parse_hyperplane, stabilizes
+from braidlift.arrangement import (
+    format_hyperplane,
+    hyperplanes,
+    in_parabolic,
+    orbits,
+    parse_hyperplane,
+    stabilizes,
+)
 from braidlift.lifting import (
     element_lifts_fast,
     element_lifts_oracle,
@@ -100,6 +107,20 @@ def test_subgroup_examples():
 
     trivial = closure(s3, [identity(s3)])
     assert subgroup_lifts(trivial).lifts
+
+
+def test_subgroup_witness_away_from_the_orbit_representative():
+    # All of S(6): one orbit, scanned at H[1,2;0], where the least violating
+    # element in sorted order is the transposition (1 2).  The witness is the
+    # sorted scan's first violation instead: (5 6) at H[5,6;0].
+    s6 = D(1, 1, 6)
+    G = closure(s6, [from_permutation(s6, (1, 2, 3, 4, 5, 0)),
+                     from_permutation(s6, (1, 0, 2, 3, 4, 5))])
+    (orbit,) = orbits(G)
+    assert format_hyperplane(hyperplanes(s6)[orbit[0]]) == "H[1,2;0]"
+    assert subgroup_lifts(G).witness.to_json() == {
+        "hyperplane": "H[5,6;0]", "element": "perm=[1,2,3,4,6,5];exp=[0,0,0,0,0,0]",
+    }
 
 
 def test_subgroup_local_equivalence():

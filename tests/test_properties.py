@@ -5,6 +5,8 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,7 @@ from braidlift.monomial import (
     Subgroup,
     closure,
     enumerate_elements,
+    from_permutation,
 )
 
 SUBGROUP_CAP = 60
@@ -198,10 +201,32 @@ def reference_subgroup_lifts(G):
     return LiftReport(subject, True, None, "oracle", kind="subgroup")
 
 
+def _s(r, *perms):
+    desc = GroupDescriptor(1, 1, r)
+    return closure(desc, [from_permutation(desc, p) for p in perms])
+
+
+#: Subgroups with several orbits on the hyperplanes.  Z/31 : Z/5 in S(31),
+#: generated by x -> x + 1 and x -> 2x, lifts with 3 orbits.  In S(4), the
+#: group of the transposition (3 4) violates only in its last orbit, at
+#: H[3,4;0], and the witness of the group of the 4-cycle (1 2 3 4) is at
+#: H[1,3;0], the least end of its orbit {H[1,3;0], H[2,4;0]}.
+MULTI_ORBIT = (
+    _s(31, [(x + 1) % 31 for x in range(31)], [2 * x % 31 for x in range(31)]),
+    _s(4, (0, 1, 3, 2)),
+    _s(4, (1, 2, 3, 0)),
+)
+
+
+@lru_cache(maxsize=None)
+def cached_reference_subgroup_lifts(G):
+    return reference_subgroup_lifts(G).to_json()
+
+
 @PROPERTY_SETTINGS
-@given(subgroups())
+@given(st.one_of(subgroups(), st.sampled_from(MULTI_ORBIT)))
 def test_subgroup_scan_equals_the_per_pair_reference(G):
-    expected = reference_subgroup_lifts(G).to_json()
+    expected = cached_reference_subgroup_lifts(G)
     for H in (G, validated(G)):
         assert subgroup_lifts(H).to_json() == expected
 
