@@ -83,6 +83,7 @@ from .monomial import (
     Subgroup,
     center,
     center_order,
+    class_representatives,
     closure,
     diagonal,
     enumerate_elements,

@@ -21,7 +21,7 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
-    enumerate_elements,
+    class_representatives,
     from_permutation,
 )
 
@@ -74,10 +74,22 @@ def bieberbach_bruteforce(
     to every power of w, since the powers of w^k are powers of w.  So if some
     w != 1 of order n lifts, then w^(n/p) lifts for each prime p | n, and
     w^(n/p) has order p; an element of prime order is never the identity.
-    Each oracle call is charged to ``budget``, when one is given.
+
+    Only one element per G(de, 1, r)-conjugacy class is handed to the
+    oracle (``class_representatives``).  G(de, 1, r) normalizes G(de, e, r)
+    and, being monomial, permutes its arrangement: swap hyperplanes go to
+    swap hyperplanes and coordinate hyperplanes (present iff d >= 2) to
+    coordinate hyperplanes.  If u lies in N_H and acts on H^perp by the
+    scalar s, then t u t^-1 lies in N_tH and acts on (tH)^perp by the same
+    s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
+
+    Each oracle call is charged to ``budget``, when one is given.  Raises
+    GuardExceeded when |G| > guard; a group has at most |G| classes.
     """
+    if descriptor.order_exceeds(guard):
+        raise GuardExceeded(f"{descriptor} has more than {guard} elements")
     width = hyperplane_count(descriptor)
-    for w in enumerate_elements(descriptor, guard):
+    for w in class_representatives(descriptor):
         n = w.order()
         if _is_prime(n):
             if budget is not None:

@@ -265,6 +265,45 @@ def enumerate_elements(
                 yield _new(MonomialElement, (descriptor, sigma, head + (base + k * e,)))
 
 
+def _cycle_multisets(r: int, de: int, bound: tuple[int, int]) -> Iterator[tuple]:
+    """Tuples of pairs (L, c), colours c in range(de), with lengths summing to
+    r: L descending, and c ascending within one L, from ``bound`` on."""
+    if not r:
+        yield ()
+        return
+    for L in range(min(r, bound[0]), 0, -1):
+        for c in range(bound[1] if L == bound[0] else 0, de):
+            for rest in _cycle_multisets(r - L, de, (L, c)):
+                yield ((L, c),) + rest
+
+
+def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialElement]:
+    """Yield one element of G(de, e, r) per G(de, 1, r)-conjugacy class meeting it.
+
+    G(de, 1, r) is the wreath product Z/de wr S_r, where two elements are
+    conjugate exactly when they have the same multiset of (cycle length L,
+    cycle exponent sum c mod de).  The exponent sum is a homomorphism to
+    Z/de, so the classes meeting G(de, e, r) lie inside it and are the
+    multisets with sum(c) = 0 mod e.  Each representative puts its cycles on
+    consecutive coordinates, longest first, with exponent c on the cycle's
+    first coordinate and 0 elsewhere.  Longest first puts the permutation
+    classes ahead of the many diagonal ones, so a scan that stops at the
+    first lifting element stops early.  There are at most |G(de, e, r)|
+    classes; callers guard the order before walking them.
+    """
+    r, e, de = descriptor.r, descriptor.e, descriptor.de
+    for multiset in _cycle_multisets(r, de, (r, 0)):
+        if sum(c for _, c in multiset) % e:
+            continue
+        sigma, exps, start = [], [0] * r, 0
+        for L, c in multiset:
+            sigma.extend(range(start + 1, start + L))
+            sigma.append(start)
+            exps[start] = c
+            start += L
+        yield _new(MonomialElement, (descriptor, tuple(sigma), tuple(exps)))
+
+
 class Subgroup:
     """A finite subgroup of G(de, e, r), verified on construction.
 

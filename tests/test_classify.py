@@ -20,7 +20,7 @@ from braidlift.classify import (
     is_bieberbach_series,
     permutation_group,
 )
-from braidlift.errors import InvariantViolation
+from braidlift.errors import GuardExceeded, InvariantViolation
 from braidlift.lifting import element_lifts_oracle, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
@@ -46,6 +46,10 @@ def test_bieberbach_bruteforce_examples():
     assert not bieberbach_bruteforce(D(3, 3, 2))
     assert bieberbach_bruteforce(D(1, 1, 2))
     assert not bieberbach_bruteforce(D(2, 1, 3))
+    # The guard compares |G| = 48, not the 10 classes the scan walks.
+    assert not bieberbach_bruteforce(D(2, 1, 3), guard=48)
+    with pytest.raises(GuardExceeded):
+        bieberbach_bruteforce(D(2, 1, 3), guard=47)
 
 
 def test_bieberbach_formula_equals_bruteforce_on_grid():

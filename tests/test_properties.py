@@ -44,6 +44,7 @@ from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
+    class_representatives,
     closure,
     enumerate_elements,
     from_permutation,
@@ -142,6 +143,38 @@ def test_prime_order_bieberbach_scan_equals_full_scan(desc):
         element_lifts_oracle(w).lifts for w in enumerate_elements(desc) if not w.is_identity
     )
     assert bieberbach_bruteforce(desc) == full_scan
+
+
+def cycle_class(w):
+    """The multiset of (cycle length, cycle exponent sum) that names w's
+    conjugacy class in G(de, 1, r)."""
+    return tuple(sorted((c.length, c.product_exponent) for c in w.cycles()))
+
+
+@ELEMENT_SETTINGS
+@given(descriptors(max_de=12).filter(lambda desc: desc.order() <= ENUMERATION_CAP))
+def test_class_representatives_meet_every_class_once(desc):
+    reps = list(class_representatives(desc))
+    classes = [cycle_class(w) for w in reps]
+    assert len(set(classes)) == len(classes)
+    assert set(classes) == {cycle_class(w) for w in enumerate_elements(desc)}
+    for w in reps:
+        assert rebuilt(w) == w
+
+
+@ELEMENT_SETTINGS
+@given(descriptors(max_de=12).filter(lambda desc: desc.order() <= ENUMERATION_CAP), st.data())
+def test_oracle_verdict_is_invariant_under_full_monomial_conjugation(desc, data):
+    # G(de, 1, r) normalizes G(de, e, r), so the conjugate is computed there
+    # and read back as an element of G(de, e, r).
+    full = GroupDescriptor(desc.de, 1, desc.r)
+    w, t = elements(data.draw, desc), elements(data.draw, full)
+    n = w.order()
+    # w itself mostly has even order; its odd part can lift and so tests both verdicts
+    for u in (w, w ** (n & -n)):
+        c = t * MonomialElement(full, u.sigma, u.exponents) * t.inverse()
+        conjugate = MonomialElement(desc, c.sigma, c.exponents)
+        assert element_lifts_oracle(u).lifts == element_lifts_oracle(conjugate).lifts
 
 
 @ELEMENT_SETTINGS
