@@ -84,7 +84,8 @@ def bieberbach_bruteforce(
     s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
 
     Each oracle call is charged to ``budget``, when one is given.  Raises
-    GuardExceeded when |G| > guard; a group has at most |G| classes.
+    GuardExceeded when |G| > guard, which also bounds the class walk: it
+    builds at most 3|G| partial and whole multisets (``class_representatives``).
     """
     if descriptor.order_exceeds(guard):
         raise GuardExceeded(f"{descriptor} has more than {guard} elements")

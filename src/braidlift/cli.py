@@ -187,10 +187,10 @@ def cmd_survey(args: argparse.Namespace) -> int:
     if min(dmax, emax, rmax) < 1:
         raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
     # Each row's brute-force column walks one representative per conjugacy
-    # class, and a group has at most as many classes as elements, so the sum
-    # of the orders still bounds the walks.  Every order is at least 1: the
-    # row count is checked first, and the sum stops at the first row that
-    # crosses the guard.
+    # class, building at most 3|G| multisets of cycles on the way
+    # (monomial.class_representatives), so the sum of the orders still
+    # bounds the walks.  Every order is at least 1: the row count is checked
+    # first, and the sum stops at the first row that crosses the guard.
     if dmax * emax * rmax > ENUMERATION_GUARD:
         raise GuardExceeded(f"grid {args.grid!r} has more than {ENUMERATION_GUARD} rows")
     grid, work = [], 0

@@ -265,15 +265,27 @@ def enumerate_elements(
                 yield _new(MonomialElement, (descriptor, sigma, head + (base + k * e,)))
 
 
-def _cycle_multisets(r: int, de: int, bound: tuple[int, int]) -> Iterator[tuple]:
+def _cycle_multisets(
+    r: int, de: int, e: int, total: int, bound: tuple[int, int]
+) -> Iterator[tuple]:
     """Tuples of pairs (L, c), colours c in range(de), with lengths summing to
-    r: L descending, and c ascending within one L, from ``bound`` on."""
+    r and colours summing with ``total`` to 0 mod e: L descending, and c
+    ascending within one L, from ``bound`` on.
+
+    A cycle of length r is the last one, and only its colours that close the
+    sum are tried, so every partial tuple built has total length below r.
+    """
     if not r:
         yield ()
         return
     for L in range(min(r, bound[0]), 0, -1):
-        for c in range(bound[1] if L == bound[0] else 0, de):
-            for rest in _cycle_multisets(r - L, de, (L, c)):
+        low = bound[1] if L == bound[0] else 0
+        if L == r:
+            colours = range(low + (-total - low) % e, de, e)
+        else:
+            colours = range(low, de)
+        for c in colours:
+            for rest in _cycle_multisets(r - L, de, e, total + c, (L, c)):
                 yield ((L, c),) + rest
 
 
@@ -288,13 +300,17 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
     consecutive coordinates, longest first, with exponent c on the cycle's
     first coordinate and 0 elsewhere.  Longest first puts the permutation
     classes ahead of the many diagonal ones, so a scan that stops at the
-    first lifting element stops early.  There are at most |G(de, e, r)|
-    classes; callers guard the order before walking them.
+    first lifting element stops early.
+
+    The walk builds at most 3|G| multisets, |G| = |G(de, e, r)|.  It yields
+    at most |G| classes, and the last cycle's colour is fixed mod e as the
+    multiset is built, so the partial multisets it builds all have total
+    length s < r.  Those of length s are classes of G(de, 1, s), at most
+    de^s s! of them, and the sum over s < r is at most
+    2 de^(r-1) (r-1)! = 2|G| / (d r).
     """
     r, e, de = descriptor.r, descriptor.e, descriptor.de
-    for multiset in _cycle_multisets(r, de, (r, 0)):
-        if sum(c for _, c in multiset) % e:
-            continue
+    for multiset in _cycle_multisets(r, de, e, 0, (r, 0)):
         sigma, exps, start = [], [0] * r, 0
         for L, c in multiset:
             sigma.extend(range(start + 1, start + L))

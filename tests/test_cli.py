@@ -132,16 +132,33 @@ def test_classify_scans_only_prime_order_elements(capsys):
 
 
 def test_classify_scans_one_element_per_conjugacy_class(capsys):
-    # 351,384 elements, and 14,663 oracle calls on prime-order elements come
-    # before the first that lifts in element order (about 12 s); one of the
-    # first class representatives is a lifting 3-cycle.
+    # G(11,1,4): 351,384 elements, and 14,663 oracle calls on prime-order
+    # elements come before the first that lifts in element order (about
+    # 12 s); one of the first class representatives is a lifting 3-cycle.
+    # The classes are generated with their colour sum already 0 mod e:
+    # walking all G(de,1,r) classes and filtering would take 10^9 steps for
+    # the trivial group G(10^9,10^9,1), and about m^2/2 for G(m,m,2) of
+    # order 2m.
+    for group, bieberbach in (
+        ("G(11,1,4)", False), ("G(1000000000,1000000000,1)", True), ("G(20000,20000,2)", False)
+    ):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "classify", "--group", group, "--json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["bieberbach_bruteforce"] is bieberbach
+        assert row["bieberbach_bruteforce"] == row["bieberbach_formula"]
+        assert time.perf_counter() - start < 5
+
+
+def test_survey_class_walks_do_not_grow_with_e(capsys):
+    # 20,000 rows of order 1 pass both guards; each row walks one class.
     start = time.perf_counter()
-    code, out, _ = invoke(capsys, "classify", "--group", "G(11,1,4)", "--json")
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=1,e<=20000,r<=1", "--json")
     assert code == 0
-    (row,) = json.loads(out)
-    assert row["bieberbach_bruteforce"] is False
-    assert row["bieberbach_bruteforce"] == row["bieberbach_formula"]
-    assert time.perf_counter() - start < 5
+    rows = json.loads(out)
+    assert len(rows) == 20000 and all(row["bieberbach_bruteforce"] for row in rows)
+    assert time.perf_counter() - start < 10
 
 
 def test_survey(capsys):

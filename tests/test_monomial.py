@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+import braidlift.monomial as monomial
+
 from braidlift.acceptance import GRID
 from braidlift.errors import GuardExceeded, MismatchError, ParseError
 from braidlift.monomial import (
@@ -19,6 +21,7 @@ from braidlift.monomial import (
     Subgroup,
     center,
     center_order,
+    class_representatives,
     closure,
     diagonal,
     enumerate_elements,
@@ -209,6 +212,27 @@ def test_enumeration_guard():
     # (10^8)! is never computed: the bounded product passes the guard at 10.
     with pytest.raises(GuardExceeded):
         next(enumerate_elements(GroupDescriptor(1, 1, 10**8)))
+
+
+def test_class_walk_is_bounded_by_the_group_order(monkeypatch):
+    # Multisets are built with the residue mod e already met, so large e
+    # costs no more than |G|: G(m,m,1) has one class, G(m,m,2) about m/2.
+    built = []
+    inner = monomial._cycle_multisets
+
+    def counted(*args):
+        built.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(monomial, "_cycle_multisets", counted)
+    descs = [D(de, e, r) for de in range(1, 13) for e in range(1, de + 1) if de % e == 0
+             for r in range(1, 7) if not D(de, e, r).order_exceeds(20000)]
+    descs += [D(10**9, 10**9, 1), D(10**9, 10**8, 1), D(5000, 5000, 2), D(60, 60, 3)]
+    for desc in descs:
+        built.clear()
+        classes = sum(1 for _ in class_representatives(desc))
+        assert classes <= desc.order()
+        assert len(built) + classes <= 3 * desc.order()
 
 
 def test_order_exceeds_equals_the_order_comparison():
