@@ -250,9 +250,16 @@ def cmd_cocycle(args: argparse.Namespace) -> int:
         raise ParseError(f"--random must be non-negative, got {args.random}")
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
+    # Every trip draws and solves one entry per hyperplane, then checks the
+    # answer on every element, so both products are bounded before the first draw.
     if args.random * len(G) > ENUMERATION_GUARD:
         raise GuardExceeded(
             f"{args.random} round trips over {len(G)} elements exceed the guard {ENUMERATION_GUARD}"
+        )
+    width = hyperplane_count(desc)
+    if args.random * width > ENUMERATION_GUARD:
+        raise GuardExceeded(
+            f"{args.random} round trips over {width} hyperplanes exceed the guard {ENUMERATION_GUARD}"
         )
     # A failed solve raises NoIntegralSolution (exit 5), so every trip succeeds.
     sample = coboundary_roundtrips(G, args.random, Random(args.seed))

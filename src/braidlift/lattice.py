@@ -13,6 +13,7 @@ treats a failure as a falsified theorem, not as a data error.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter, sub
 from random import Random
 
 from . import intlinalg
@@ -124,32 +125,22 @@ def is_cocycle(c: Cocycle, G: Subgroup) -> bool:
 
 
 def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
-    """A short generating list, greedily extended in element order."""
+    """The generators G was built from, in the order given."""
     return G.generators
 
 
-def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
-    """An integer vector x with c(g) = x - g.x for every g in G.
+def _solve_on_generators(
+    edges: list[tuple[tuple[int, ...], LatticeVector]], width: int
+) -> LatticeVector:
+    """The x with x[pi_s(k)] = x[k] + c(s)[pi_s(k)] for each edge (pi_s, c(s)).
 
-    For each generator s the equation reads x[pi_s(k)] = x[k] + c(s)[pi_s(k)],
-    with pi_s the permutation of s on hyperplane indices: a difference
-    system on the Schreier graph of G acting on the hyperplanes.  Each
-    orbit is solved by setting its first hyperplane to 0 and propagating
-    along the generators' edges, in O(|orbit| * |generators|) steps.  The
-    cocycle identity determines c on all of G from the generators, so the
-    result is verified against every g in G.  Any solution differs from it
-    by a constant on each orbit, which g.x preserves, so a failed check
-    means no solution exists.
-
-    Raises NoIntegralSolution if no integral x exists; on a genuine cocycle
-    that would falsify the vanishing of H^1 and must fail the build.
+    A difference system on the Schreier graph of G acting on the hyperplanes:
+    each orbit is solved by setting its first hyperplane to 0 and
+    propagating along the generators' edges, in O(|orbit| * |generators|)
+    steps.  Nothing is checked here; the callers verify the result on all of G.
     """
-    missing = G.elements - c.keys()
-    if missing:
-        raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
-    edges = [(hyperplane_permutation(s), c[s]) for s in small_generating_set(G)]
-    x: list[int | None] = [None] * len(hyperplanes(G.descriptor))
-    for root in range(len(x)):
+    x: list[int | None] = [None] * width
+    for root in range(width):
         if x[root] is not None:
             continue
         x[root] = 0
@@ -161,7 +152,28 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
                 if x[j] is None:
                     x[j] = x[k] + cs[j]
                     stack.append(j)
-    result = tuple(x)
+    return tuple(x)
+
+
+def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
+    """An integer vector x with c(g) = x - g.x for every g in G.
+
+    For each generator s the equation reads x[pi_s(k)] = x[k] + c(s)[pi_s(k)],
+    with pi_s the permutation of s on hyperplane indices, and
+    _solve_on_generators solves that system.  The cocycle identity
+    determines c on all of G from the generators, so the result is verified
+    against every g in G.  Any solution differs from it by a constant on
+    each orbit, which g.x preserves, so a failed check means no solution
+    exists.
+
+    Raises NoIntegralSolution if no integral x exists; on a genuine cocycle
+    that would falsify the vanishing of H^1 and must fail the build.
+    """
+    missing = G.elements - c.keys()
+    if missing:
+        raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
+    edges = [(hyperplane_permutation(s), c[s]) for s in small_generating_set(G)]
+    result = _solve_on_generators(edges, len(hyperplanes(G.descriptor)))
     for g, pi in element_permutations(G).items():
         if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
@@ -172,15 +184,31 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
     Each trip draws x0 with one entry in [-9, 9] per hyperplane, in
-    canonical order, and trivializes coboundary(x0, G).  trivialize_cocycle
-    verifies its answer on all of G and raises NoIntegralSolution otherwise,
-    so every trip that returns has succeeded.  None when ``trips`` is 0.
+    canonical order, and solves c(g) = x - g.x for the coboundary
+    c(g) = x0 - g.x0.  Only c's values on the k generators are computed,
+    and _solve_on_generators solves from them in k * |A| steps, as
+    trivialize_cocycle(coboundary(x0, G), G) would.  The answer is then
+    checked on every g in G: with y = x - x0, x - g.x = c(g) holds exactly
+    when g.y = y, that is when y[pi_g[k]] == y[k] for every k, one
+    gather per element.  A failed check raises NoIntegralSolution, so
+    every trip that returns has succeeded.  None when ``trips`` is 0.
     """
     width = len(hyperplanes(G.descriptor))
+    table = element_permutations(G)
+    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
+    # itemgetter needs an index and returns a bare value for one; with
+    # fewer than two hyperplanes every pi_g is the identity and fixes any y.
+    gathers = [(g, itemgetter(*pi)) for g, pi in table.items()] if width > 1 else []
     first = None
     for _ in range(trips):
         x0 = tuple(rng.randint(-9, 9) for _ in range(width))
-        x = trivialize_cocycle(coboundary(x0, G), G)
+        x = _solve_on_generators([(pi, _difference(pi, x0)) for pi in steps], width)
+        y = tuple(map(sub, x, x0))
+        for g, gather in gathers:
+            if gather(y) != y:
+                raise NoIntegralSolution(
+                    f"no integral solution: the coboundary equation fails at {g}"
+                )
         if first is None:
             first = x
     return first

@@ -286,10 +286,10 @@ def test_failed_solve_maps_to_invariant_exit_code(capsys, monkeypatch):
     from braidlift import lattice
     from braidlift.errors import NoIntegralSolution
 
-    def unsolvable(c, G):
+    def unsolvable(edges, width):
         raise NoIntegralSolution("forced failure")
 
-    monkeypatch.setattr(lattice, "trivialize_cocycle", unsolvable)
+    monkeypatch.setattr(lattice, "_solve_on_generators", unsolvable)
     for argv in (
         ["cocycle", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]"],
         ["verify"],  # through criterion 10
@@ -297,6 +297,57 @@ def test_failed_solve_maps_to_invariant_exit_code(capsys, monkeypatch):
         code, _, err = invoke(capsys, *argv)
         assert code == 5, argv
         assert "internal invariant violated" in err and "Traceback" not in err
+
+
+def test_wrong_solution_fails_the_whole_group_check(capsys, monkeypatch):
+    from braidlift import lattice
+
+    solve = lattice._solve_on_generators
+
+    def off_by_one(edges, width):
+        x = list(solve(edges, width))
+        # The image of hyperplane 0 shares its orbit, so it is not a root.
+        k = next(pi[0] for pi, _ in edges if pi[0] != 0)
+        x[k] += 1
+        return tuple(x)
+
+    monkeypatch.setattr(lattice, "_solve_on_generators", off_by_one)
+    for argv in (
+        ["cocycle", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]"],
+        ["verify"],  # through criterion 10
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 5, argv
+        assert "the coboundary equation fails at" in err and "Traceback" not in err
+
+
+def test_cocycle_on_arrangements_of_at_most_one_hyperplane(capsys):
+    for group, generators, solution in (
+        ("S(1)", "perm=[1];exp=[0]", []),
+        ("S(2)", "perm=[2,1];exp=[0,0]", [0]),
+        ("G(2,1,1)", "perm=[1];exp=[1]", [0]),
+    ):
+        code, out, _ = invoke(
+            capsys, "cocycle", "--group", group, "--generators", generators,
+            "--random", "3", "--json",
+        )
+        assert code == 0, group
+        assert json.loads(out)["sample_solution"] == solution, group
+
+
+def test_cocycle_guard_counts_hyperplanes_per_trip(capsys):
+    # S(1000) has 499,500 hyperplanes; a transposition generates only 2
+    # elements, but every trip draws and solves a vector over all of them.
+    n = 1000
+    transposition = (f"perm=[{','.join(map(str, [2, 1, *range(3, n + 1)]))}];"
+                     f"exp=[{','.join(['0'] * n)}]")
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys, "cocycle", "--group", f"S({n})", "--generators", transposition,
+        "--random", "1000",
+    )
+    assert code == 4 and out == "" and "499500 hyperplanes" in err
+    assert time.perf_counter() - start < 5
 
 
 # --- fuzzing: every input ends in a documented exit code, never a traceback --

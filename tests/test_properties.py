@@ -6,6 +6,7 @@ element, which keeps the all-pairs reference check below cheap.
 """
 
 from functools import lru_cache
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from braidlift.lattice import (
     SemidirectElement,
     canonical_splitting,
     coboundary,
+    coboundary_roundtrips,
     conjugate_splitting,
     is_splitting,
     semidirect_compose,
@@ -113,6 +115,17 @@ def test_trivialize_cocycle_roundtrips_coboundaries(G, data):
     x0 = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)))
     c = coboundary(x0, G)
     assert coboundary(trivialize_cocycle(c, G), G) == c
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.integers(0, 2**32))
+def test_roundtrip_solution_equals_the_trivialize_cocycle_route(G, seed):
+    # The round trip solves from the generators' values alone; the reference
+    # builds the coboundary on all of G and trivializes it, for the same x0.
+    rng = Random(seed)
+    x0 = tuple(rng.randint(-9, 9) for _ in range(len(hyperplanes(G.descriptor))))
+    expected = trivialize_cocycle(coboundary(x0, G), G)
+    assert coboundary_roundtrips(G, 1, Random(seed)) == expected
 
 
 def rebuilt(w):
