@@ -43,6 +43,10 @@ from .permutations import compose
 #: tables call it on generators only: ``verify`` fills 111 entries and the test
 #: suite 840-1,060, so neither evicts, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
+#: Descriptors kept by the ``hyperplanes`` and ``hyperplane_index`` caches:
+#: ``verify`` builds 21 arrangements and the benchmark's survey 20, so neither
+#: evicts, while a long session keeps at most this many large arrangements.
+ARRANGEMENT_CACHE_SIZE = 32
 
 _SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
 _COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
@@ -71,7 +75,7 @@ def _swap(i: int, j: int, t: int, de: int) -> Swap:
     return Swap(j, i, (-t) % de)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARRANGEMENT_CACHE_SIZE)
 def hyperplanes(descriptor: GroupDescriptor) -> tuple[Hyperplane, ...]:
     """All reflection hyperplanes of G(de, e, r), in canonical order."""
     r, de = descriptor.r, descriptor.de
@@ -89,7 +93,7 @@ def hyperplane_count(descriptor: GroupDescriptor) -> int:
     return de * r * (r - 1) // 2 + (r if descriptor.d >= 2 else 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ARRANGEMENT_CACHE_SIZE)
 def hyperplane_index(descriptor: GroupDescriptor) -> dict[Hyperplane, int]:
     return {H: k for k, H in enumerate(hyperplanes(descriptor))}
 

@@ -1,21 +1,18 @@
 """Command-line frontend for the lifting criteria and classifications.
 
-Exit codes: 0 success (and "lifts" for the check commands), 2 parse error,
-3 the element or subgroup does not lift, 4 enumeration guard exceeded,
-5 internal invariant violation (two provably-equal routes disagreed).
+Exit codes: 0 success (and "lifts" for the check commands), 2 parse or
+usage error, 3 the element or subgroup does not lift, 4 enumeration guard
+exceeded, 5 internal invariant violation (two provably-equal routes disagreed).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
 from collections.abc import Sequence
 from itertools import product
-from random import Random
+from types import SimpleNamespace
 
-from . import acceptance
 from .arrangement import hyperplane_count, orbits, acts_faithfully_on_arrangement
 from .classify import (
     FrobeniusSpec,
@@ -28,7 +25,6 @@ from .classify import (
     is_bieberbach_series,
 )
 from .errors import GuardExceeded, InvariantViolation, MismatchError, ParseError
-from .lattice import coboundary_roundtrips
 from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle, subgroup_lifts
 from .monomial import (
     ENUMERATION_GUARD,
@@ -77,9 +73,15 @@ def _guarded_closure(descriptor: GroupDescriptor, gens: list):
     return closure(descriptor, gens, max_size=ENUMERATION_GUARD // width)
 
 
+def _print_json(doc) -> None:
+    import json  # only --json output needs it
+
+    print(json.dumps(doc, indent=2))
+
+
 def _print_report(report: LiftReport, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
         return
     verdict = "lifts" if report.lifts else "does not lift"
     line = f"{report.subject}: {verdict} [{report.method}]"
@@ -94,7 +96,7 @@ def _print_report(report: LiftReport, as_json: bool) -> None:
     print(line)
 
 
-def cmd_check_element(args: argparse.Namespace) -> int:
+def cmd_check_element(args: SimpleNamespace) -> int:
     desc = GroupDescriptor.parse(args.group)
     w = parse_element(desc, args.element)
     reports: list[LiftReport] = []
@@ -108,14 +110,14 @@ def cmd_check_element(args: argparse.Namespace) -> int:
         return EXIT_INVARIANT
     if args.json:
         docs = [r.to_json() for r in reports]
-        print(json.dumps(docs[0] if len(docs) == 1 else docs, indent=2))
+        _print_json(docs[0] if len(docs) == 1 else docs)
     else:
         for r in reports:
             _print_report(r, as_json=False)
     return EXIT_OK if reports[0].lifts else EXIT_NO_LIFT
 
 
-def cmd_check_subgroup(args: argparse.Namespace) -> int:
+def cmd_check_subgroup(args: SimpleNamespace) -> int:
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     report = subgroup_lifts(G)
@@ -130,7 +132,7 @@ def cmd_check_subgroup(args: argparse.Namespace) -> int:
         "faithful": faithful,
     }
     if args.json:
-        print(json.dumps({**summary, **report.to_json()}, indent=2))
+        _print_json({**summary, **report.to_json()})
     else:
         print(f"subgroup of {desc}: order {summary['order']}, "
               f"{summary['orbits']} hyperplane orbits, faithful: {faithful}")
@@ -164,7 +166,7 @@ _COLUMNS = ("descriptor", "bieberbach_formula", "bieberbach_bruteforce",
 
 def _print_rows(rows: list[dict], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
         return
     cells = [{c: "skipped" if r[c] is None else str(r[c]) for c in _COLUMNS} for r in rows]
     widths = {c: max(len(c), *(len(r[c]) for r in cells)) for c in _COLUMNS}
@@ -173,13 +175,13 @@ def _print_rows(rows: list[dict], as_json: bool) -> None:
         print("  ".join(r[c].ljust(widths[c]) for c in _COLUMNS))
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
+def cmd_classify(args: SimpleNamespace) -> int:
     desc = GroupDescriptor.parse(args.group)
     _print_rows([_classify_row(desc)], args.json)
     return EXIT_OK
 
 
-def cmd_survey(args: argparse.Namespace) -> int:
+def cmd_survey(args: SimpleNamespace) -> int:
     m = _GRID_RE.match(args.grid)
     if not m:
         raise ParseError(f"cannot parse grid bounds {args.grid!r}; expected 'd<=D,e<=E,r<=R'")
@@ -208,7 +210,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_frobenius(args: argparse.Namespace) -> int:
+def cmd_frobenius(args: SimpleNamespace) -> int:
     p, q = args.p, args.q
     # p*q elements times the p(p-1)/2 hyperplanes of S(p).  The lifting scan
     # reads one hyperplane per orbit, but the coset action builds and checks
@@ -236,7 +238,7 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
         "lifts": lifts,
     }
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"Frobenius group Z/{spec.p} : Z/{spec.q} (multiplier {spec.m}), "
               f"order {doc['order']}, coset action of degree {doc['degree']}")
@@ -245,7 +247,11 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_cocycle(args: argparse.Namespace) -> int:
+def cmd_cocycle(args: SimpleNamespace) -> int:
+    from random import Random
+
+    from .lattice import coboundary_roundtrips
+
     if args.random < 0:
         raise ParseError(f"--random must be non-negative, got {args.random}")
     desc = GroupDescriptor.parse(args.group)
@@ -271,14 +277,16 @@ def cmd_cocycle(args: argparse.Namespace) -> int:
         "sample_solution": list(sample) if sample is not None else None,
     }
     if args.json:
-        print(json.dumps(doc, indent=2))
+        _print_json(doc)
     else:
         print(f"cocycle round trips for a subgroup of {desc} with {len(G)} elements: "
               f"{args.random}/{args.random} solved")
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
+    from . import acceptance
+
     results = acceptance.run_all()
     for res in results:
         print(res.line())
@@ -287,61 +295,102 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_INVARIANT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="braidlift",
-        description="Torsion-lifting criteria for the monomial reflection groups G(de,e,r).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_GROUP = ("group", str, ..., 'a descriptor, e.g. "G(3,3,2)" or "S(4)"')
+_GENERATORS = ("generators", str, ...,
+               "semicolon-joined elements: perm=[...];exp=[...];perm=[...];exp=[...]")
+_JSON = ("json", bool, False, "print the result as JSON")
 
-    p = sub.add_parser("check-element", help="test one element for a finite-order lifting")
-    p.add_argument("--group", required=True, help='e.g. "G(3,3,2)" or "S(4)"')
-    p.add_argument("--element", required=True, help='e.g. "perm=[1,2];exp=[1,2]"')
-    p.add_argument("--method", choices=("oracle", "fast", "both"), default="both")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_element)
+#: command -> (handler, help line, options).  An option is (name, kind,
+#: default, help): kind is str, int, a tuple of choices, or bool for a flag
+#: that takes no value, and a default of ... makes the option required.
+COMMANDS = {
+    "check-element": (cmd_check_element, "test one element for a finite-order lifting", (
+        _GROUP, ("element", str, ..., 'e.g. "perm=[1,2];exp=[1,2]"'),
+        ("method", ("oracle", "fast", "both"), "both", "the oracle, the fast criterion or both"),
+        _JSON)),
+    "check-subgroup": (cmd_check_subgroup, "test a generated subgroup for lifting",
+                       (_GROUP, _GENERATORS, _JSON)),
+    "classify": (cmd_classify, "Bieberbach and odd-lift classification of one group",
+                 (_GROUP, _JSON)),
+    "survey": (cmd_survey, "classification table over a grid of descriptors",
+               (("grid", str, ..., 'bounds like "d<=2,e<=3,r<=2"'), _JSON)),
+    "frobenius": (cmd_frobenius, "coset action of the affine group Z/p : Z/q", (
+        ("p", int, ..., "an odd prime"), ("q", int, ..., "a prime dividing p - 1"), _JSON)),
+    "cocycle": (cmd_cocycle, "random cocycle generate-and-solve round trips", (
+        _GROUP, _GENERATORS, ("random", int, 10, "the number of round trips"),
+        ("seed", int, 0, "the seed of the random cocycles"), _JSON)),
+    "verify": (cmd_verify, "run the whole verification suite", ()),
+}
+_HELP = ("-h", "--help")
 
-    p = sub.add_parser("check-subgroup", help="test a generated subgroup for lifting")
-    p.add_argument("--group", required=True)
-    p.add_argument("--generators", required=True,
-                   help="semicolon-joined elements: perm=[...];exp=[...];perm=[...];exp=[...]")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_subgroup)
 
-    p = sub.add_parser("classify", help="Bieberbach and odd-lift classification of one group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
+def cmd_help(args: SimpleNamespace) -> int:
+    """Print the commands, or the options of args.command, to stdout."""
+    if args.command is None:
+        lines = ["usage: braidlift COMMAND [--OPTION VALUE ...]",
+                 "Torsion-lifting criteria for the monomial reflection groups G(de,e,r).",
+                 "", "commands:"]
+        lines += [f"  {name:16}{text}" for name, (_, text, _) in COMMANDS.items()]
+        lines.append("'braidlift COMMAND --help' lists the options of COMMAND.")
+    else:
+        _, text, options = COMMANDS[args.command]
+        lines = [f"usage: braidlift {args.command} [--OPTION VALUE ...]", text, "", "options:"]
+        for name, kind, default, about in options:
+            value = (f" {{{','.join(kind)}}}" if type(kind) is tuple
+                     else {int: " N", str: " TEXT"}.get(kind, ""))
+            note = (" (required)" if default is ...
+                    else f" (default {default})" if kind is not bool else "")
+            lines.append(f"  {'--' + name + value:30}{about}{note}")
+    print("\n".join(lines))
+    return EXIT_OK
 
-    p = sub.add_parser("survey", help="classification table over a grid of descriptors")
-    p.add_argument("--grid", required=True, help='bounds like "d<=2,e<=3,r<=2"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_survey)
 
-    p = sub.add_parser("frobenius", help="coset action of the affine group Z/p : Z/q")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_frobenius)
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The options of a command line, with its handler as ``func``.
 
-    p = sub.add_parser("cocycle", help="random cocycle generate-and-solve round trips")
-    p.add_argument("--group", required=True)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--random", type=int, default=10, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_cocycle)
-
-    p = sub.add_parser("verify", help="run the whole verification suite")
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+    Options are written ``--option value``; -h or --help anywhere selects
+    ``cmd_help``.  Every usage error raises ParseError (exit 2).
+    """
+    if argv and argv[0] in _HELP:
+        return SimpleNamespace(func=cmd_help, command=None)
+    if not argv or argv[0] not in COMMANDS:
+        got = f"{argv[0]!r} is not a command" if argv else "no command given"
+        raise ParseError(f"{got}; 'braidlift --help' lists the commands")
+    command, tokens = argv[0], iter(argv[1:])
+    handler, _, options = COMMANDS[command]
+    kinds = {f"--{name}": (name, kind) for name, kind, _, _ in options}
+    values = {}
+    for token in tokens:
+        if token in _HELP:
+            return SimpleNamespace(func=cmd_help, command=command)
+        if token not in kinds:
+            raise ParseError(f"unrecognized argument {token!r} for {command}; "
+                             f"'braidlift {command} --help' lists its options")
+        name, kind = kinds[token]
+        if name in values:
+            raise ParseError(f"{token} is given twice")
+        if kind is bool:
+            values[name] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("--"):
+            raise ParseError(f"{token} expects a value")
+        if type(kind) is tuple and text not in kind:
+            raise ParseError(f"{token} must be one of {', '.join(kind)}, not {text!r}")
+        try:
+            values[name] = text if type(kind) is tuple else kind(text)
+        except ValueError:
+            raise ParseError(f"{token} expects an integer, not {text!r}") from None
+    for name, _, default, _ in options:
+        if default is ... and name not in values:
+            raise ParseError(f"{command} needs --{name}")
+        values.setdefault(name, default)
+    return SimpleNamespace(func=handler, **values)
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -237,3 +237,15 @@ def test_hyperplane_index_is_canonical():
         index = hyperplane_index(desc)
         for k, H in enumerate(hyperplanes(desc)):
             assert index[H] == k
+
+
+def test_arrangement_caches_are_bounded():
+    bound = arrangement.ARRANGEMENT_CACHE_SIZE
+    descs = [D(1, 1, r) for r in range(2, bound + 7)]
+    for desc in descs:
+        hyperplane_index(desc)
+    assert hyperplanes.cache_info().currsize == hyperplane_index.cache_info().currsize == bound
+    # evicted or not, every arrangement still equals a fresh build
+    for desc in descs:
+        assert hyperplanes(desc) == hyperplanes.__wrapped__(desc)
+        assert hyperplane_index(desc) == hyperplane_index.__wrapped__(desc)

@@ -2,8 +2,10 @@
 
 import io
 import json
+import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -271,11 +273,11 @@ def test_verify_runs_all_criteria(capsys):
 
 
 def test_failed_criterion_maps_to_invariant_exit_code(capsys, monkeypatch):
+    from braidlift import acceptance
     from braidlift.acceptance import CriterionResult
-    from braidlift import cli as cli_module
 
     monkeypatch.setattr(
-        cli_module.acceptance, "run_all",
+        acceptance, "run_all",
         lambda: [CriterionResult(1, "forced", False, "forced failure")],
     )
     code, out, _ = invoke(capsys, "verify")
@@ -350,9 +352,35 @@ def test_cocycle_guard_counts_hyperplanes_per_trip(capsys):
     assert time.perf_counter() - start < 5
 
 
+def readme_block(heading, language):
+    """The first fenced block of a README section."""
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = section.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    # the example's names resolve through the package's lazy attributes
+    exec(readme_block("Library example", "python"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "3"
+
+
+def test_readme_command_line_examples_exit_as_documented(capsys):
+    commands = [shlex.split(line)[1:] for line in readme_block("Command line", "sh").splitlines()
+                if line.startswith("braidlift ")]
+    assert len(commands) == 10
+    for argv in commands:
+        code, _, err = invoke(capsys, *argv)
+        # the transposition example does not lift
+        assert code == (3 if "perm=[2,1,3,4];exp=[0,0,0,0]" in argv else 0), (argv, err)
+
+
 # --- fuzzing: every input ends in a documented exit code, never a traceback --
 
 DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+COMMAND_NAMES = (
+    "check-element", "check-subgroup", "classify", "survey", "frobenius", "cocycle", "verify"
+)
 #: Every G(de, e, r) with de <= 12 and r <= 8.  classify's brute force runs
 #: on each one inside the guard; the slowest, G(11,1,2), takes about 25 ms.
 FUZZ_GROUPS = [
@@ -416,9 +444,7 @@ def int_text(values):
 @st.composite
 def argvs(draw):
     """A command line for one subcommand, its values mangled or out of range."""
-    command = draw(st.sampled_from(
-        ("check-element", "check-subgroup", "classify", "survey", "frobenius", "cocycle")
-    ))
+    command = draw(st.sampled_from(COMMAND_NAMES[:-1]))  # verify takes no options
     desc = draw(st.sampled_from(FUZZ_GROUPS))
     gens = ";".join(draw(st.lists(element_text(desc), min_size=1, max_size=3)))
     if command == "check-element":
@@ -445,16 +471,16 @@ def argvs(draw):
         argv.append("--json")
     if draw(st.integers(0, 9)) == 0:
         del argv[draw(st.integers(0, len(argv) - 1))]
+    if draw(st.integers(0, 9)) == 0:
+        junk = draw(st.sampled_from(("--bogus", "--gro", "--json=1", "--", "-x")))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
     return [command, *argv]
 
 
 def run_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = run(argv)
     return code, err.getvalue()
 
 
@@ -470,7 +496,37 @@ def test_cli_fuzz_ends_in_documented_exit_codes(argv):
     ["verify", "extra"], ["verify", "--json"], ["check-element"], ["survey", "--grid"], [],
     ["check-subgroup", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]",
      "--max-size", "5"],
+    ["bogus"], ["classify", "--gro", "S(3)"], ["classify", "--group", "S(3)", "--json=1"],
+    ["classify", "--group", "S(3)", "--json", "1"],
+    ["check-element", "--group", "S(3)", "--element", "perm=[1,2,3];exp=[0,0,0]",
+     "--method", "bogus"],
+    ["frobenius", "--p", "x", "--q", "3"], ["classify", "--group"],
+    ["classify", "--group", "--json"], ["classify", "--group", "S(3)", "--group", "S(4)"],
 ])
 def test_cli_usage_errors_exit_2(argv):
     code, err = run_quietly(argv)
     assert code == 2 and "Traceback" not in err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_cli_missing_value_names_the_option(capsys):
+    for argv in (["classify", "--group"], ["classify", "--group", "--json"]):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2 and "--group expects a value" in err, argv
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--help"], COMMAND_NAMES),
+    (["-h"], COMMAND_NAMES),
+    (["check-element", "--help"], ("--group", "--element", "--method", "--json")),
+    (["check-subgroup", "-h"], ("--group", "--generators", "--json")),
+    (["classify", "--group", "S(3)", "--help"], ("--group", "--json")),
+    (["survey", "--help"], ("--grid", "--json")),
+    (["frobenius", "--help"], ("--p", "--q", "--json")),
+    (["cocycle", "--help"], ("--group", "--generators", "--random", "--seed", "--json")),
+    (["verify", "--help"], ("verify",)),
+])
+def test_cli_help_exits_0_and_names_the_choices(capsys, argv, names):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 0 and err == ""
+    assert all(name in out for name in names), out

@@ -6,6 +6,7 @@ refactor that drops or renames one of them fails here, not only in a traced
 benchmark run.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -25,14 +26,38 @@ def python(*argv):
     )
 
 
-def test_cli_import_loads_no_dataclasses_typing_or_inspect():
+#: Modules that no command below needs: the argument parsing of argparse and
+#: what it pulls in, the value types' old dataclass machinery, --json output,
+#: and the cocycle and verify code.
+UNNEEDED = (
+    "argparse", "gettext", "shutil", "dataclasses", "typing", "inspect", "json", "random",
+    "braidlift.lattice", "braidlift.intlinalg", "braidlift.acceptance",
+)
+
+
+def modules_after(argv):
+    """The modules loaded once a fresh interpreter has run the CLI on argv."""
     probe = python(
         "-c",
-        "import braidlift.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'typing', 'inspect') if m in sys.modules))",
+        "import sys; from braidlift.cli import run; "
+        f"code = run({list(argv)!r}); print(code, sorted(sys.modules))",
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "[]"
+    code, modules = probe.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0", probe.stdout
+    return set(ast.literal_eval(modules))
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--group", "S(4)"),
+    ("check-subgroup", "--group", "S(4)", "--generators", "perm=[2,3,1,4];exp=[0,0,0,0]"),
+    ("frobenius", "--p", "7", "--q", "3"),
+])
+def test_cli_import_loads_no_dataclasses_typing_or_inspect(argv):
+    plain = modules_after(argv)
+    assert plain.isdisjoint(UNNEEDED), sorted(plain.intersection(UNNEEDED))
+    added = modules_after((*argv, "--json")) - plain
+    assert "json" in added and {m.lstrip("_").split(".")[0] for m in added} == {"json"}, added
 
 
 @pytest.mark.parametrize("argv", [
