@@ -29,14 +29,20 @@ Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
 from .errors import GuardExceeded, MismatchError, ParseError
-from .monomial import ENUMERATION_GUARD, GroupDescriptor, MonomialElement, Subgroup, identity
+from .monomial import (
+    ENUMERATION_GUARD,
+    GroupDescriptor,
+    MonomialElement,
+    Subgroup,
+    _fields,
+    identity,
+)
 from .permutations import compose
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
@@ -47,9 +53,6 @@ HYPERPLANE_CACHE_SIZE = 4096
 #: ``verify`` builds 21 arrangements and the benchmark's survey 20, so neither
 #: evicts, while a long session keeps at most this many large arrangements.
 ARRANGEMENT_CACHE_SIZE = 32
-
-_SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
-_COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
 
 
 class Swap(namedtuple("Swap", "i j t")):
@@ -251,17 +254,36 @@ def format_hyperplane(H: Hyperplane) -> str:
 
 
 def parse_hyperplane(descriptor: GroupDescriptor, text: str) -> Hyperplane:
-    index = hyperplane_index(descriptor)
-    if m := _SWAP_RE.match(text):
-        i, j, t = int(m.group(1)) - 1, int(m.group(2)) - 1, int(m.group(3))
-        if i < 0 or j < 0 or max(i, j) >= descriptor.r:
-            raise ParseError(f"{text!r}: index out of range for {descriptor}")
-        H = _swap(i, j, t, descriptor.de)
-    elif m := _COORD_RE.match(text):
-        i = int(m.group(1)) - 1
-        H = Coord(i)
-    else:
+    """Read "H[i,j;t]" or "H[i]" (1-based) as a hyperplane of descriptor.
+
+    Membership is decided by arithmetic, without building the arrangement:
+    Swap(i, j, t) is in it for every 0 <= i < j < r (t is taken mod de), and
+    Coord(i) for every 0 <= i < r exactly when d >= 2.
+    """
+    parts = _fields(text, "H[", "]", ";")
+    indices = _fields(parts[0], "", "", ",") if parts else None
+    # The last part is t for a Swap and the index itself for a Coord.
+    if (
+        indices is None
+        or len(parts) > 2
+        or len(indices) != len(parts)
+        or not all(map(str.isdecimal, indices))
+        or not parts[-1].removeprefix("-").isdecimal()
+    ):
         raise ParseError(f"cannot parse hyperplane {text!r}")
-    if H not in index:
-        raise ParseError(f"{text!r} is not a hyperplane of {descriptor}")
-    return H
+    try:
+        ends = [int(k) - 1 for k in indices]
+        t = int(parts[1]) if len(parts) == 2 else None
+    except ValueError as exc:
+        raise ParseError(f"{text!r}: {exc}") from exc
+    if t is None:
+        (i,) = ends
+        if descriptor.d < 2 or not 0 <= i < descriptor.r:
+            raise ParseError(f"{text!r} is not a hyperplane of {descriptor}")
+        return Coord(i)
+    i, j = ends
+    if min(i, j) < 0 or max(i, j) >= descriptor.r:
+        raise ParseError(f"{text!r}: index out of range for {descriptor}")
+    if i == j:
+        raise ParseError(f"{text!r}: a swap hyperplane needs two distinct indices")
+    return _swap(i, j, t, descriptor.de)

@@ -7,7 +7,6 @@ exceeded, 5 internal invariant violation (two provably-equal routes disagreed).
 
 from __future__ import annotations
 
-import re
 import sys
 from collections.abc import Sequence
 from itertools import product
@@ -29,6 +28,7 @@ from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle, subgr
 from .monomial import (
     ENUMERATION_GUARD,
     GroupDescriptor,
+    _fields,
     center_order,
     closure,
     parse_element,
@@ -40,9 +40,18 @@ EXIT_NO_LIFT = 3
 EXIT_GUARD = 4
 EXIT_INVARIANT = 5
 
-_GRID_RE = re.compile(
-    r"^\s*d\s*(?:<=|≤)\s*(\d+)\s*,\s*e\s*(?:<=|≤)\s*(\d+)\s*,\s*r\s*(?:<=|≤)\s*(\d+)\s*$"
-)
+
+def parse_grid(text: str) -> tuple[int, int, int]:
+    """The bounds D, E, R of "d<=D,e<=E,r<=R"; "≤" may stand for "<="."""
+    fields = _fields(text, "", "", ",")
+    if len(fields) == 3:
+        bounds = []
+        for name, field in zip("der", fields):
+            head, _, bound = field.replace("≤", "<=").partition("<=")
+            bounds.append(bound.strip() if head.rstrip() == name else "")
+        if all(map(str.isdecimal, bounds)):
+            return tuple(map(int, bounds))
+    raise ParseError(f"cannot parse grid bounds {text!r}; expected 'd<=D,e<=E,r<=R'")
 
 
 def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
@@ -182,10 +191,7 @@ def cmd_classify(args: SimpleNamespace) -> int:
 
 
 def cmd_survey(args: SimpleNamespace) -> int:
-    m = _GRID_RE.match(args.grid)
-    if not m:
-        raise ParseError(f"cannot parse grid bounds {args.grid!r}; expected 'd<=D,e<=E,r<=R'")
-    dmax, emax, rmax = map(int, m.groups())
+    dmax, emax, rmax = parse_grid(args.grid)
     if min(dmax, emax, rmax) < 1:
         raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
     # Each row's brute-force column walks one representative per conjugacy

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
@@ -34,9 +33,24 @@ from .errors import GuardExceeded, MismatchError, ParseError
 #: Default ceiling for whole-group enumeration and subgroup closure.
 ENUMERATION_GUARD = 10**6
 
-_DESCRIPTOR_RE = re.compile(r"^\s*G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
-_SYMMETRIC_RE = re.compile(r"^\s*S\(\s*(\d+)\s*\)\s*$")
-_ELEMENT_RE = re.compile(r"^\s*perm=\[([0-9,\s]*)\]\s*;\s*exp=\[([0-9,\s+-]*)\]\s*$")
+
+def _fields(text: str, head: str, tail: str, sep: str) -> list[str] | None:
+    """The fields of the stripped text between a literal head and tail, split
+    at sep and each stripped, or None when the head or tail is missing.
+
+    Shared by the descriptor, element, hyperplane and grid parsers, which
+    then check each field: with ``str.isdecimal`` for a number, or character
+    by character.  Stripping removes what ``str.isspace`` calls whitespace.
+    """
+    text = text.strip()
+    if not (text.startswith(head) and text.endswith(tail)):
+        return None
+    return [field.strip() for field in text[len(head):len(text) - len(tail)].split(sep)]
+
+
+def _spelled_with(body: str, chars: str) -> bool:
+    """Whether every character of body is one of chars or whitespace."""
+    return all(c in chars or c.isspace() for c in body)
 
 
 #: Builds a tuple-backed value without its class's validating ``__new__``.
@@ -83,14 +97,16 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
 
     @classmethod
     def parse(cls, text: str) -> "GroupDescriptor":
+        # "S(n)" is G(1,1,n): from_deer(1, 1, n) builds and checks it alike.
+        fields = _fields(text, "G(", ")", ",")
+        if fields is None and (n := _fields(text, "S(", ")", ",")) is not None:
+            fields = ["1", "1", *n]
+        if fields is None or len(fields) != 3 or not all(map(str.isdecimal, fields)):
+            raise ParseError(f"cannot parse group descriptor {text!r}")
         try:
-            if m := _SYMMETRIC_RE.match(text):
-                return cls(1, 1, int(m.group(1)))
-            if m := _DESCRIPTOR_RE.match(text):
-                return cls.from_deer(*map(int, m.groups()))
+            return cls.from_deer(*map(int, fields))
         except ValueError as exc:
             raise ParseError(f"{text!r}: {exc}") from exc
-        raise ParseError(f"cannot parse group descriptor {text!r}")
 
     def __str__(self) -> str:
         return f"G({self.de},{self.e},{self.r})"
@@ -426,12 +442,20 @@ def format_element(w: MonomialElement) -> str:
 
 
 def parse_element(descriptor: GroupDescriptor, text: str) -> MonomialElement:
-    m = _ELEMENT_RE.match(text)
-    if not m:
+    # The bodies inside the brackets are kept unstripped for int(), which
+    # strips less than str.strip(): "perm=[\x1c1]" is a bad integer.
+    halves = _fields(text, "", "", ";")
+    if (
+        len(halves) != 2
+        or not (halves[0].startswith("perm=[") and halves[0].endswith("]"))
+        or not (halves[1].startswith("exp=[") and halves[1].endswith("]"))
+        or not _spelled_with(perm := halves[0][6:-1], "0123456789,")
+        or not _spelled_with(exp := halves[1][5:-1], "0123456789,+-")
+    ):
         raise ParseError(f"cannot parse element {text!r}")
     try:
-        images = [int(x) for x in m.group(1).split(",")] if m.group(1).strip() else []
-        exps = [int(x) for x in m.group(2).split(",")] if m.group(2).strip() else []
+        images = [int(x) for x in perm.split(",")] if perm.strip() else []
+        exps = [int(x) for x in exp.split(",")] if exp.strip() else []
     except ValueError as exc:
         raise ParseError(f"bad integer in element {text!r}") from exc
     sigma = tuple(i - 1 for i in images)

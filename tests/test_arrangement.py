@@ -230,6 +230,33 @@ def test_hyperplane_parse_errors():
         parse_hyperplane(D(3, 3, 2), "H[1,5;0]")
     with pytest.raises(ParseError):
         parse_hyperplane(D(3, 3, 2), "nonsense")
+    with pytest.raises(ParseError, match="two distinct indices"):
+        parse_hyperplane(D(3, 3, 2), "H[1,1;0]")
+
+
+@pytest.mark.parametrize("desc", [D(1, 1, 3), D(3, 3, 2), D(2, 1, 3), D(6, 2, 2), D(4, 4, 1)])
+def test_hyperplane_membership_equals_the_built_arrangement(desc):
+    """parse_hyperplane decides membership by arithmetic; check it against
+    the arrangement on every hyperplane-shaped input with small numbers."""
+    index = hyperplane_index(desc)
+    numbers = range(desc.r + 2)
+    for i in numbers:
+        text = f"H[{i}]"
+        if Coord(i - 1) in index:
+            assert parse_hyperplane(desc, text) == Coord(i - 1)
+        else:
+            with pytest.raises(ParseError):
+                parse_hyperplane(desc, text)
+        for j in numbers:
+            for t in range(-desc.de - 1, desc.de + 2):
+                text = f"H[{i},{j};{t}]"
+                lo, hi = sorted((i - 1, j - 1))
+                H = Swap(lo, hi, (t if lo == i - 1 else -t) % desc.de)
+                if H in index:
+                    assert parse_hyperplane(desc, text) == H
+                else:
+                    with pytest.raises(ParseError):
+                        parse_hyperplane(desc, text)
 
 
 def test_hyperplane_index_is_canonical():

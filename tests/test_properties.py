@@ -5,14 +5,16 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+import re
 from functools import lru_cache
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidlift.arrangement import (
+    Coord,
     Swap,
     act,
     acts_faithfully_on_arrangement,
@@ -21,10 +23,12 @@ from braidlift.arrangement import (
     hyperplane_permutation,
     hyperplanes,
     orbits,
+    parse_hyperplane,
     scalar_on_normal,
 )
 from braidlift.classify import bieberbach_bruteforce, free_action_general
-from braidlift.errors import GuardExceeded
+from braidlift.cli import parse_grid
+from braidlift.errors import GuardExceeded, ParseError
 from braidlift.lattice import (
     SemidirectElement,
     canonical_splitting,
@@ -50,6 +54,7 @@ from braidlift.monomial import (
     closure,
     enumerate_elements,
     from_permutation,
+    parse_element,
 )
 
 SUBGROUP_CAP = 60
@@ -402,3 +407,151 @@ def test_public_constructors_still_validate(data):
             MonomialElement(desc, w.sigma, (w.exponents[0] + 1,) + w.exponents[1:])
     with pytest.raises(ValueError):
         GroupDescriptor(desc.d, 0, desc.r)
+
+
+#: The regular expressions the text parsers were written from, kept here as
+#: their specification.
+DESCRIPTOR_RE = re.compile(r"^\s*G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
+SYMMETRIC_RE = re.compile(r"^\s*S\(\s*(\d+)\s*\)\s*$")
+ELEMENT_RE = re.compile(r"^\s*perm=\[([0-9,\s]*)\]\s*;\s*exp=\[([0-9,\s+-]*)\]\s*$")
+SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
+COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
+GRID_RE = re.compile(
+    r"^\s*d\s*(?:<=|≤)\s*(\d+)\s*,\s*e\s*(?:<=|≤)\s*(\d+)\s*,\s*r\s*(?:<=|≤)\s*(\d+)\s*$"
+)
+
+
+def reference_parse_descriptor(text):
+    try:
+        if m := SYMMETRIC_RE.match(text):
+            return GroupDescriptor(1, 1, int(m.group(1)))
+        if m := DESCRIPTOR_RE.match(text):
+            return GroupDescriptor.from_deer(*map(int, m.groups()))
+    except ValueError as exc:
+        raise ParseError(f"{text!r}: {exc}") from exc
+    raise ParseError(f"cannot parse group descriptor {text!r}")
+
+
+def reference_parse_element(desc, text):
+    m = ELEMENT_RE.match(text)
+    if not m:
+        raise ParseError(f"cannot parse element {text!r}")
+    try:
+        images = [int(x) for x in m.group(1).split(",")] if m.group(1).strip() else []
+        exps = [int(x) for x in m.group(2).split(",")] if m.group(2).strip() else []
+    except ValueError as exc:
+        raise ParseError(f"bad integer in element {text!r}") from exc
+    try:
+        return MonomialElement(desc, tuple(i - 1 for i in images), tuple(exps))
+    except ValueError as exc:
+        raise ParseError(f"{text!r} is not an element of {desc}: {exc}") from exc
+
+
+def reference_parse_hyperplane(desc, text):
+    """Membership by the built arrangement; equal indices are a ParseError."""
+    if m := SWAP_RE.match(text):
+        i, j, t = int(m.group(1)) - 1, int(m.group(2)) - 1, int(m.group(3))
+        if i < 0 or j < 0 or max(i, j) >= desc.r:
+            raise ParseError(f"{text!r}: index out of range for {desc}")
+        if i == j:
+            raise ParseError(f"{text!r}: a swap hyperplane needs two distinct indices")
+        H = Swap(i, j, t % desc.de) if i < j else Swap(j, i, -t % desc.de)
+    elif m := COORD_RE.match(text):
+        H = Coord(int(m.group(1)) - 1)
+    else:
+        raise ParseError(f"cannot parse hyperplane {text!r}")
+    if H not in hyperplane_index(desc):
+        raise ParseError(f"{text!r} is not a hyperplane of {desc}")
+    return H
+
+
+def reference_parse_grid(text):
+    if m := GRID_RE.match(text):
+        return tuple(map(int, m.groups()))
+    raise ParseError(f"cannot parse grid bounds {text!r}; expected 'd<=D,e<=E,r<=R'")
+
+
+#: Pieces of parser input: ASCII and other decimals ("٣" is decimal, "²" is a
+#: digit but not decimal), Unicode whitespace, the formats' punctuation and
+#: their literal heads.
+PIECES = (
+    "0", "1", "2", "3", "٣", "²", " ", "\x1c", "\n", "+", "-", "_", ",", ";", "(", ")",
+    "[", "]", "=", "≤", "<=", "G(", "S(", "perm=[", "exp=[", "H[", "d", "e", "r",
+)
+_NUMBER = st.sampled_from(
+    ("0", "1", "2", "3", "10", "٣", "1٣", "²", "-1", "+2", "1_0", "--1", "")
+)
+_SPACE = st.lists(st.sampled_from((" ", "\x1c", "\n")), max_size=2).map("".join)
+#: What stands for each slot of a shape: a number, whitespace, a comma-joined
+#: list of numbers, or either spelling of "<=".
+SLOTS = {
+    "N": _NUMBER,
+    "W": _SPACE,
+    "L": st.lists(st.tuples(_SPACE, _NUMBER, _SPACE).map("".join), max_size=2).map(",".join),
+    "<=": st.sampled_from(("<=", "≤")),
+}
+#: Each text format as literal pieces and slots.
+SHAPES = (
+    "W G( W N W , W N W , W N W ) W",
+    "W S( W N W ) W",
+    "W perm=[ L ] W ; W exp=[ L ] W",
+    "W H[ W N W , W N W ; W N W ] W",
+    "W H[ W N W ] W",
+    "W d W <= W N W , W e W <= W N W , W r W <= W N W",
+)
+
+
+@st.composite
+def parser_inputs(draw):
+    """A format's shape, or none, with up to two pieces inserted, deleted or replaced."""
+    shape = draw(st.sampled_from(SHAPES) | st.none())
+    if shape is None:
+        pieces = draw(st.lists(st.sampled_from(PIECES), max_size=12))
+    else:
+        pieces = [draw(SLOTS.get(piece, st.just(piece))) for piece in shape.split()]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(pieces)))
+        pieces[k:k + draw(st.integers(0, 1))] = draw(st.lists(st.sampled_from(PIECES), max_size=1))
+    return "".join(pieces)
+
+
+def outcome(parse, *args):
+    """The type and value parse returns, or the text of its ParseError."""
+    try:
+        value = parse(*args)
+    except ParseError as exc:
+        return "ParseError", str(exc)
+    return type(value), value
+
+
+#: Element inputs are read in G(2,1,1) and G(2,1,2), hyperplane inputs in
+#: G(2,1,3) and S(3), with and without coordinate hyperplanes.
+ELEMENT_GROUPS = (GroupDescriptor(2, 1, 1), GroupDescriptor(2, 1, 2))
+HYPERPLANE_GROUPS = (GroupDescriptor(2, 1, 3), GroupDescriptor(1, 1, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(parser_inputs())
+@example(" G(4,2,٣)\n")
+@example("G(²,1,1)")
+@example("\x1cS( 3 )\x1c")
+@example("perm=[2,1];exp=[1,1]")
+@example("perm=[ 2 ,1 ] ; exp=[+1, -1]\n")
+@example("perm=[٣,1];exp=[0,0]")
+@example("perm=[2,1];exp=[٣,0]")
+@example("perm=[\x1c2,1];exp=[0,0]")  # int() does not strip "\x1c"
+@example("H[1,3;-1]")
+@example("H[ 2 ]")
+@example("H[²]")
+@example("H[1,1;0]")
+@example("d≤1, e<=2 ,r ≤٣")
+@example("d<=²,e<=1,r<=1")
+def test_parsers_accept_exactly_what_their_patterns_accepted(text):
+    assert outcome(GroupDescriptor.parse, text) == outcome(reference_parse_descriptor, text)
+    assert outcome(parse_grid, text) == outcome(reference_parse_grid, text)
+    for desc in ELEMENT_GROUPS:
+        assert outcome(parse_element, desc, text) == outcome(reference_parse_element, desc, text)
+    for desc in HYPERPLANE_GROUPS:
+        assert outcome(parse_hyperplane, desc, text) == outcome(
+            reference_parse_hyperplane, desc, text
+        )
