@@ -193,6 +193,11 @@ def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
     """
     if not stabilizes(w, H):
         raise ValueError(f"{w} does not stabilize {format_hyperplane(H)}")
+    return _scalar_on_normal(w, H)
+
+
+def _scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
+    """scalar_on_normal for a caller that has already seen w stabilize H."""
     de = w.descriptor.de
     mod = 2 * de
     if isinstance(H, Coord):

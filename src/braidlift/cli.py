@@ -110,6 +110,13 @@ def cmd_check_element(args: SimpleNamespace) -> int:
     w = parse_element(desc, args.element)
     reports: list[LiftReport] = []
     if args.method in ("oracle", "both"):
+        # The oracle's steps, as OracleBudget charges them: every power x hyperplane.
+        n, width = w.order(), hyperplane_count(desc)
+        if n * width > ENUMERATION_GUARD:
+            raise GuardExceeded(
+                f"the oracle needs {n} powers x {width} hyperplanes = {n * width} steps, "
+                f"above the guard {ENUMERATION_GUARD}"
+            )
         reports.append(element_lifts_oracle(w))
     if args.method in ("fast", "both"):
         reports.append(LiftReport(str(w), element_lifts_fast(w), None, "fast"))

@@ -187,30 +187,38 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     canonical order, and solves c(g) = x - g.x for the coboundary
     c(g) = x0 - g.x0.  Only c's values on the k generators are computed,
     and _solve_on_generators solves from them in k * |A| steps, as
-    trivialize_cocycle(coboundary(x0, G), G) would.  The answer is then
-    checked on every g in G: with y = x - x0, x - g.x = c(g) holds exactly
-    when g.y = y, that is when y[pi_g[k]] == y[k] for every k, one
-    gather per element.  A failed check raises NoIntegralSolution, so
-    every trip that returns has succeeded.  None when ``trips`` is 0.
+    trivialize_cocycle(coboundary(x0, G), G) would.  With y = x - x0,
+    x - g.x = c(g) holds exactly when g.y = y, that is when
+    y[pi_g[k]] == y[k] for every k.  Every trip is solved first, and each
+    one refines a vector of small integer labels, one per hyperplane, so
+    that two hyperplanes k, k' share a label exactly when y_i[k] == y_i[k']
+    for every trip i.  g fixes every y_i exactly when it fixes the labels,
+    so each g in G is then checked by one gather of the labels, for all the
+    trips at once, and memory stays O(|A|).  A failed check raises
+    NoIntegralSolution, so every trip that returns has succeeded.  None
+    when ``trips`` is 0.
     """
     width = len(hyperplanes(G.descriptor))
-    table = element_permutations(G)
-    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
     # itemgetter needs an index and returns a bare value for one; with
     # fewer than two hyperplanes every pi_g is the identity and fixes any y.
-    gathers = [(g, itemgetter(*pi)) for g, pi in table.items()] if width > 1 else []
+    table = element_permutations(G) if trips and width > 1 else {}
+    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
     first = None
+    labels = (0,) * width
     for _ in range(trips):
         x0 = tuple(rng.randint(-9, 9) for _ in range(width))
         x = _solve_on_generators([(pi, _difference(pi, x0)) for pi in steps], width)
-        y = tuple(map(sub, x, x0))
-        for g, gather in gathers:
-            if gather(y) != y:
-                raise NoIntegralSolution(
-                    f"no integral solution: the coboundary equation fails at {g}"
-                )
+        # Two hyperplanes share a label exactly when they share (label, y[k]),
+        # that is, their whole column of the trips so far.
+        refined: dict[tuple[int, int], int] = {}
+        labels = tuple([
+            refined.setdefault(pair, len(refined)) for pair in zip(labels, map(sub, x, x0))
+        ])
         if first is None:
             first = x
+    for g, pi in table.items():
+        if itemgetter(*pi)(labels) != labels:
+            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
     return first
 
 

@@ -11,6 +11,10 @@ cheap obstruction shortcuts.
 The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
+The oracle still scans every power x hyperplane pair, but reads stabilizers
+off the permutation each power induces on the hyperplane indices: ``act``
+gives w's, and composition with it gives each next power's, so one
+permutation is held at a time.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ import math
 from collections import namedtuple
 
 from .arrangement import (
+    _scalar_on_normal,
     act,
     format_hyperplane,
+    hyperplane_index,
     hyperplanes,
     orbits,
-    scalar_on_normal,
 )
 from .errors import InvariantViolation
 from .monomial import MonomialElement, Subgroup, format_element, is_central
+from .permutations import compose
 
 
 class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
@@ -65,19 +71,31 @@ class LiftReport(
 def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     """Structural test: every power of w in any N_H must lie in C_H.
 
-    Scans hyperplanes in canonical order and powers 1..order(w); the first
-    violation found is returned as the witness.
+    Walks the powers u = w^1, ..., w^order(w) in order, with the permutation
+    pi of u on canonical hyperplane indices alongside: pi_w comes from
+    ``act`` on every hyperplane, and each next power's from the left-action
+    law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time.  u
+    stabilizes H_k exactly when pi[k] == k, and only then is its normal
+    scalar computed.  The witness is the least violating hyperplane in
+    canonical order and the least power violating there: each power scans
+    only the hyperplanes before the least one found so far.
     """
+    desc = w.descriptor
+    planes = hyperplanes(desc)
+    index = hyperplane_index(desc)
+    pi_w = tuple([index[act(w, H)] for H in planes])
     n = w.order()
-    powers = [w]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * w)
-    for H in hyperplanes(w.descriptor):
-        for ell, u in enumerate(powers, start=1):
-            if act(u, H) == H and not scalar_on_normal(u, H).is_one:
-                witness = LiftWitness(H, power=ell)
-                return LiftReport(format_element(w), False, witness, "oracle")
-    return LiftReport(format_element(w), True, None, "oracle")
+    witness = None
+    limit = len(planes)
+    u, pi = w, pi_w
+    for ell in range(1, n + 1):
+        for k in range(limit):
+            if pi[k] == k and not _scalar_on_normal(u, planes[k]).is_one:
+                witness, limit = LiftWitness(planes[k], power=ell), k
+                break
+        if ell < n:
+            u, pi = u * w, compose(pi_w, pi)
+    return LiftReport(format_element(w), witness is None, witness, "oracle")
 
 
 def _root_order(exponent: int, de: int) -> int:
@@ -126,13 +144,13 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     subject = f"subgroup of {G.descriptor} with {len(G)} elements"
     representatives = [planes[orbit[0]] for orbit in orbits(G)]
     if all(
-        scalar_on_normal(g, H).is_one
+        _scalar_on_normal(g, H).is_one
         for H in representatives for g in G.elements if act(g, H) == H
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in G:
         for H in planes:
-            if act(g, H) == H and not scalar_on_normal(g, H).is_one:
+            if act(g, H) == H and not _scalar_on_normal(g, H).is_one:
                 witness = LiftWitness(H, element=g)
                 return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")

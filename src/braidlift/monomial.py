@@ -196,10 +196,11 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
         On the span of a cycle of length L with exponent sum p, w^L acts as
         the scalar zeta^p, so that block has order L * ord(zeta^p).
         """
-        de = self.descriptor.de
-        return math.lcm(
-            *(c.length * (de // math.gcd(c.product_exponent, de)) for c in self.cycles())
-        )
+        de, exponents = self.descriptor.de, self.exponents
+        return math.lcm(*(
+            len(c) * (de // math.gcd(sum([exponents[i] for i in c]), de))
+            for c in perms.cycles(self.sigma)
+        ))
 
     def __str__(self) -> str:
         return format_element(self)

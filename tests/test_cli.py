@@ -47,6 +47,24 @@ def test_check_element_refusal_with_witness(capsys):
     assert parse_hyperplane(desc, doc["witness"]["hyperplane"]) is not None
 
 
+def test_check_element_oracle_guard(capsys):
+    # A 2001-cycle in S(2001): 2001 powers x 2,001,000 hyperplanes for the
+    # oracle, refused before its scan; the fast criterion needs no guard.
+    n = 2001
+    cycle = f"perm=[{','.join(map(str, [*range(2, n + 1), 1]))}];exp=[{','.join(['0'] * n)}]"
+    start = time.perf_counter()
+    for method in ("oracle", "both"):
+        code, out, err = invoke(
+            capsys, "check-element", "--group", f"S({n})", "--element", cycle, "--method", method
+        )
+        assert code == 4 and out == "" and "4004001000 steps" in err, method
+    assert time.perf_counter() - start < 5
+    code, out, _ = invoke(
+        capsys, "check-element", "--group", f"S({n})", "--element", cycle, "--method", "fast"
+    )
+    assert code == 0 and out.endswith("lifts [fast]\n")
+
+
 def test_check_element_parse_errors(capsys):
     code, _, err = invoke(
         capsys, "check-element", "--group", "G(4,3,2)", "--element", "perm=[1,2];exp=[0,0]"

@@ -12,6 +12,7 @@ from braidlift.lattice import (
     basis_vector,
     canonical_splitting,
     coboundary,
+    coboundary_roundtrips,
     conjugate_complement,
     conjugate_splitting,
     fixed_lattice_rank,
@@ -251,3 +252,40 @@ def test_conjugate_complement_rejects_non_homomorphisms():
     broken[g] = SemidirectElement(basis_vector(S3, Swap(0, 1, 0)), g)
     with pytest.raises(ValueError):
         conjugate_complement(broken, s, G)
+
+
+def test_roundtrips_check_a_late_trip_on_every_element(monkeypatch):
+    from braidlift import lattice
+
+    solve = lattice._solve_on_generators
+    calls = []
+
+    def third_call_off_by_one(edges, width):
+        calls.append(None)
+        x = list(solve(edges, width))
+        if len(calls) == 3:
+            x[1] += 1
+        return tuple(x)
+
+    monkeypatch.setattr(lattice, "_solve_on_generators", third_call_off_by_one)
+    # <(1,2,3)> moves hyperplane 1 within a single orbit of all three.
+    with pytest.raises(NoIntegralSolution, match="the coboundary equation fails at"):
+        coboundary_roundtrips(three_cycle_group(), 5, random.Random(3))
+
+
+def test_roundtrips_without_a_gather(monkeypatch):
+    from braidlift import lattice
+
+    def no_gather(*indices):
+        raise AssertionError("gathered")
+
+    monkeypatch.setattr(lattice, "itemgetter", no_gather)
+    assert coboundary_roundtrips(three_cycle_group(), 0, random.Random(0)) is None
+    # Arrangements of at most one hyperplane: every pi_g is the identity.
+    for G, solution in (
+        (closure(D(1, 1, 1), [identity(D(1, 1, 1))]), ()),
+        (closure(D(1, 1, 2), [from_permutation(D(1, 1, 2), (1, 0))]), (0,)),
+        (closure(D(2, 1, 1), [diagonal(D(2, 1, 1), (1,))]), (0,)),
+    ):
+        assert len(hyperplanes(G.descriptor)) <= 1
+        assert coboundary_roundtrips(G, 3, random.Random(0)) == solution

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidlift import permutations as perms
 from braidlift.arrangement import (
     Coord,
     Swap,
@@ -53,6 +54,7 @@ from braidlift.monomial import (
     class_representatives,
     closure,
     enumerate_elements,
+    format_element,
     from_permutation,
     parse_element,
 )
@@ -133,6 +135,16 @@ def test_roundtrip_solution_equals_the_trivialize_cocycle_route(G, seed):
     assert coboundary_roundtrips(G, 1, Random(seed)) == expected
 
 
+@PROPERTY_SETTINGS
+@given(subgroups(), st.integers(1, 5), st.integers(0, 2**32))
+def test_roundtrips_equal_single_trips_in_sequence(G, trips, seed):
+    rng, singles = Random(seed), Random(seed)
+    first = coboundary_roundtrips(G, trips, rng)
+    solutions = [coboundary_roundtrips(G, 1, singles) for _ in range(trips)]
+    assert first == solutions[0]
+    assert rng.getstate() == singles.getstate()
+
+
 def rebuilt(w):
     """w through the validating public constructor."""
     return MonomialElement(w.descriptor, w.sigma, w.exponents)
@@ -193,6 +205,44 @@ def test_oracle_verdict_is_invariant_under_full_monomial_conjugation(desc, data)
         c = t * MonomialElement(full, u.sigma, u.exponents) * t.inverse()
         conjugate = MonomialElement(desc, c.sigma, c.exponents)
         assert element_lifts_oracle(u).lifts == element_lifts_oracle(conjugate).lifts
+
+
+def reference_element_lifts(w):
+    """The scan that calls act on every hyperplane x power pair, hyperplanes outer."""
+    n = w.order()
+    powers = [w]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * w)
+    for H in hyperplanes(w.descriptor):
+        for ell, u in enumerate(powers, start=1):
+            if act(u, H) == H and not scalar_on_normal(u, H).is_one:
+                witness = LiftWitness(H, power=ell)
+                return LiftReport(format_element(w), False, witness, "oracle")
+    return LiftReport(format_element(w), True, None, "oracle")
+
+
+@st.composite
+def long_cycles(draw):
+    """An element of S(n), n <= 41, that is one cycle of length at least n/2."""
+    n = draw(st.integers(2, 41))
+    points = draw(st.permutations(range(n)))
+    cycle = points[: draw(st.integers((n + 1) // 2, n))]
+    return from_permutation(GroupDescriptor(1, 1, n), perms.from_cycle(n, cycle))
+
+
+@st.composite
+def group_elements(draw):
+    """An element of a random G(de, e, r); d >= 2, and so Coord planes, for most de > 1."""
+    return elements(draw, draw(descriptors(max_r=5, max_de=8)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(group_elements(), long_cycles()))
+def test_oracle_equals_the_per_pair_reference(w):
+    n = w.order()
+    # w itself mostly has even order; its odd part can lift and so tests both verdicts
+    for u in (w, w ** (n & -n)):
+        assert element_lifts_oracle(u) == reference_element_lifts(u)
 
 
 @ELEMENT_SETTINGS
