@@ -17,10 +17,12 @@ is spanned by e_i - zeta^{-t} e_j, and when w exchanges i and j the scalar
 picks up a sign, which is the exponent-de element of U_{2de}.
 
 ``hyperplane_permutation`` turns the action of one element into a
-permutation of canonical indices.  ``orbits`` follows the generators'
-permutations breadth-first, and ``acts_faithfully_on_arrangement`` stops at
-each element's first moved hyperplane, so neither builds a table of every
-element's permutation.  ``element_permutations`` is that table g -> pi_g,
+permutation of canonical indices, numbered by arithmetic on the canonical
+order (``_index_permutation``), so it builds neither the arrangement nor an
+index dict; the tests check it against ``act``.  ``orbits`` follows the
+generators' permutations breadth-first, and ``acts_faithfully_on_arrangement``
+stops at each element's first moved hyperplane, so neither builds a table of
+every element's permutation.  ``element_permutations`` is that table g -> pi_g,
 read only by the cocycle code of ``lattice``, which uses every entry.
 
 Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
@@ -50,8 +52,9 @@ from .permutations import compose
 #: suite 840-1,060, so neither evicts, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
 #: Descriptors kept by the ``hyperplanes`` and ``hyperplane_index`` caches:
-#: ``verify`` builds 21 arrangements and the benchmark's survey 20, so neither
-#: evicts, while a long session keeps at most this many large arrangements.
+#: ``verify`` builds 21 arrangements (and no index) and the benchmark's survey
+#: 20, so neither evicts, while a long session keeps at most this many large
+#: arrangements.
 ARRANGEMENT_CACHE_SIZE = 32
 
 
@@ -119,11 +122,48 @@ def act(w: MonomialElement, H: Hyperplane) -> Hyperplane:
     )
 
 
+def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
+    """The permutation k -> index(g(H_k)), numbered by arithmetic, uncached.
+
+    Swap(i, j, t) sits at de * (pairs before (i, j)) + t, pairs in
+    lexicographic order, and Coord(i) at de * r(r-1)/2 + i.  g sends the de
+    planes of the pair (i, j) to those of the pair {sigma(i), sigma(j)},
+    shifting t by s = a_i - a_j; when sigma reverses the pair, the image is
+    normalized to t' = -(t + s), so the block runs backwards.  Each block is
+    two ranges, and no Hyperplane object or index dict is built.  ``act``
+    stays the reference the tests compare this with.
+    """
+    desc = g.descriptor
+    r, de = desc.r, desc.de
+    sigma, a = g.sigma, g.exponents
+    # row[i] + de * j + t is the index of Swap(i, j, t).
+    row = [de * (i * (2 * r - i - 1) // 2 - i - 1) for i in range(r)]
+    out: list[int] = []
+    extend = out.extend
+    for i in range(r):
+        si, ai = sigma[i], a[i]
+        for j in range(i + 1, r):
+            sj = sigma[j]
+            s = (ai - a[j]) % de
+            if si < sj:
+                start = row[si] + de * sj
+                extend(range(start + s, start + de))
+                extend(range(start, start + s))
+            else:
+                start = row[sj] + de * si
+                m = -s % de
+                extend(range(start + m, start - 1, -1))
+                extend(range(start + de - 1, start + m, -1))
+    if desc.d >= 2:
+        base = de * r * (r - 1) // 2
+        extend([base + k for k in sigma])
+    return tuple(out)
+
+
 @lru_cache(maxsize=HYPERPLANE_CACHE_SIZE)
 def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
     """The permutation k -> index(g(H_k)) induced on canonical indices."""
-    index = hyperplane_index(g.descriptor)
-    return tuple(index[act(g, H)] for H in hyperplanes(g.descriptor))
+    return _index_permutation(g)
 
 
 def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...]]:
@@ -133,14 +173,14 @@ def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...
     here and in ``lifting`` and ``classify`` need none of it.  Built once per
     subgroup and kept on it, like ``sorted_elements``, by a
     breadth-first walk from the identity over ``G.generators``: only the
-    generators' permutations come from ``act``, and every other one follows
+    generators' permutations are numbered directly, and every other one follows
     from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  Keys are in walk
     order.  Raises GuardExceeded, before the walk, when |G| * |A| exceeds
     ENUMERATION_GUARD.
     """
     if table := vars(G).get("_hyperplane_permutations"):
         return table
-    width = len(hyperplanes(G.descriptor))
+    width = hyperplane_count(G.descriptor)
     if len(G) * width > ENUMERATION_GUARD:
         raise GuardExceeded(f"{len(G)} elements x {width} hyperplanes exceed the guard")
     steps = [(s, hyperplane_permutation(s)) for s in G.generators]
@@ -220,7 +260,7 @@ def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
     group every inverse is a power, so these edges reach the whole orbit.
     """
     steps = [hyperplane_permutation(s) for s in G.generators]
-    seen = [False] * len(hyperplanes(G.descriptor))
+    seen = [False] * hyperplane_count(G.descriptor)
     out: list[tuple[int, ...]] = []
     for root in range(len(seen)):
         if seen[root]:

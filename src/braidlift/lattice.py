@@ -18,7 +18,7 @@ from random import Random
 
 from . import intlinalg
 from .arrangement import (
-    element_permutations, hyperplane_index, hyperplane_permutation, hyperplanes, orbits
+    element_permutations, hyperplane_count, hyperplane_index, hyperplane_permutation, orbits
 )
 from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
@@ -28,12 +28,12 @@ Cocycle = dict[MonomialElement, LatticeVector]
 
 
 def zero_vector(descriptor) -> LatticeVector:
-    return (0,) * len(hyperplanes(descriptor))
+    return (0,) * hyperplane_count(descriptor)
 
 
 def basis_vector(descriptor, H) -> LatticeVector:
     k = hyperplane_index(descriptor)[H]
-    v = [0] * len(hyperplanes(descriptor))
+    v = [0] * hyperplane_count(descriptor)
     v[k] = 1
     return tuple(v)
 
@@ -173,7 +173,7 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     if missing:
         raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
     edges = [(hyperplane_permutation(s), c[s]) for s in small_generating_set(G)]
-    result = _solve_on_generators(edges, len(hyperplanes(G.descriptor)))
+    result = _solve_on_generators(edges, hyperplane_count(G.descriptor))
     for g, pi in element_permutations(G).items():
         if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
@@ -184,7 +184,9 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
     Each trip draws x0 with one entry in [-9, 9] per hyperplane, in
-    canonical order, and solves c(g) = x - g.x for the coboundary
+    canonical order: 5 random bits per entry, redrawn while they read 19 or
+    more, which is the stream of ``rng.randint(-9, 9)`` bit for bit.  It
+    solves c(g) = x - g.x for the coboundary
     c(g) = x0 - g.x0.  Only c's values on the k generators are computed,
     and _solve_on_generators solves from them in k * |A| steps, as
     trivialize_cocycle(coboundary(x0, G), G) would.  With y = x - x0,
@@ -198,15 +200,22 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     NoIntegralSolution, so every trip that returns has succeeded.  None
     when ``trips`` is 0.
     """
-    width = len(hyperplanes(G.descriptor))
+    width = hyperplane_count(G.descriptor)
     # itemgetter needs an index and returns a bare value for one; with
     # fewer than two hyperplanes every pi_g is the identity and fixes any y.
     table = element_permutations(G) if trips and width > 1 else {}
     steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
     first = None
     labels = (0,) * width
+    getrandbits = rng.getrandbits
     for _ in range(trips):
-        x0 = tuple(rng.randint(-9, 9) for _ in range(width))
+        draws = []
+        for _ in range(width):
+            v = getrandbits(5)
+            while v >= 19:
+                v = getrandbits(5)
+            draws.append(v - 9)
+        x0 = tuple(draws)
         x = _solve_on_generators([(pi, _difference(pi, x0)) for pi in steps], width)
         # Two hyperplanes share a label exactly when they share (label, y[k]),
         # that is, their whole column of the trips so far.
@@ -230,7 +239,7 @@ def fixed_lattice_rank(G: Subgroup) -> int:
     the corank of the stacked difference equations x_H - x_{gH} = 0 over a
     generating set.
     """
-    n_planes = len(hyperplanes(G.descriptor))
+    n_planes = hyperplane_count(G.descriptor)
     orbit_count = len(orbits(G))
     rows = []
     for s in small_generating_set(G):

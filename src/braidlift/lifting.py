@@ -12,9 +12,9 @@ The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
 The oracle still scans every power x hyperplane pair, but reads stabilizers
-off the permutation each power induces on the hyperplane indices: ``act``
-gives w's, and composition with it gives each next power's, so one
-permutation is held at a time.
+off the permutation each power induces on the hyperplane indices: w's is
+numbered by arithmetic, and composition with it gives each next power's, so
+one permutation is held at a time.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ import math
 from collections import namedtuple
 
 from .arrangement import (
+    _index_permutation,
     _scalar_on_normal,
     act,
     format_hyperplane,
-    hyperplane_index,
     hyperplanes,
     orbits,
 )
@@ -71,30 +71,31 @@ class LiftReport(
 def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     """Structural test: every power of w in any N_H must lie in C_H.
 
-    Walks the powers u = w^1, ..., w^order(w) in order, with the permutation
-    pi of u on canonical hyperplane indices alongside: pi_w comes from
-    ``act`` on every hyperplane, and each next power's from the left-action
-    law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time.  u
-    stabilizes H_k exactly when pi[k] == k, and only then is its normal
-    scalar computed.  The witness is the least violating hyperplane in
-    canonical order and the least power violating there: each power scans
-    only the hyperplanes before the least one found so far.
+    Walks the powers u = w^1, w^2, ... in order until u is the identity,
+    which is scanned too, with the permutation pi of u on canonical
+    hyperplane indices alongside: pi_w is numbered by arithmetic
+    (``_index_permutation``), and each next power's follows from the
+    left-action law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time,
+    and w's order is never computed.  u stabilizes H_k exactly when
+    pi[k] == k, and only then is its normal scalar computed.  The witness is
+    the least violating hyperplane in canonical order and the least power
+    violating there: each power scans only the hyperplanes before the least
+    one found so far.
     """
     desc = w.descriptor
     planes = hyperplanes(desc)
-    index = hyperplane_index(desc)
-    pi_w = tuple([index[act(w, H)] for H in planes])
-    n = w.order()
+    pi_w = _index_permutation(w)
     witness = None
     limit = len(planes)
-    u, pi = w, pi_w
-    for ell in range(1, n + 1):
+    u, pi, ell = w, pi_w, 1
+    while True:
         for k in range(limit):
             if pi[k] == k and not _scalar_on_normal(u, planes[k]).is_one:
                 witness, limit = LiftWitness(planes[k], power=ell), k
                 break
-        if ell < n:
-            u, pi = u * w, compose(pi_w, pi)
+        if u.is_identity:
+            break
+        u, pi, ell = u * w, compose(pi_w, pi), ell + 1
     return LiftReport(format_element(w), witness is None, witness, "oracle")
 
 
@@ -106,7 +107,8 @@ def element_lifts_fast(w: MonomialElement) -> bool:
     """Combinatorial test, no hyperplane scan.
 
     Case analysis: rank 1 groups embed in Z, so only the identity lifts.
-    Even order never lifts.  Otherwise w lifts iff every cycle of sigma of
+    Even order never lifts; its parity is read off the cycles, which are
+    computed once.  Otherwise w lifts iff every cycle of sigma of
     length >= 2 has exponent sum 0 mod de, so does every fixed point when
     d >= 2 (its coordinate hyperplane exists), and for any two fixed points
     i != j the order of zeta^{a_i - a_j} is a multiple of the orders of
@@ -115,9 +117,11 @@ def element_lifts_fast(w: MonomialElement) -> bool:
     desc = w.descriptor
     if desc.r == 1:
         return w.is_identity
-    if w.order() % 2 == 0:
-        return False
     cycles = w.cycles()
+    # order(w) is the lcm of L * ord(zeta^p) over the cycles, so it is even
+    # exactly when one of those is.
+    if any(c.length * _root_order(c.product_exponent, desc.de) % 2 == 0 for c in cycles):
+        return False
     if any(c.product_exponent for c in cycles if c.length > 1 or desc.d >= 2):
         return False
     a = [c.product_exponent for c in cycles if c.length == 1]

@@ -548,3 +548,20 @@ def test_cli_help_exits_0_and_names_the_choices(capsys, argv, names):
     code, out, err = invoke(capsys, *argv)
     assert code == 0 and err == ""
     assert all(name in out for name in names), out
+
+
+def test_cocycle_builds_no_arrangement(capsys):
+    # The round trips number hyperplanes by arithmetic, so a subgroup of two
+    # elements in S(200) (19,900 hyperplanes) needs no tuple of Swap planes.
+    from braidlift import arrangement
+
+    n = 200
+    transposition = (f"perm=[{','.join(map(str, [2, 1, *range(3, n + 1)]))}];"
+                     f"exp=[{','.join(['0'] * n)}]")
+    before = arrangement.hyperplanes.cache_info()
+    code, out, _ = invoke(
+        capsys, "cocycle", "--group", f"S({n})", "--generators", transposition,
+        "--random", "2", "--json",
+    )
+    assert code == 0 and json.loads(out)["successes"] == 2
+    assert arrangement.hyperplanes.cache_info().misses == before.misses

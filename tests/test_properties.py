@@ -14,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidlift import permutations as perms
+from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
     Swap,
+    _index_permutation,
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
@@ -221,6 +223,31 @@ def reference_element_lifts(w):
     return LiftReport(format_element(w), True, None, "oracle")
 
 
+def reference_power_walk(w):
+    """The oracle's walk with w's permutation from act and the powers counted
+    up to order(w): the same scan as element_lifts_oracle, by other routes."""
+    desc = w.descriptor
+    planes = hyperplanes(desc)
+    index = hyperplane_index(desc)
+    pi_w = tuple([index[act(w, H)] for H in planes])
+    n = w.order()
+    witness, limit = None, len(planes)
+    u, pi = w, pi_w
+    for ell in range(1, n + 1):
+        for k in range(limit):
+            if pi[k] == k and not scalar_on_normal(u, planes[k]).is_one:
+                witness, limit = LiftWitness(planes[k], power=ell), k
+                break
+        u, pi = u * w, perms.compose(pi_w, pi)
+    return LiftReport(format_element(w), witness is None, witness, "oracle")
+
+
+def test_oracle_equals_the_power_walk_reference_on_the_grid():
+    for desc in GRID:
+        for w in enumerate_elements(desc):
+            assert element_lifts_oracle(w) == reference_power_walk(w), w
+
+
 @st.composite
 def long_cycles(draw):
     """An element of S(n), n <= 41, that is one cycle of length at least n/2."""
@@ -242,7 +269,26 @@ def test_oracle_equals_the_per_pair_reference(w):
     n = w.order()
     # w itself mostly has even order; its odd part can lift and so tests both verdicts
     for u in (w, w ** (n & -n)):
-        assert element_lifts_oracle(u) == reference_element_lifts(u)
+        assert element_lifts_oracle(u) == reference_element_lifts(u) == reference_power_walk(u)
+
+
+@st.composite
+def arrangement_groups(draw, d_is_one):
+    """G(de, e, r) with de <= 12 and r <= 6: d = 1 (no Coord planes) or d >= 2."""
+    de = draw(st.integers(1, 12) if d_is_one else st.integers(2, 12))
+    divisors = [e for e in range(1, de) if de % e == 0]
+    e = de if d_is_one else draw(st.sampled_from(divisors))
+    return GroupDescriptor.from_deer(de, e, draw(st.integers(1, 6)))
+
+
+@pytest.mark.parametrize("d_is_one", [True, False])
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_index_permutation_equals_the_act_reference(d_is_one, data):
+    desc = data.draw(arrangement_groups(d_is_one))
+    g = elements(data.draw, desc)
+    index = hyperplane_index(desc)
+    assert _index_permutation(g) == tuple(index[act(g, H)] for H in hyperplanes(desc))
 
 
 @ELEMENT_SETTINGS
