@@ -26,8 +26,8 @@ _EXPORTS = {
         "permutation_group",
     ),
     "errors": (
-        "BraidLiftError", "GuardExceeded", "InvariantViolation", "MismatchError",
-        "NoIntegralSolution", "ParseError",
+        "ENUMERATION_GUARD", "BraidLiftError", "GuardExceeded", "InvariantViolation",
+        "MismatchError", "NoIntegralSolution", "ParseError",
     ),
     "lattice": (
         "Cocycle", "LatticeVector", "SemidirectElement", "canonical_splitting", "coboundary",
@@ -40,7 +40,7 @@ _EXPORTS = {
         "obstruction_shortcuts", "subgroup_lifts", "subgroup_lifts_local",
     ),
     "monomial": (
-        "ENUMERATION_GUARD", "CycleData", "GroupDescriptor", "MonomialElement", "Subgroup",
+        "CycleData", "GroupDescriptor", "MonomialElement", "Subgroup",
         "center", "center_order", "class_representatives", "closure", "diagonal",
         "enumerate_elements", "format_element", "from_permutation", "identity", "is_central",
         "pad", "parse_element", "standard_generators",

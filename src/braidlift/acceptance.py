@@ -152,17 +152,19 @@ def criterion_5() -> CriterionResult:
 
 @lru_cache(maxsize=None)
 def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
-    """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles."""
-    groups: dict[frozenset, PermutationGroup] = {}
-    for g in perms.all_permutations(5):
-        P = permutation_group(5, [g])
-        groups.setdefault(P.elements, P)
+    """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
+
+    Most closures repeat an earlier one; only a new one is checked as a group.
+    """
     rng = Random(0x5EED)
     three_cycles = [g for g in perms.all_permutations(5) if perms.order(g) == 3]
-    for _ in range(50):
-        a, b = rng.choice(three_cycles), rng.choice(three_cycles)
-        P = permutation_group(5, [a, b])
-        groups.setdefault(P.elements, P)
+    spans = [[g] for g in perms.all_permutations(5)]
+    spans += [[rng.choice(three_cycles), rng.choice(three_cycles)] for _ in range(50)]
+    groups: dict[frozenset, PermutationGroup] = {}
+    for gens in spans:
+        elements = perms.mulclose(gens)
+        if elements not in groups:
+            groups[elements] = PermutationGroup(5, elements)
     return tuple(groups.values())
 
 

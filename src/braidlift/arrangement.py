@@ -19,7 +19,9 @@ picks up a sign, which is the exponent-de element of U_{2de}.
 ``hyperplane_permutation`` turns the action of one element into a
 permutation of canonical indices, numbered by arithmetic on the canonical
 order (``_index_permutation``), so it builds neither the arrangement nor an
-index dict; the tests check it against ``act``.  ``orbits`` follows the
+index dict; the tests check it against ``act``.  ``_index_coordinates``
+inverts that numbering, so the oracle of ``lifting`` reads a stabilized
+plane's coordinates off its index.  ``orbits`` follows the
 generators' permutations breadth-first, and ``acts_faithfully_on_arrangement``
 stops at each element's first moved hyperplane, so neither builds a table of
 every element's permutation.  ``element_permutations`` is that table g -> pi_g,
@@ -129,15 +131,20 @@ def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
     lexicographic order, and Coord(i) at de * r(r-1)/2 + i.  g sends the de
     planes of the pair (i, j) to those of the pair {sigma(i), sigma(j)},
     shifting t by s = a_i - a_j; when sigma reverses the pair, the image is
-    normalized to t' = -(t + s), so the block runs backwards.  Each block is
-    two ranges, and no Hyperplane object or index dict is built.  ``act``
-    stays the reference the tests compare this with.
+    normalized to t' = -(t + s), so the block runs backwards.  With de = 1
+    each block is one plane, read off in one comprehension over the pairs;
+    otherwise each block is two ranges.  No Hyperplane object or index dict
+    is built.  ``act`` stays the reference the tests compare this with.
     """
     desc = g.descriptor
     r, de = desc.r, desc.de
     sigma, a = g.sigma, g.exponents
     # row[i] + de * j + t is the index of Swap(i, j, t).
     row = [de * (i * (2 * r - i - 1) // 2 - i - 1) for i in range(r)]
+    if de == 1:
+        # No Coord planes (d = 1); a generator, so no list is held beside the tuple.
+        return tuple(row[si] + sj if si < sj else row[sj] + si
+                     for i, si in enumerate(sigma) for sj in sigma[i + 1:])
     out: list[int] = []
     extend = out.extend
     for i in range(r):
@@ -158,6 +165,25 @@ def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
         base = de * r * (r - 1) // 2
         extend([base + k for k in sigma])
     return tuple(out)
+
+
+def _index_coordinates(k: int, r: int, de: int) -> tuple[int, int | None, int | None]:
+    """(i, j, t) of the plane at canonical index k: Swap(i, j, t), or Coord(i)
+    as (i, None, None).  The inverse of the numbering in ``_index_permutation``,
+    by arithmetic: counted from the last, rows r-2, r-3, ... of the pairs hold
+    1, 2, ... pairs, so a square root finds the row."""
+    pairs = r * (r - 1) // 2
+    if k >= de * pairs:
+        return k - de * pairs, None, None
+    p, t = divmod(k, de)
+    i = r - 2 - (math.isqrt(8 * (pairs - 1 - p) + 1) - 1) // 2
+    return i, p - i * (2 * r - i - 1) // 2 + i + 1, t
+
+
+def _hyperplane_at(descriptor: GroupDescriptor, k: int) -> Hyperplane:
+    """hyperplanes(descriptor)[k], without building the arrangement."""
+    i, j, t = _index_coordinates(k, descriptor.r, descriptor.de)
+    return Coord(i) if j is None else Swap(i, j, t)
 
 
 @lru_cache(maxsize=HYPERPLANE_CACHE_SIZE)

@@ -21,8 +21,8 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
+    _new,
     class_representatives,
-    from_permutation,
 )
 
 #: Shephard-Todd names of the exceptional irreducible groups whose
@@ -148,6 +148,8 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
 class PermutationGroup:
     """A closed set of permutations of {0..degree-1}, verified on construction.
 
+    The check picks generators greedily in sorted order
+    (``permutations.greedy_generators``) and keeps them in ``generators``.
     Groups compare and hash by (degree, elements).
     """
 
@@ -160,7 +162,8 @@ class PermutationGroup:
         for p in self.elements:
             if len(p) != self.degree or not perms.is_permutation(p):
                 raise ValueError(f"{p} is not a permutation of 0..{self.degree - 1}")
-        perms.greedy_generators(self.sorted_elements, perms.identity(self.degree))
+        identity = perms.identity(self.degree)
+        self.generators = perms.greedy_generators(self.sorted_elements, identity)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermutationGroup):
@@ -321,6 +324,12 @@ def cayley_embedding(
 
 
 def as_symmetric_subgroup(G: PermutationGroup) -> Subgroup:
-    """Realize a permutation group inside G(1, 1, n) with zero exponents."""
-    desc = GroupDescriptor(1, 1, G.degree)
-    return Subgroup(desc, frozenset(from_permutation(desc, g) for g in G))
+    """Realize a permutation group inside G(1, 1, n) with zero exponents.
+
+    G was checked on construction, so the image is not checked again; it
+    keeps the images of G's generators, which the Subgroup check would pick.
+    """
+    desc, zero = GroupDescriptor(1, 1, G.degree), (0,) * G.degree
+    image = {g: _new(MonomialElement, (desc, tuple(g), zero)) for g in G.elements}
+    generators = tuple(image[g] for g in G.generators)
+    return Subgroup._trusted(desc, frozenset(image.values()), generators)

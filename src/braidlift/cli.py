@@ -12,27 +12,8 @@ from collections.abc import Sequence
 from itertools import product
 from types import SimpleNamespace
 
-from .arrangement import hyperplane_count, orbits, acts_faithfully_on_arrangement
-from .classify import (
-    FrobeniusSpec,
-    OracleBudget,
-    as_symmetric_subgroup,
-    bieberbach_bruteforce,
-    frobenius_coset_action,
-    has_free_cycle_type,
-    has_odd_lift_property,
-    is_bieberbach_series,
-)
-from .errors import GuardExceeded, InvariantViolation, MismatchError, ParseError
-from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle, subgroup_lifts
-from .monomial import (
-    ENUMERATION_GUARD,
-    GroupDescriptor,
-    _fields,
-    center_order,
-    closure,
-    parse_element,
-)
+# Each handler imports the math modules it runs, so --help loads none of them.
+from .errors import ENUMERATION_GUARD, GuardExceeded, InvariantViolation, MismatchError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -43,6 +24,8 @@ EXIT_INVARIANT = 5
 
 def parse_grid(text: str) -> tuple[int, int, int]:
     """The bounds D, E, R of "d<=D,e<=E,r<=R"; "≤" may stand for "<="."""
+    from .monomial import _fields
+
     fields = _fields(text, "", "", ",")
     if len(fields) == 3:
         bounds = []
@@ -60,6 +43,8 @@ def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
     The element format itself contains one semicolon, so tokens are paired
     back up: perm=[...];exp=[...];perm=[...];exp=[...] is two generators.
     """
+    from .monomial import parse_element
+
     tokens = [t.strip() for t in text.split(";") if t.strip()]
     if len(tokens) % 2:
         raise ParseError(f"generator list {text!r} has an odd number of perm=/exp= parts")
@@ -78,6 +63,9 @@ def _guarded_closure(descriptor: GroupDescriptor, gens: list):
     that names a subgroup's witness, or the coboundary vectors of the
     cocycle round trips.
     """
+    from .arrangement import hyperplane_count
+    from .monomial import closure
+
     width = max(1, hyperplane_count(descriptor))
     return closure(descriptor, gens, max_size=ENUMERATION_GUARD // width)
 
@@ -106,6 +94,10 @@ def _print_report(report: LiftReport, as_json: bool) -> None:
 
 
 def cmd_check_element(args: SimpleNamespace) -> int:
+    from .arrangement import hyperplane_count
+    from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle
+    from .monomial import GroupDescriptor, parse_element
+
     desc = GroupDescriptor.parse(args.group)
     w = parse_element(desc, args.element)
     reports: list[LiftReport] = []
@@ -134,6 +126,10 @@ def cmd_check_element(args: SimpleNamespace) -> int:
 
 
 def cmd_check_subgroup(args: SimpleNamespace) -> int:
+    from .arrangement import acts_faithfully_on_arrangement, orbits
+    from .lifting import subgroup_lifts
+    from .monomial import GroupDescriptor
+
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     report = subgroup_lifts(G)
@@ -163,6 +159,10 @@ def _classify_row(desc: GroupDescriptor, budget: OracleBudget | None = None) -> 
     "skipped", and the row is still reported.  The brute force charges its
     oracle calls to ``budget``, if one is given, and a spent budget raises.
     """
+    from .arrangement import hyperplane_count
+    from .classify import bieberbach_bruteforce, has_odd_lift_property, is_bieberbach_series
+    from .monomial import center_order
+
     bruteforce = None
     if not desc.order_exceeds(ENUMERATION_GUARD):
         bruteforce = bieberbach_bruteforce(desc, budget=budget)
@@ -192,12 +192,17 @@ def _print_rows(rows: list[dict], as_json: bool) -> None:
 
 
 def cmd_classify(args: SimpleNamespace) -> int:
+    from .monomial import GroupDescriptor
+
     desc = GroupDescriptor.parse(args.group)
     _print_rows([_classify_row(desc)], args.json)
     return EXIT_OK
 
 
 def cmd_survey(args: SimpleNamespace) -> int:
+    from .classify import OracleBudget
+    from .monomial import GroupDescriptor
+
     dmax, emax, rmax = parse_grid(args.grid)
     if min(dmax, emax, rmax) < 1:
         raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
@@ -224,6 +229,10 @@ def cmd_survey(args: SimpleNamespace) -> int:
 
 
 def cmd_frobenius(args: SimpleNamespace) -> int:
+    from .classify import FrobeniusSpec, as_symmetric_subgroup, frobenius_coset_action
+    from .classify import has_free_cycle_type
+    from .lifting import subgroup_lifts
+
     p, q = args.p, args.q
     # p*q elements times the p(p-1)/2 hyperplanes of S(p).  The lifting scan
     # reads one hyperplane per orbit, but the coset action builds and checks
@@ -261,12 +270,14 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
 
 
 def cmd_cocycle(args: SimpleNamespace) -> int:
-    from random import Random
-
-    from .lattice import coboundary_roundtrips
-
     if args.random < 0:
         raise ParseError(f"--random must be non-negative, got {args.random}")
+    from random import Random
+
+    from .arrangement import hyperplane_count
+    from .lattice import coboundary_roundtrips
+    from .monomial import GroupDescriptor
+
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     # Every trip draws and solves one entry per hyperplane, then checks the

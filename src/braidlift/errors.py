@@ -4,6 +4,10 @@ The CLI maps these onto exit codes, so raising the right class matters:
 ParseError -> 2, GuardExceeded -> 4, InvariantViolation -> 5.
 """
 
+#: Default ceiling for whole-group enumeration and subgroup closure, kept
+#: beside GuardExceeded so the CLI reads it without loading ``monomial``.
+ENUMERATION_GUARD = 10**6
+
 
 class BraidLiftError(Exception):
     """Base class for all errors raised by braidlift."""

@@ -11,18 +11,22 @@ cheap obstruction shortcuts.
 The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
-The oracle still scans every power x hyperplane pair, but reads stabilizers
-off the permutation each power induces on the hyperplane indices: w's is
-numbered by arithmetic, and composition with it gives each next power's, so
-one permutation is held at a time.
+The oracle still scans every power x hyperplane pair, the identity power on
+purpose too, but reads stabilizers off the permutation each power induces
+on the hyperplane indices, numbered and decoded by arithmetic: it holds one
+permutation at a time and builds no arrangement tuple.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import compress
+from operator import eq
 
 from .arrangement import (
+    _hyperplane_at,
+    _index_coordinates,
     _index_permutation,
     _scalar_on_normal,
     act,
@@ -77,23 +81,28 @@ def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     (``_index_permutation``), and each next power's follows from the
     left-action law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time,
     and w's order is never computed.  u stabilizes H_k exactly when
-    pi[k] == k, and only then is its normal scalar computed.  The witness is
-    the least violating hyperplane in canonical order and the least power
-    violating there: each power scans only the hyperplanes before the least
-    one found so far.
+    pi[k] == k; those k are picked out in one pass and decoded by
+    ``_index_coordinates``, and u's normal scalar is read off them as in
+    ``scalar_on_normal``.  Only a witness is built as a Hyperplane.  The
+    witness is the least violating hyperplane in canonical order and the
+    least power violating there: each power scans only the hyperplanes
+    before the least one found so far.
     """
     desc = w.descriptor
-    planes = hyperplanes(desc)
+    r, de = desc.r, desc.de
     pi_w = _index_permutation(w)
-    witness = None
-    limit = len(planes)
-    u, pi, ell = w, pi_w, 1
+    witness, limit = None, len(pi_w)
+    u, pi, ell, unmoved = w, pi_w, 1, tuple(range(r))
     while True:
-        for k in range(limit):
-            if pi[k] == k and not _scalar_on_normal(u, planes[k]).is_one:
-                witness, limit = LiftWitness(planes[k], power=ell), k
+        sigma, a = u.sigma, u.exponents
+        for k in compress(range(limit), map(eq, pi, range(limit))):
+            i, _, t = _index_coordinates(k, r, de)
+            # zeta_2de^e on the normal line: Coord(i) and Swap(i, j, t) with i
+            # and j fixed give 2 a_i; a Swap with i and j exchanged, de + 2(t + a_i).
+            if (2 * a[i] if sigma[i] == i else de + 2 * (t + a[i])) % (2 * de):
+                witness, limit = LiftWitness(_hyperplane_at(desc, k), power=ell), k
                 break
-        if u.is_identity:
+        if sigma == unmoved and not any(a):  # u.is_identity, without its tuple
             break
         u, pi, ell = u * w, compose(pi_w, pi), ell + 1
     return LiftReport(format_element(w), witness is None, witness, "oracle")
@@ -107,28 +116,36 @@ def element_lifts_fast(w: MonomialElement) -> bool:
     """Combinatorial test, no hyperplane scan.
 
     Case analysis: rank 1 groups embed in Z, so only the identity lifts.
-    Even order never lifts; its parity is read off the cycles, which are
-    computed once.  Otherwise w lifts iff every cycle of sigma of
-    length >= 2 has exponent sum 0 mod de, so does every fixed point when
-    d >= 2 (its coordinate hyperplane exists), and for any two fixed points
-    i != j the order of zeta^{a_i - a_j} is a multiple of the orders of
-    zeta^{a_i} and zeta^{a_j}.
+    Even order never lifts: order(w) is the lcm of L * ord(zeta^p) over the
+    cycles of sigma, of length L and exponent sum p, so it is even exactly
+    when one of those is.  Otherwise w lifts iff every cycle of length >= 2
+    has p = 0 mod de, so does every fixed point when d >= 2 (its coordinate
+    hyperplane exists), and for any two fixed points i != j the order of
+    zeta^{a_i - a_j} is a multiple of the orders of zeta^{a_i} and
+    zeta^{a_j}.  One pass over sigma, stopping at the first failing cycle.
     """
     desc = w.descriptor
     if desc.r == 1:
         return w.is_identity
-    cycles = w.cycles()
-    # order(w) is the lcm of L * ord(zeta^p) over the cycles, so it is even
-    # exactly when one of those is.
-    if any(c.length * _root_order(c.product_exponent, desc.de) % 2 == 0 for c in cycles):
-        return False
-    if any(c.product_exponent for c in cycles if c.length > 1 or desc.d >= 2):
-        return False
-    a = [c.product_exponent for c in cycles if c.length == 1]
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            m = _root_order(a[i] - a[j], desc.de)
-            if m % _root_order(a[i], desc.de) or m % _root_order(a[j], desc.de):
+    d, de, sigma, a = desc.d, desc.de, w.sigma, w.exponents
+    seen = [False] * desc.r
+    fixed = []
+    for start in range(desc.r):
+        if seen[start]:
+            continue
+        length, p, k = 0, 0, start
+        while not seen[k]:
+            seen[k] = True
+            length, p, k = length + 1, p + a[k], sigma[k]
+        p %= de
+        if length * _root_order(p, de) % 2 == 0 or (p and (length > 1 or d >= 2)):
+            return False
+        if length == 1:
+            fixed.append(p)
+    for i in range(len(fixed)):
+        for j in range(i + 1, len(fixed)):
+            m = _root_order(fixed[i] - fixed[j], de)
+            if m % _root_order(fixed[i], de) or m % _root_order(fixed[j], de):
                 return False
     return True
 

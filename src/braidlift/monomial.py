@@ -28,10 +28,7 @@ from functools import cached_property
 from itertools import product as _cartesian
 
 from . import permutations as perms
-from .errors import GuardExceeded, MismatchError, ParseError
-
-#: Default ceiling for whole-group enumeration and subgroup closure.
-ENUMERATION_GUARD = 10**6
+from .errors import ENUMERATION_GUARD, GuardExceeded, MismatchError, ParseError
 
 
 def _fields(text: str, head: str, tail: str, sep: str) -> list[str] | None:
@@ -343,7 +340,8 @@ class Subgroup:
     The check picks generators greedily in element order and closes them
     (``permutations.greedy_generators``), so it costs O(|G| * k) products
     for k generators.  Those generators are kept in ``generators``.
-    ``closure`` skips the check: its output is closed by construction.
+    ``closure`` and ``classify.as_symmetric_subgroup`` skip the check: their
+    output is closed by construction.
     Subgroups compare and hash by (descriptor, elements).
     """
 
@@ -361,6 +359,15 @@ class Subgroup:
         self.generators = perms.greedy_generators(
             self.sorted_elements, identity(self.descriptor), operator.mul
         )
+
+    @classmethod
+    def _trusted(
+        cls, descriptor: GroupDescriptor, elements: frozenset, generators: tuple
+    ) -> Subgroup:
+        """The subgroup of closed ``elements`` spanned by ``generators``, unchecked."""
+        G = object.__new__(cls)
+        G.descriptor, G.elements, G.generators = descriptor, elements, generators
+        return G
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -398,11 +405,9 @@ def closure(
             raise MismatchError(f"generator {g} does not live in {descriptor}")
     # The BFS output is closed by construction, so the greedy-generator
     # check of Subgroup.__post_init__ would only repeat its products.
-    G = object.__new__(Subgroup)
-    G.descriptor = descriptor
-    G.elements = perms.mulclose(gens, max_size, operator.mul)
-    G.generators = tuple(dict.fromkeys(gens))
-    return G
+    return Subgroup._trusted(
+        descriptor, perms.mulclose(gens, max_size, operator.mul), tuple(dict.fromkeys(gens))
+    )
 
 
 def center_order(descriptor: GroupDescriptor) -> int:

@@ -3,7 +3,13 @@
 import pytest
 
 from braidlift import permutations as perms
-from braidlift.acceptance import GRID, _oracle_lifts
+from braidlift.acceptance import (
+    GRID,
+    _cayley_images,
+    _frobenius_group,
+    _oracle_lifts,
+    _s5_sample_subgroups,
+)
 from braidlift.classify import (
     EXCEPTIONAL_BIEBERBACH,
     FrobeniusSpec,
@@ -24,6 +30,7 @@ from braidlift.errors import GuardExceeded, InvariantViolation
 from braidlift.lifting import element_lifts_oracle, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
+    Subgroup,
     closure,
     diagonal,
     enumerate_elements,
@@ -204,3 +211,15 @@ def test_permutation_group_validation():
         PermutationGroup(
             3, frozenset({perms.identity(3), perms.from_cycle(3, (0, 1, 2))})
         )  # not closed
+
+
+def test_symmetric_image_keeps_the_generators_its_check_would_pick():
+    # On every permutation group verify converts: the image, built without a
+    # second check, equals the checked Subgroup, generators included.
+    groups = [*_s5_sample_subgroups(), _frobenius_group(7, 3), _frobenius_group(13, 3)]
+    groups += [image for _, image in _cayley_images()]
+    for P in groups:
+        desc = GroupDescriptor(1, 1, P.degree)
+        image = as_symmetric_subgroup(P)
+        checked = Subgroup(desc, frozenset(from_permutation(desc, g) for g in P))
+        assert image == checked and image.generators == checked.generators

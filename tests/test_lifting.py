@@ -4,6 +4,8 @@ import json
 import random
 
 from braidlift.arrangement import (
+    Coord,
+    Swap,
     format_hyperplane,
     hyperplanes,
     in_parabolic,
@@ -12,6 +14,7 @@ from braidlift.arrangement import (
     stabilizes,
 )
 from braidlift.lifting import (
+    LiftWitness,
     element_lifts_fast,
     element_lifts_oracle,
     obstruction_shortcuts,
@@ -187,3 +190,14 @@ def test_report_json_roundtrip():
 
     lifting = element_lifts_oracle(diagonal(D(3, 3, 2), (1, 2))).to_json()
     assert lifting["lifts"] is True and lifting["witness"] is None
+
+
+def test_oracle_builds_no_arrangement():
+    # A Swap witness in G(6,2,3), a Coord witness in G(2,1,2), none in S(7):
+    # neither the scan nor the witness reads hyperplanes(desc).
+    before = hyperplanes.cache_info()
+    swap_witness = element_lifts_oracle(diagonal(D(6, 2, 3), (1, 1, 0))).witness
+    coord_witness = element_lifts_oracle(diagonal(D(2, 1, 2), (1, 0))).witness
+    assert (swap_witness, coord_witness) == (LiftWitness(Swap(0, 1, 0), 1), LiftWitness(Coord(0), 1))
+    assert element_lifts_oracle(from_permutation(D(1, 1, 7), (1, 2, 0, 4, 5, 3, 6))).lifts
+    assert hyperplanes.cache_info() == before

@@ -5,6 +5,7 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+import math
 import re
 from functools import lru_cache
 from random import Random
@@ -18,6 +19,7 @@ from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
     Swap,
+    _hyperplane_at,
     _index_permutation,
     act,
     acts_faithfully_on_arrangement,
@@ -289,6 +291,52 @@ def test_index_permutation_equals_the_act_reference(d_is_one, data):
     g = elements(data.draw, desc)
     index = hyperplane_index(desc)
     assert _index_permutation(g) == tuple(index[act(g, H)] for H in hyperplanes(desc))
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_index_decoding_equals_the_built_arrangement(data):
+    de = data.draw(st.integers(1, 12))
+    e = data.draw(st.sampled_from([k for k in range(1, de + 1) if de % k == 0]))
+    desc = GroupDescriptor.from_deer(de, e, data.draw(st.integers(1, 40)))
+    decoded = [_hyperplane_at(desc, k) for k in range(len(hyperplanes(desc)))]
+    # Swap and Coord compare as plain tuples, so their types are compared too.
+    assert [(type(H), H) for H in decoded] == [(type(H), H) for H in hyperplanes(desc)]
+
+
+def reference_element_lifts_fast(w):
+    """The fast criterion's case analysis on w.cycles(), as it read before it
+    became one pass over sigma."""
+    desc = w.descriptor
+    if desc.r == 1:
+        return w.is_identity
+
+    def root_order(exponent):
+        return desc.de // math.gcd(exponent, desc.de)
+
+    cycles = w.cycles()
+    if any(c.length * root_order(c.product_exponent) % 2 == 0 for c in cycles):
+        return False
+    if any(c.product_exponent for c in cycles if c.length > 1 or desc.d >= 2):
+        return False
+    a = [c.product_exponent for c in cycles if c.length == 1]
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            m = root_order(a[i] - a[j])
+            if m % root_order(a[i]) or m % root_order(a[j]):
+                return False
+    return True
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_fast_criterion_equals_the_cycle_data_reference(data):
+    desc = data.draw(descriptors(max_r=8, max_de=12))
+    w = elements(data.draw, desc)
+    n = w.order()
+    # w itself mostly has even order; its odd part can lift and so tests both verdicts
+    for u in (w, w ** (n & -n)):
+        assert element_lifts_fast(u) == reference_element_lifts_fast(u)
 
 
 @ELEMENT_SETTINGS
