@@ -205,7 +205,7 @@ def criterion_7() -> CriterionResult:
 
 
 @lru_cache(maxsize=None)
-def _frobenius_group(p: int, q: int) -> PermutationGroup:
+def _frobenius_group(p: int, q: int) -> Subgroup:
     return frobenius_coset_action(FrobeniusSpec.find(p, q))
 
 
@@ -215,10 +215,10 @@ def criterion_8() -> CriterionResult:
         # Construction raises InvariantViolation on a wrong cycle structure.
         P = _frobenius_group(p, q)
         for g in P:
-            if not has_free_cycle_type(g):
+            if not has_free_cycle_type(g.sigma):
                 return CriterionResult(8, "Frobenius coset actions", False,
                                        f"{g} in F_{p*q} escapes the free cycle types")
-        if not subgroup_lifts(as_symmetric_subgroup(P)).lifts:
+        if not subgroup_lifts(P).lifts:
             return CriterionResult(8, "Frobenius coset actions", False,
                                    f"degree-{p} image of F_{p*q} fails to lift")
     return CriterionResult(8, "Frobenius coset actions", True,
@@ -286,7 +286,7 @@ def _rank_test_subgroups() -> tuple[Subgroup, ...]:
         for G in _cyclic_subgroups(desc):
             put(G)
     for p, q in ((7, 3), (13, 3)):
-        put(as_symmetric_subgroup(_frobenius_group(p, q)))
+        put(_frobenius_group(p, q))
     for _, image in _cayley_images():
         put(as_symmetric_subgroup(image))
     return tuple(seen.values())

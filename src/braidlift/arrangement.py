@@ -20,12 +20,14 @@ picks up a sign, which is the exponent-de element of U_{2de}.
 permutation of canonical indices, numbered by arithmetic on the canonical
 order (``_index_permutation``), so it builds neither the arrangement nor an
 index dict; the tests check it against ``act``.  ``_index_coordinates``
-inverts that numbering, so the oracle of ``lifting`` reads a stabilized
-plane's coordinates off its index.  ``orbits`` follows the
-generators' permutations breadth-first, and ``acts_faithfully_on_arrangement``
-stops at each element's first moved hyperplane, so neither builds a table of
-every element's permutation.  ``element_permutations`` is that table g -> pi_g,
-read only by the cocycle code of ``lattice``, which uses every entry.
+inverts that numbering, and ``_normal_scalar`` tests an element against the
+plane at those coordinates, so the lifting scans of ``lifting`` and
+``acts_faithfully_on_arrangement`` build no Hyperplane either; the latter
+stops at each element's first moved index.  ``orbits`` follows the
+generators' permutations breadth-first and is kept on the subgroup, so the
+scans that read it share one search.  ``element_permutations`` is the table
+g -> pi_g of every element's permutation, read only by the cocycle code of
+``lattice``, which uses every entry.
 
 Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
 """
@@ -180,6 +182,20 @@ def _index_coordinates(k: int, r: int, de: int) -> tuple[int, int | None, int | 
     return i, p - i * (2 * r - i - 1) // 2 + i + 1, t
 
 
+def _normal_scalar(sigma, a, de: int, i: int, j: int | None, t: int | None) -> int | None:
+    """The exponent mod 2de of the scalar_on_normal of (sigma, a) at the plane
+    (i, j, t) of ``_index_coordinates``, or None when it moves the plane.
+
+    It stabilizes Coord(i) when sigma fixes i, and Swap(i, j, t) when sigma
+    fixes i and j with a_i = a_j (exponents are reduced), or exchanges them
+    with 2t + a_i - a_j = 0 mod de, by ``act``."""
+    if sigma[i] == i:  # Coord(i), or Swap(i, j, t) if j is fixed too
+        return 2 * a[i] if j is None or sigma[j] == j and a[i] == a[j] else None
+    if j is not None and sigma[i] == j and sigma[j] == i and (2 * t + a[i] - a[j]) % de == 0:
+        return (de + 2 * (t + a[i])) % (2 * de)
+    return None
+
+
 def _hyperplane_at(descriptor: GroupDescriptor, k: int) -> Hyperplane:
     """hyperplanes(descriptor)[k], without building the arrangement."""
     i, j, t = _index_coordinates(k, descriptor.r, descriptor.de)
@@ -259,18 +275,10 @@ def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
     """
     if not stabilizes(w, H):
         raise ValueError(f"{w} does not stabilize {format_hyperplane(H)}")
-    return _scalar_on_normal(w, H)
-
-
-def _scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
-    """scalar_on_normal for a caller that has already seen w stabilize H."""
-    de = w.descriptor.de
-    mod = 2 * de
-    if isinstance(H, Coord):
-        return ScalarRoot(2 * w.exponents[H.i], mod)
-    if w.sigma[H.i] == H.i:
-        return ScalarRoot(2 * w.exponents[H.i], mod)
-    return ScalarRoot(de + 2 * (H.t + w.exponents[H.i]), mod)
+    de, a_i = w.descriptor.de, w.exponents[H.i]
+    if isinstance(H, Coord) or w.sigma[H.i] == H.i:
+        return ScalarRoot(2 * a_i, 2 * de)
+    return ScalarRoot(de + 2 * (H.t + a_i), 2 * de)
 
 
 def in_parabolic(w: MonomialElement, H: Hyperplane) -> bool:
@@ -284,10 +292,13 @@ def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
     A breadth-first search from each hyperplane not yet reached, along the
     generators' permutations: O(|A| * k) steps for k generators.  In a finite
     group every inverse is a power, so these edges reach the whole orbit.
+    Kept on G, like ``element_permutations``'s table, so G is searched once.
     """
+    if (out := vars(G).get("_orbits")) is not None:
+        return out
     steps = [hyperplane_permutation(s) for s in G.generators]
     seen = [False] * hyperplane_count(G.descriptor)
-    out: list[tuple[int, ...]] = []
+    out = []
     for root in range(len(seen)):
         if seen[root]:
             continue
@@ -299,7 +310,8 @@ def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
                     seen[j] = True
                     orbit.append(j)
         out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    vars(G)["_orbits"] = out = tuple(out)
+    return out
 
 
 def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
@@ -307,14 +319,17 @@ def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
 
     Equivalent to G meeting the centre of the ambient group trivially, since
     the kernel of the action of the full group on its arrangement is its
-    centre.  Each element is tested with ``act`` and stops at its first
-    moved hyperplane, which for most elements is one of the first few.
+    centre.  Each element is tested by ``_normal_scalar`` and stops at its
+    first moved index, which for most elements is one of the first few.
     """
-    planes = hyperplanes(G.descriptor)
-    if not planes:
-        raise ValueError(f"{G.descriptor} has an empty arrangement")
+    desc = G.descriptor
+    r, de, width = desc.r, desc.de, hyperplane_count(desc)
+    if not width:
+        raise ValueError(f"{desc} has an empty arrangement")
     return not any(
-        all(act(g, H) == H for H in planes) for g in G.elements if not g.is_identity
+        all(_normal_scalar(g.sigma, g.exponents, de, *_index_coordinates(k, r, de)) is not None
+            for k in range(width))
+        for g in G.elements if not g.is_identity
     )
 
 

@@ -23,6 +23,8 @@ from .monomial import (
     Subgroup,
     _new,
     class_representatives,
+    closure,
+    from_permutation,
 )
 
 #: Shephard-Todd names of the exceptional irreducible groups whose
@@ -265,39 +267,36 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
         raise ValueError(f"no element of order {q} mod {p}")
 
 
-def frobenius_coset_action(spec: FrobeniusSpec) -> PermutationGroup:
-    """The action of Z/p x| Z/q on the cosets of its complement.
+def frobenius_coset_action(spec: FrobeniusSpec) -> Subgroup:
+    """The action of Z/p x| Z/q on the cosets of its complement, in G(1, 1, p).
 
-    Realized as the affine maps x -> m^j x + b on Z/p.  Construction checks
-    the structure theory: kernel elements (pure translations) act without
-    fixed points in p/k cycles of length k = their order; the conjugates of
-    the complement fix exactly one point and split the rest into (p-1)/k
-    cycles of length k.
+    Realized as the closure of x -> x + 1 and x -> m x, the maps x -> c x + b
+    on Z/p.  Construction checks the structure theory, with each element's
+    order read off its multiplier c, not off the cycle type under test:
+    translations (c = 1) have order p and form one p-cycle; the conjugates of
+    the complement have order k = ord(c mod p), fix exactly one point and
+    split the rest into (p-1)/k cycles of length k.
     """
-    p, q, m = spec.p, spec.q, spec.m
-    elements: set[tuple[int, ...]] = set()
-    c = 1
-    for _ in range(q):
-        for b in range(p):
-            elements.add(tuple((c * x + b) % p for x in range(p)))
-        c = c * m % p
-    if len(elements) != p * q:
-        raise InvariantViolation(f"affine action of order {p * q} is not faithful")
-    group = PermutationGroup(p, frozenset(elements))
-    ident = perms.identity(p)
+    p, m = spec.p, spec.m
+    desc = GroupDescriptor(1, 1, p)
+    shift = from_permutation(desc, [(x + 1) % p for x in range(p)])
+    scale = from_permutation(desc, [m * x % p for x in range(p)])
+    group = closure(desc, [shift, scale])
+    if len(group) != p * spec.q:
+        raise InvariantViolation(f"affine action of order {p * spec.q} has {len(group)} elements")
     for g in group:
-        if g == ident:
-            continue
-        k = perms.order(g)
-        ctype = perms.cycle_type(g)
-        multiplier = (g[1] - g[0]) % p
-        if multiplier == 1:
-            expected = (k,) * (p // k)
-        else:
+        sigma = g.sigma
+        if (c := (sigma[1] - sigma[0]) % p) != 1:
+            k = _multiplicative_order(c, p)
             expected = (k,) * ((p - 1) // k) + (1,)
+        elif sigma[0]:
+            expected = (p,)
+        else:
+            continue  # the identity
+        ctype = perms.cycle_type(sigma)
         if ctype != expected:
             raise InvariantViolation(
-                f"cycle type {ctype} of {g} contradicts the coset-action structure {expected}"
+                f"cycle type {ctype} of {sigma} contradicts the coset-action structure {expected}"
             )
     return group
 

@@ -229,14 +229,14 @@ def cmd_survey(args: SimpleNamespace) -> int:
 
 
 def cmd_frobenius(args: SimpleNamespace) -> int:
-    from .classify import FrobeniusSpec, as_symmetric_subgroup, frobenius_coset_action
-    from .classify import has_free_cycle_type
+    from .classify import FrobeniusSpec, frobenius_coset_action, has_free_cycle_type
     from .lifting import subgroup_lifts
 
     p, q = args.p, args.q
     # p*q elements times the p(p-1)/2 hyperplanes of S(p).  The lifting scan
-    # reads one hyperplane per orbit, but the coset action builds and checks
-    # all p*q permutations of degree p, so the guard bounds the group up front.
+    # reads one hyperplane per orbit, but the closure builds all p*q elements
+    # of degree p and checks each one's cycle type, and a witness scan would
+    # pair elements with hyperplanes, so the guard bounds the group up front.
     if p > 0 and q > 0 and p * q * (p * (p - 1) // 2) > ENUMERATION_GUARD:
         raise GuardExceeded(
             f"Z/{p} : Z/{q} has {p * q} elements x "
@@ -247,14 +247,14 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     group = frobenius_coset_action(spec)
-    free_type = all(has_free_cycle_type(g) for g in group)
-    lifts = subgroup_lifts(as_symmetric_subgroup(group)).lifts
+    free_type = all(has_free_cycle_type(g.sigma) for g in group)
+    lifts = subgroup_lifts(group).lifts
     doc = {
         "p": spec.p,
         "q": spec.q,
         "multiplier": spec.m,
         "order": spec.p * spec.q,
-        "degree": group.degree,
+        "degree": spec.p,
         "cycle_structure_verified": True,  # construction raises otherwise
         "free_cycle_types": free_type,
         "lifts": lifts,
@@ -265,7 +265,7 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
         print(f"Frobenius group Z/{spec.p} : Z/{spec.q} (multiplier {spec.m}), "
               f"order {doc['order']}, coset action of degree {doc['degree']}")
         print(f"cycle structure verified: {doc['cycle_structure_verified']}; "
-              f"free cycle types: {free_type}; lifts in G(1,1,{group.degree}): {lifts}")
+              f"free cycle types: {free_type}; lifts in G(1,1,{spec.p}): {lifts}")
     return EXIT_OK
 
 

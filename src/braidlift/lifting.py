@@ -28,10 +28,8 @@ from .arrangement import (
     _hyperplane_at,
     _index_coordinates,
     _index_permutation,
-    _scalar_on_normal,
-    act,
+    _normal_scalar,
     format_hyperplane,
-    hyperplanes,
     orbits,
 )
 from .errors import InvariantViolation
@@ -155,24 +153,31 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
 
     The criterion is invariant under conjugation by G: t in G sends a
     violating pair (g, H) to (t g t^-1, t(H)), with the same scalar on the
-    normal line.  So G is scanned once per orbit, at the orbit's least
-    hyperplane, and if no element violates there, G lifts.  Otherwise a
-    second scan names the witness: elements in sorted order, hyperplanes in
-    canonical order, the first violating (element, hyperplane) pair.  The
-    two scans agreeing is a theorem; InvariantViolation if they do not.
+    normal line.  So G is scanned once per orbit (``orbits``), at the
+    orbit's least hyperplane, and if no element violates there, G lifts.
+    Otherwise a second scan names the witness: elements in sorted order, each
+    at the ascending fixed indices of its ``_index_permutation``, the first
+    violating pair.  Both scans test decoded indices by ``_normal_scalar``,
+    build no Hyperplane but the witness, and skip the identity, which fixes
+    every normal line.  The two scans agreeing is a theorem;
+    InvariantViolation if they do not.
     """
-    planes = hyperplanes(G.descriptor)
-    subject = f"subgroup of {G.descriptor} with {len(G)} elements"
-    representatives = [planes[orbit[0]] for orbit in orbits(G)]
-    if all(
-        _scalar_on_normal(g, H).is_one
-        for H in representatives for g in G.elements if act(g, H) == H
+    desc = G.descriptor
+    r, de = desc.r, desc.de
+    subject = f"subgroup of {desc} with {len(G)} elements"
+    others = G.sorted_elements[1:]  # the identity sorts first
+    # Representatives are decoded one at a time: a list would hold a tuple per orbit.
+    if not any(
+        _normal_scalar(g.sigma, g.exponents, de, i, j, t)
+        for i, j, t in (_index_coordinates(orbit[0], r, de) for orbit in orbits(G))
+        for g in others
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
-    for g in G:
-        for H in planes:
-            if act(g, H) == H and not _scalar_on_normal(g, H).is_one:
-                witness = LiftWitness(H, element=g)
+    for g in others:
+        pi = _index_permutation(g)
+        for k in compress(range(len(pi)), map(eq, pi, range(len(pi)))):
+            if _normal_scalar(g.sigma, g.exponents, de, *_index_coordinates(k, r, de)):
+                witness = LiftWitness(_hyperplane_at(desc, k), element=g)
                 return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")
 

@@ -156,6 +156,8 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
             raise MismatchError(f"cannot compose elements of {desc} and {other.descriptor}")
         de, mine = desc.de, self.exponents
         sigma = perms.compose(self.sigma, other.sigma)
+        if de == 1:  # every exponent is 0 mod 1, so the product keeps mine
+            return _new(MonomialElement, (desc, sigma, mine))
         exps = tuple([(a + mine[j]) % de for a, j in zip(other.exponents, other.sigma)])
         return _new(MonomialElement, (desc, sigma, exps))
 

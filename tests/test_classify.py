@@ -6,7 +6,6 @@ from braidlift import permutations as perms
 from braidlift.acceptance import (
     GRID,
     _cayley_images,
-    _frobenius_group,
     _oracle_lifts,
     _s5_sample_subgroups,
 )
@@ -139,15 +138,35 @@ def test_frobenius_examples():
     group = frobenius_coset_action(FrobeniusSpec(7, 3, 2))
     ident = perms.identity(7)
     for g in group:
-        if g == ident:
+        if g.sigma == ident:
             continue
-        lengths = sorted(len(c) for c in perms.cycles(g))
-        if perms.order(g) == 7:
+        lengths = sorted(len(c) for c in perms.cycles(g.sigma))
+        if perms.order(g.sigma) == 7:
             assert lengths == [7]  # 7/7 = 1 cycle, no fixed point
         else:
-            assert perms.order(g) == 3
+            assert perms.order(g.sigma) == 3
             assert lengths == [1, 3, 3]  # one fixed coset, (7-1)/3 cycles
     assert len(group) == 21
+
+
+def reference_affine_action(spec):
+    """The maps x -> c x + b on Z/p, c a power of m, as permutation tuples."""
+    p, q, m = spec
+    elements, c = set(), 1
+    for _ in range(q):
+        for b in range(p):
+            elements.add(tuple((c * x + b) % p for x in range(p)))
+        c = c * m % p
+    return elements
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (13, 3), (31, 5), (61, 5)])
+def test_frobenius_closure_equals_the_affine_maps(p, q):
+    spec = FrobeniusSpec.find(p, q)
+    group = frobenius_coset_action(spec)
+    assert group.descriptor == GroupDescriptor(1, 1, p)
+    assert {g.sigma for g in group} == reference_affine_action(spec)
+    assert all(not any(g.exponents) for g in group)
 
 
 def test_frobenius_structure_holds_for_larger_parameters():
@@ -216,7 +235,7 @@ def test_permutation_group_validation():
 def test_symmetric_image_keeps_the_generators_its_check_would_pick():
     # On every permutation group verify converts: the image, built without a
     # second check, equals the checked Subgroup, generators included.
-    groups = [*_s5_sample_subgroups(), _frobenius_group(7, 3), _frobenius_group(13, 3)]
+    groups = list(_s5_sample_subgroups())
     groups += [image for _, image in _cayley_images()]
     for P in groups:
         desc = GroupDescriptor(1, 1, P.degree)

@@ -565,3 +565,36 @@ def test_cocycle_builds_no_arrangement(capsys):
     )
     assert code == 0 and json.loads(out)["successes"] == 2
     assert arrangement.hyperplanes.cache_info().misses == before.misses
+
+
+def test_subgroup_commands_build_no_arrangement(capsys, monkeypatch):
+    # check-subgroup and frobenius decode hyperplane indices by arithmetic, so
+    # neither builds the tuple of Swap planes, and each searches its
+    # subgroup's orbits once: that search numbers each generator's permutation.
+    from braidlift import arrangement
+
+    numbered = []
+    number = arrangement.hyperplane_permutation
+
+    def counting(g):
+        numbered.append(g)
+        return number(g)
+
+    monkeypatch.setattr(arrangement, "hyperplane_permutation", counting)
+    n = 200
+    transposition = (f"perm=[{','.join(map(str, [2, 1, *range(3, n + 1)]))}];"
+                     f"exp=[{','.join(['0'] * n)}]")
+    before = arrangement.hyperplanes.cache_info()
+    code, out, _ = invoke(
+        capsys, "check-subgroup", "--group", f"S({n})", "--generators", transposition, "--json",
+    )
+    doc = json.loads(out)
+    # orbits: {1,2}, each pair {1,k} with {2,k}, and each pair inside {3..n}
+    assert code == 3 and doc["orbits"] == 1 + (n - 2) + (n - 2) * (n - 3) // 2
+    assert doc["witness"]["hyperplane"] == "H[1,2;0]"
+    assert len(numbered) == 1  # one generator, one orbit search
+    code, out, _ = invoke(capsys, "frobenius", "--p", "61", "--q", "5", "--json")
+    assert code == 0 and json.loads(out)["lifts"] is True
+    assert len(numbered) == 3  # x -> x + 1 and x -> m x, one orbit search
+    after = arrangement.hyperplanes.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)

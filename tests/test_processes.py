@@ -77,6 +77,7 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect(argv):
     ("classify", "--group", "S(4)"),
     ("check-subgroup", "--group", "S(4)", "--generators",
      "perm=[2,3,1,4];exp=[0,0,0,0];perm=[1,3,4,2];exp=[0,0,0,0]"),
+    ("frobenius", "--p", "7", "--q", "3"),
 ])
 def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     trace_path = tmp_path / "trace.json"

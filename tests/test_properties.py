@@ -441,9 +441,15 @@ def reference_orbits(G):
     return tuple(out)
 
 
-def reference_faithful(G):
+def reference_acts_faithfully(G):
+    """The faithfulness test by ``act``: no element but the identity fixes
+    every hyperplane, each element stopping at its first moved one."""
     planes = hyperplanes(G.descriptor)
-    return not any(all(act(g, H) == H for H in planes) for g in G if not g.is_identity)
+    if not planes:
+        raise ValueError(f"{G.descriptor} has an empty arrangement")
+    return not any(
+        all(act(g, H) == H for H in planes) for g in G.elements if not g.is_identity
+    )
 
 
 def reference_free_action(G):
@@ -472,10 +478,23 @@ def test_table_loops_equal_the_per_element_references(G, data):
         assert free_action_general(H) == reference_free_action(G)
         assert coboundary(x, H) == reference_coboundary(x, G)
         if width:
-            assert acts_faithfully_on_arrangement(H) == reference_faithful(G)
+            assert acts_faithfully_on_arrangement(H) == reference_acts_faithfully(G)
         else:
             with pytest.raises(ValueError):
                 acts_faithfully_on_arrangement(H)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(subgroups(), st.sampled_from(MULTI_ORBIT)))
+def test_faithfulness_equals_the_act_reference(G):
+    try:
+        expected = reference_acts_faithfully(G)
+    except ValueError:
+        with pytest.raises(ValueError):
+            acts_faithfully_on_arrangement(G)
+        return
+    for H in (G, validated(G)):
+        assert acts_faithfully_on_arrangement(H) == expected
 
 
 def reference_is_splitting(s, G):
