@@ -28,7 +28,7 @@ from .classify import (
     permutation_group,
 )
 from .lattice import coboundary_roundtrips, fixed_lattice_rank
-from .lifting import element_lifts_fast, element_lifts_oracle, subgroup_lifts
+from .lifting import element_lifts_fast, oracle_verdicts, subgroup_lifts
 from .monomial import (
     GroupDescriptor,
     MonomialElement,
@@ -60,14 +60,20 @@ class CriterionResult(namedtuple("CriterionResult", "number title passed detail"
         return f"[{status}] criterion {self.number:2d}: {self.title} ({self.detail})"
 
 
-@lru_cache(maxsize=None)
+# Each cache below is bounded by the number of keys one ``verify`` run uses.
+@lru_cache(maxsize=len(GRID))
 def _elements(desc: GroupDescriptor) -> tuple[MonomialElement, ...]:
     return tuple(enumerate_elements(desc))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(GRID))
+def _orders(desc: GroupDescriptor) -> dict[MonomialElement, int]:
+    return {w: w.order() for w in _elements(desc)}
+
+
+@lru_cache(maxsize=len(GRID))
 def _oracle_lifts(desc: GroupDescriptor) -> dict[MonomialElement, bool]:
-    return {w: element_lifts_oracle(w).lifts for w in _elements(desc)}
+    return oracle_verdicts(_elements(desc))
 
 
 def criterion_1() -> CriterionResult:
@@ -92,10 +98,11 @@ def criterion_2() -> CriterionResult:
     w = diagonal(_D(3, 3, 2), (1, 2))
     if w.order() != 3:
         failures.append(f"order(diag(j,j^2)) = {w.order()} != 3")
-    if not (element_lifts_oracle(w).lifts and element_lifts_fast(w)):
-        failures.append("diag(j,j^2) in G(3,3,2) should lift")
     v = diagonal(_D(4, 4, 2), (1, 3))
-    if element_lifts_oracle(v).lifts or element_lifts_fast(v):
+    lifts = oracle_verdicts((w, v))
+    if not (lifts[w] and element_lifts_fast(w)):
+        failures.append("diag(j,j^2) in G(3,3,2) should lift")
+    if lifts[v] or element_lifts_fast(v):
         failures.append("diag(i,-i) in G(4,4,2) should not lift")
     return CriterionResult(2, "headline diagonal examples", not failures,
                            "; ".join(failures) or "both examples as classified")
@@ -105,8 +112,9 @@ def criterion_3() -> CriterionResult:
     """No even-order element of any grid group passes the oracle."""
     checked = 0
     for desc in GRID:
+        orders = _orders(desc)
         for w, lifts in _oracle_lifts(desc).items():
-            if w.order() % 2 == 0:
+            if orders[w] % 2 == 0:
                 checked += 1
                 if lifts:
                     return CriterionResult(3, "even order never lifts", False,
@@ -141,16 +149,17 @@ def criterion_5() -> CriterionResult:
     checked = 0
     for n in range(2, 7):
         desc = _D(1, 1, n)
+        orders = _orders(desc)
         for w, lifts in _oracle_lifts(desc).items():
-            if lifts != (w.order() % 2 == 1):
+            if lifts != (orders[w] % 2 == 1):
                 return CriterionResult(5, "symmetric groups: lift iff odd order", False,
-                                       f"{w} in S_{n}: lifts={lifts}, order={w.order()}")
+                                       f"{w} in S_{n}: lifts={lifts}, order={orders[w]}")
             checked += 1
     return CriterionResult(5, "symmetric groups: lift iff odd order", True,
                            f"{checked} permutations checked")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
 
@@ -180,7 +189,7 @@ def criterion_6() -> CriterionResult:
                            f"{len(_s5_sample_subgroups())} distinct subgroups")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(GRID))
 def _cyclic_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
     groups: dict[frozenset, Subgroup] = {}
     for w in _elements(desc):
@@ -204,7 +213,7 @@ def criterion_7() -> CriterionResult:
                            f"{count} cyclic subgroups over two groups")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _frobenius_group(p: int, q: int) -> Subgroup:
     return frobenius_coset_action(FrobeniusSpec.find(p, q))
 
@@ -225,7 +234,7 @@ def criterion_8() -> CriterionResult:
                            "p=7 and p=13 images verified and lifted")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cayley_images() -> tuple[tuple[str, PermutationGroup], ...]:
     z5 = permutation_group(5, [perms.from_cycle(5, tuple(range(5)))])
     z7 = permutation_group(7, [perms.from_cycle(7, tuple(range(7)))])
@@ -272,7 +281,7 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(10, "constructive H^1 vanishing", True, "; ".join(report))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _rank_test_subgroups() -> tuple[Subgroup, ...]:
     """Every subgroup exercised by criteria 6 through 9, in monomial form."""
     seen: dict[tuple[GroupDescriptor, frozenset], Subgroup] = {}
@@ -304,12 +313,11 @@ def criterion_12() -> CriterionResult:
     """Liftable permutations stay liftable after adding a fixed strand."""
     checked = 0
     for n in range(2, 6):
-        desc = _D(1, 1, n)
-        for w, lifts in _oracle_lifts(desc).items():
-            if not lifts:
-                continue
-            padded = pad(w, n + 1)
-            if not element_lifts_oracle(padded).lifts:
+        liftable = [w for w, lifts in _oracle_lifts(_D(1, 1, n)).items() if lifts]
+        padded = [pad(w, n + 1) for w in liftable]
+        lifts = oracle_verdicts(padded)
+        for w, u in zip(liftable, padded):
+            if not lifts[u]:
                 return CriterionResult(12, "stability under padding", False,
                                        f"{w} liftable in S_{n} but not in S_{n + 1}")
             checked += 1

@@ -15,7 +15,7 @@ from functools import cached_property
 from . import permutations as perms
 from .arrangement import hyperplane_count, orbits
 from .errors import GuardExceeded, InvariantViolation
-from .lifting import element_lifts_oracle
+from .lifting import oracle_verdicts
 from .monomial import (
     ENUMERATION_GUARD,
     GroupDescriptor,
@@ -48,9 +48,10 @@ def is_bieberbach_series(descriptor: GroupDescriptor) -> bool:
 class OracleBudget:
     """Oracle steps left to a run of brute-force scans.
 
-    One ``element_lifts_oracle`` call on w costs order(w) powers times |A|
-    hyperplanes.  ``spend`` is called before each call and raises
-    GuardExceeded, without spending, once the steps would pass the budget.
+    An oracle walk on w is charged order(w) powers times |A| hyperplanes, an
+    upper bound: ``oracle_verdicts`` stops at w's first violating power.
+    ``spend`` is called before each walk and raises GuardExceeded, without
+    spending, once the steps would pass the budget.
     """
 
     __slots__ = ("total", "left")
@@ -85,7 +86,8 @@ def bieberbach_bruteforce(
     scalar s, then t u t^-1 lies in N_tH and acts on (tH)^perp by the same
     s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
 
-    Each oracle call is charged to ``budget``, when one is given.  Raises
+    Each element's verdict walk (``oracle_verdicts``) is charged to
+    ``budget``, when one is given, in full before it starts.  Raises
     GuardExceeded when |G| > guard, which also bounds the class walk: it
     builds at most 3|G| partial and whole multisets (``class_representatives``).
     """
@@ -97,7 +99,7 @@ def bieberbach_bruteforce(
         if _is_prime(n):
             if budget is not None:
                 budget.spend(n * width)
-            if element_lifts_oracle(w).lifts:
+            if oracle_verdicts((w,))[w]:
                 return False
     return True
 

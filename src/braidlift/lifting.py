@@ -11,16 +11,20 @@ cheap obstruction shortcuts.
 The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
-The oracle still scans every power x hyperplane pair, the identity power on
-purpose too, but reads stabilizers off the permutation each power induces
-on the hyperplane indices, numbered and decoded by arithmetic: it holds one
-permutation at a time and builds no arrangement tuple.
+The oracle reads stabilizers off the permutation each power induces on the
+hyperplane indices, numbered and decoded by arithmetic, and builds no
+arrangement tuple.  Its two walks share one per-power scan.
+``element_lifts_oracle`` names a witness, so it scans every power x
+hyperplane pair, the identity power on purpose too.  ``oracle_verdicts``
+only decides: it stops at the first violation, so only a "lifts" verdict
+rests on a scan of every pair, and it scans a power its elements share once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable
 from itertools import compress
 from operator import eq
 
@@ -70,6 +74,19 @@ class LiftReport(
         }
 
 
+def _least_violation(pi, sigma, a, r: int, de: int, limit: int) -> int | None:
+    """The least k < limit fixed by pi, the permutation of (sigma, a) on the
+    hyperplane indices, where (sigma, a) acts on the normal line by a
+    nontrivial scalar (``_index_coordinates``, ``scalar_on_normal``); or None."""
+    for k in compress(range(limit), map(eq, pi, range(limit))):
+        i, _, t = _index_coordinates(k, r, de)
+        # zeta_2de^e on the normal line: Coord(i) and Swap(i, j, t) with i
+        # and j fixed give 2 a_i; a Swap with i and j exchanged, de + 2(t + a_i).
+        if (2 * a[i] if sigma[i] == i else de + 2 * (t + a[i])) % (2 * de):
+            return k
+    return None
+
+
 def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     """Structural test: every power of w in any N_H must lie in C_H.
 
@@ -78,10 +95,8 @@ def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     hyperplane indices alongside: pi_w is numbered by arithmetic
     (``_index_permutation``), and each next power's follows from the
     left-action law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time,
-    and w's order is never computed.  u stabilizes H_k exactly when
-    pi[k] == k; those k are picked out in one pass and decoded by
-    ``_index_coordinates``, and u's normal scalar is read off them as in
-    ``scalar_on_normal``.  Only a witness is built as a Hyperplane.  The
+    and w's order is never computed.  Each power is scanned by
+    ``_least_violation``.  Only a witness is built as a Hyperplane.  The
     witness is the least violating hyperplane in canonical order and the
     least power violating there: each power scans only the hyperplanes
     before the least one found so far.
@@ -93,17 +108,38 @@ def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     u, pi, ell, unmoved = w, pi_w, 1, tuple(range(r))
     while True:
         sigma, a = u.sigma, u.exponents
-        for k in compress(range(limit), map(eq, pi, range(limit))):
-            i, _, t = _index_coordinates(k, r, de)
-            # zeta_2de^e on the normal line: Coord(i) and Swap(i, j, t) with i
-            # and j fixed give 2 a_i; a Swap with i and j exchanged, de + 2(t + a_i).
-            if (2 * a[i] if sigma[i] == i else de + 2 * (t + a[i])) % (2 * de):
-                witness, limit = LiftWitness(_hyperplane_at(desc, k), power=ell), k
-                break
+        k = _least_violation(pi, sigma, a, r, de, limit)
+        if k is not None:
+            witness, limit = LiftWitness(_hyperplane_at(desc, k), power=ell), k
         if sigma == unmoved and not any(a):  # u.is_identity, without its tuple
             break
         u, pi, ell = u * w, compose(pi_w, pi), ell + 1
     return LiftReport(format_element(w), witness is None, witness, "oracle")
+
+
+def oracle_verdicts(elements: Iterable[MonomialElement]) -> dict[MonomialElement, bool]:
+    """``element_lifts_oracle(w).lifts`` for each w, without the witness.
+
+    Walks w, w^2, ... by multiplication, numbering each power by
+    ``_index_permutation``, and stops at the first violating power or after
+    the identity.  A dict local to the call records whether each scanned
+    power violates, so a power that several elements share is scanned once.
+    """
+    violates: dict[MonomialElement, bool] = {}
+    verdicts: dict[MonomialElement, bool] = {}
+    for w in elements:
+        r, de = w.descriptor.r, w.descriptor.de
+        u, unmoved = w, tuple(range(r))
+        while True:
+            if (bad := violates.get(u)) is None:
+                pi = _index_permutation(u)
+                k = _least_violation(pi, u.sigma, u.exponents, r, de, len(pi))
+                bad = violates[u] = k is not None
+            if bad or u.sigma == unmoved and not any(u.exponents):
+                break
+            u = u * w
+        verdicts[w] = not bad
+    return verdicts
 
 
 def _root_order(exponent: int, de: int) -> int:
@@ -184,7 +220,7 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
 
 def subgroup_lifts_local(G: Subgroup) -> bool:
     """Element-by-element test; agrees with subgroup_lifts on closed subgroups."""
-    return all(element_lifts_oracle(g).lifts for g in G)
+    return all(oracle_verdicts(G).values())
 
 
 def obstruction_shortcuts(w: MonomialElement) -> str | None:

@@ -210,8 +210,10 @@ def test_survey_guard_exceeded(capsys):
 
 def test_survey_oracle_budget_exceeded(capsys):
     # The cyclic groups G(d,1,1), d <= 1000, pass the element guard (500,500
-    # elements), but a prime d costs about d^2 oracle steps: the shared
-    # budget of 10**6 steps runs out near d = 140, after a few seconds.
+    # elements), but a prime d is charged about d^2 oracle steps: the shared
+    # budget of 10**6 steps runs out near d = 140.  The charge is an upper
+    # bound: each walk stops at its first power, so this takes well under a
+    # second.
     start = time.perf_counter()
     code, out, err = invoke(capsys, "survey", "--grid", "d<=1000,e<=1,r<=1")
     assert code == 4 and out == "" and "oracle steps" in err

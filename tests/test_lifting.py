@@ -3,6 +3,8 @@
 import json
 import random
 
+from braidlift import acceptance, classify, lifting
+from braidlift.acceptance import GRID, _elements
 from braidlift.arrangement import (
     Coord,
     Swap,
@@ -18,6 +20,7 @@ from braidlift.lifting import (
     element_lifts_fast,
     element_lifts_oracle,
     obstruction_shortcuts,
+    oracle_verdicts,
     subgroup_lifts,
     subgroup_lifts_local,
 )
@@ -83,6 +86,41 @@ def test_oracle_equals_fast_spot_checks():
     for desc in (D(6, 3, 2), D(2, 2, 4), D(5, 5, 2), D(3, 1, 2)):
         for w in enumerate_elements(desc):
             assert element_lifts_oracle(w).lifts == element_lifts_fast(w)
+
+
+def test_verdict_walk_equals_the_oracle_on_the_grid():
+    # One call per group, so powers shared between its elements are looked up.
+    for desc in GRID:
+        elements = _elements(desc)
+        assert oracle_verdicts(elements) == {w: element_lifts_oracle(w).lifts for w in elements}
+
+
+def test_verdict_callers_number_each_power_once_and_name_no_witness(monkeypatch):
+    numbered = []
+    index_permutation = lifting._index_permutation
+
+    def counting(g):
+        numbered.append(g)
+        return index_permutation(g)
+
+    def refuse(w):
+        raise AssertionError(f"element_lifts_oracle called on {w}")
+
+    monkeypatch.setattr(lifting, "_index_permutation", counting)
+    for module in (lifting, acceptance, classify):
+        for name, value in list(vars(module).items()):
+            if value is element_lifts_oracle:
+                monkeypatch.setattr(module, name, refuse)
+    s6 = D(1, 1, 6)
+    # One oracle_verdicts call: each of the 720 elements is numbered exactly
+    # once, as itself or as a power of an element before it.
+    lifts = acceptance._oracle_lifts.__wrapped__(s6)
+    assert sorted(numbered) == sorted(_elements(s6))
+    # odd order: the identity, 3-cycles, pairs of 3-cycles and 5-cycles
+    assert sum(lifts.values()) == 1 + 40 + 40 + 144
+    numbered.clear()
+    assert classify.bieberbach_bruteforce(D(24, 1, 2))
+    assert numbered
 
 
 def test_failing_witnesses_are_verifiable():

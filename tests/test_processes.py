@@ -9,6 +9,7 @@ benchmark run.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,18 +74,25 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect(argv):
     assert "json" in added and {m.lstrip("_").split(".")[0] for m in added} <= JSON_IMPORTS, added
 
 
+def mask_elapsed(stdout):
+    """stdout with verify's elapsed times ("in 0.2s)") masked, as the
+    benchmark's ``normalize`` does."""
+    return re.sub(r"\bin \d+(?:\.\d+)?s\)", "in <elapsed>s)", stdout)
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--group", "S(4)"),
     ("check-subgroup", "--group", "S(4)", "--generators",
      "perm=[2,3,1,4];exp=[0,0,0,0];perm=[1,3,4,2];exp=[0,0,0,0]"),
     ("frobenius", "--p", "7", "--q", "3"),
+    ("verify",),
 ])
 def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     trace_path = tmp_path / "trace.json"
     plain = python("-m", "braidlift.cli", *argv)
     traced = python(str(ROOT / "bench" / "trace_child.py"), str(trace_path), *argv)
     assert traced.returncode == plain.returncode, traced.stderr
-    assert traced.stdout == plain.stdout
+    assert mask_elapsed(traced.stdout) == mask_elapsed(plain.stdout)
     trace = json.loads(trace_path.read_text())
     calls, _total, _self = trace["leaves"]["monomial.mul"]
     assert calls > 0

@@ -49,6 +49,7 @@ from braidlift.lifting import (
     LiftWitness,
     element_lifts_fast,
     element_lifts_oracle,
+    oracle_verdicts,
     subgroup_lifts,
 )
 from braidlift.monomial import (
@@ -272,6 +273,25 @@ def test_oracle_equals_the_per_pair_reference(w):
     # w itself mostly has even order; its odd part can lift and so tests both verdicts
     for u in (w, w ** (n & -n)):
         assert element_lifts_oracle(u) == reference_element_lifts(u) == reference_power_walk(u)
+
+
+@st.composite
+def power_lists(draw):
+    """Elements of one random G(de, e, r): powers of a few drawn elements, with
+    repeats, so some are powers of others and the identity may appear."""
+    desc = draw(descriptors(max_r=4, max_de=6))
+    bases = [elements(draw, desc) for _ in range(draw(st.integers(1, 3)))]
+    picks = st.tuples(st.sampled_from(bases), st.integers(1, 12))
+    return [w**k for w, k in draw(st.lists(picks, min_size=1, max_size=10))]
+
+
+@PROPERTY_SETTINGS
+@given(power_lists())
+def test_verdict_walk_equals_the_per_pair_reference(ws):
+    verdicts = oracle_verdicts(ws)
+    assert set(verdicts) == set(ws)
+    for w in ws:
+        assert verdicts[w] == reference_element_lifts(w).lifts, w
 
 
 @st.composite
