@@ -14,33 +14,34 @@ def rank(rows: Iterable[Mapping[int, int] | Sequence[int]]) -> int:
     """Rank over Q of an integer matrix given as sparse or dense rows.
 
     Incremental fraction-free echelon: each row is reduced against the
-    current basis by integer cross-multiplication (scaling a row never
-    changes the rank).  Rows are kept as {column: coefficient} dicts, which
-    keeps the common sparse inputs cheap.
+    basis row of its least column by integer cross-multiplication (scaling
+    a row never changes the rank), in place.  Rows are kept as
+    {column: coefficient} dicts with no zero entries, which keeps the
+    common sparse inputs cheap.
     """
     basis: dict[int, dict[int, int]] = {}
-    rk = 0
     for raw in rows:
-        if isinstance(raw, Mapping):
-            row = {k: v for k, v in raw.items() if v}
-        else:
-            row = {k: v for k, v in enumerate(raw) if v}
+        # dict first: the Mapping ABC check alone costs more than a short row.
+        mapping = isinstance(raw, dict) or isinstance(raw, Mapping)
+        row = {k: v for k, v in (raw.items() if mapping else enumerate(raw)) if v}
         while row:
             lead = min(row)
-            if lead not in basis:
+            other = basis.get(lead)
+            if other is None:
                 basis[lead] = row
-                rk += 1
                 break
-            other = basis[lead]
             a, b = row[lead], other[lead]
             g = math.gcd(a, b)
             ma, mb = a // g, b // g
-            row = {
-                k: v
-                for k in row.keys() | other.keys()
-                if (v := row.get(k, 0) * mb - other.get(k, 0) * ma)
-            }
-    return rk
+            if mb != 1:
+                for k in row:
+                    row[k] *= mb
+            for k, v in other.items():
+                if v := row.get(k, 0) - v * ma:
+                    row[k] = v
+                else:
+                    del row[k]
+    return len(basis)
 
 
 def solve(

@@ -4,10 +4,12 @@ Z[A] is the free abelian group on the hyperplanes of G(de, e, r), with the
 group permuting coordinates; vectors are integer tuples in the canonical
 hyperplane order.  For a subgroup G this module models the split extension
 Z[A] x| G, detects torsion there, and solves 1-cocycle equations
-c(g) = x - g.x over the integers.  Solvability of the latter for every
-cocycle (the vanishing of the first cohomology of a permutation module) is
-what makes complements unique up to lattice conjugation, and the solver
-treats a failure as a falsified theorem, not as a data error.
+c(g) = x - g.x over the integers, as a difference system on a Schreier
+spanning forest of G on the hyperplanes, each answer checked on all of G.
+Solvability of the latter for every cocycle (the vanishing of the first
+cohomology of a permutation module) is what makes complements unique up to
+lattice conjugation, and the solver treats a failure as a falsified
+theorem, not as a data error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .arrangement import (
 )
 from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
+from .permutations import compose
 
 LatticeVector = tuple[int, ...]
 Cocycle = dict[MonomialElement, LatticeVector]
@@ -129,42 +132,60 @@ def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
     return G.generators
 
 
-def _solve_on_generators(
-    edges: list[tuple[tuple[int, ...], LatticeVector]], width: int
-) -> LatticeVector:
-    """The x with x[pi_s(k)] = x[k] + c(s)[pi_s(k)] for each edge (pi_s, c(s)).
+_Forest = namedtuple("_Forest", "root target source step")
 
-    A difference system on the Schreier graph of G acting on the hyperplanes:
-    each orbit is solved by setting its first hyperplane to 0 and
-    propagating along the generators' edges, in O(|orbit| * |generators|)
-    steps.  Nothing is checked here; the callers verify the result on all of G.
+
+def _schreier_forest(G: Subgroup) -> _Forest:
+    """The spanning forest of the breadth-first search ``orbits`` makes on G.
+
+    root[k] is the first hyperplane of k's orbit.  Edge e, in flat lists,
+    joins source[e] to target[e] = pi_s(source[e]) for s the generator
+    numbered step[e]; parents come first, and each hyperplane but the
+    roots is a target once.
     """
-    x: list[int | None] = [None] * width
-    for root in range(width):
-        if x[root] is not None:
+    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
+    root: list[int | None] = [None] * hyperplane_count(G.descriptor)
+    target, source, step = [], [], []
+    # A generator's images are 0, ..., |A| - 1 once each: sorted, they number
+    # the roots with int objects that exist already, not |A| new ones.
+    for r in sorted(steps[0]) if steps else range(len(root)):
+        if root[r] is not None:
             continue
-        x[root] = 0
-        stack = [root]
-        while stack:
-            k = stack.pop()
-            for pi, cs in edges:
-                j = pi[k]
-                if x[j] is None:
-                    x[j] = x[k] + cs[j]
-                    stack.append(j)
+        root[r] = r
+        orbit = [r]
+        for k in orbit:
+            for i, pi in enumerate(steps):
+                if root[j := pi[k]] is None:
+                    root[j] = r
+                    orbit.append(j)
+                    target.append(j)
+                    source.append(k)
+                    step.append(i)
+    return _Forest(tuple(root), target, source, step)
+
+
+def _solve_on_generators(forest: _Forest, values: list[LatticeVector]) -> LatticeVector:
+    """The x with x = 0 on the roots and x[j] = x[k] + c(s)[j] on each edge.
+
+    values[i][k] is c(s)[pi_s(k)] for the i-th generator s.  On an edge
+    k -> j = pi_s(k), c(s) = x - s.x reads x[j] = x[k] + c(s)[j]: a
+    difference system on the Schreier graph, solved in one pass over the
+    forest.  Nothing is checked here; the callers verify x on all of G.
+    """
+    x = [0] * len(forest.root)
+    for j, k, i in zip(forest.target, forest.source, forest.step):
+        x[j] = x[k] + values[i][k]
     return tuple(x)
 
 
 def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     """An integer vector x with c(g) = x - g.x for every g in G.
 
-    For each generator s the equation reads x[pi_s(k)] = x[k] + c(s)[pi_s(k)],
-    with pi_s the permutation of s on hyperplane indices, and
-    _solve_on_generators solves that system.  The cocycle identity
-    determines c on all of G from the generators, so the result is verified
-    against every g in G.  Any solution differs from it by a constant on
-    each orbit, which g.x preserves, so a failed check means no solution
-    exists.
+    _solve_on_generators solves the equations of the generators on the
+    Schreier forest of G.  The cocycle identity determines c on all of G
+    from the generators, so the result is verified against every g in G.
+    Any solution differs from it by a constant on each orbit, which g.x
+    preserves, so a failed check means no solution exists.
 
     Raises NoIntegralSolution if no integral x exists; on a genuine cocycle
     that would falsify the vanishing of H^1 and must fail the build.
@@ -172,62 +193,78 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     missing = G.elements - c.keys()
     if missing:
         raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
-    edges = [(hyperplane_permutation(s), c[s]) for s in small_generating_set(G)]
-    result = _solve_on_generators(edges, hyperplane_count(G.descriptor))
+    values = [compose(c[s], hyperplane_permutation(s)) for s in small_generating_set(G)]
+    result = _solve_on_generators(_schreier_forest(G), values)
     for g, pi in element_permutations(G).items():
         if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
     return result
 
 
+#: The top byte of a 32-bit word -> its top 5 bits, and the bytes whose top
+#: 5 bits read 19 or more, which ``randint(-9, 9)`` rejects.
+_TOP_FIVE_BITS = bytes(b >> 3 for b in range(256))
+_REJECTED = bytes(range(19 << 3, 256))
+
+
+def _draws(rng: Random, width: int) -> bytes:
+    """``width`` draws of rng.randint(-9, 9) plus 9, bit for bit, with the
+    generator left in the same state.
+
+    randint(-9, 9) is 9 less than the top 5 bits of a 32-bit output, redrawn
+    while they read 19 or more.  Byte 4i + 3 of getrandbits(32 * m) is the
+    top byte of the i-th of the next m outputs: one translate keeps the
+    accepted ones in order, and as many outputs as it rejected are redrawn.
+    """
+    kept = b""
+    while missing := width - len(kept):
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        kept += words[3::4].translate(_TOP_FIVE_BITS, _REJECTED)
+    return kept
+
+
 def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector | None:
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
-    Each trip draws x0 with one entry in [-9, 9] per hyperplane, in
-    canonical order: 5 random bits per entry, redrawn while they read 19 or
-    more, which is the stream of ``rng.randint(-9, 9)`` bit for bit.  It
-    solves c(g) = x - g.x for the coboundary
-    c(g) = x0 - g.x0.  Only c's values on the k generators are computed,
-    and _solve_on_generators solves from them in k * |A| steps, as
-    trivialize_cocycle(coboundary(x0, G), G) would.  With y = x - x0,
-    x - g.x = c(g) holds exactly when g.y = y, that is when
-    y[pi_g[k]] == y[k] for every k.  Every trip is solved first, and each
-    one refines a vector of small integer labels, one per hyperplane, so
-    that two hyperplanes k, k' share a label exactly when y_i[k] == y_i[k']
-    for every trip i.  g fixes every y_i exactly when it fixes the labels,
-    so each g in G is then checked by one gather of the labels, for all the
-    trips at once, and memory stays O(|A|).  A failed check raises
-    NoIntegralSolution, so every trip that returns has succeeded.  None
-    when ``trips`` is 0.
+    Each trip draws x0, one entry per hyperplane from the stream of
+    ``rng.randint(-9, 9)`` (as u = x0 + 9, see _draws), computes
+    c(s) = x0 - s.x0 at pi_s's images by one gather of u by pi_s per
+    generator s (the shift cancels), and solves on the Schreier forest,
+    built once per call, as trivialize_cocycle(coboundary(x0, G), G) would.
+
+    Every answer is checked on all of G.  With y = x - x0, x - g.x = c(g)
+    exactly when y[pi_g[k]] == y[k] for every k.  Once per call, the
+    labelling of each hyperplane by its root is checked against every pi_g,
+    and a moved label raises InvariantViolation.  Then every g fixes y
+    exactly when y[root[k]] == y[k], one gather per trip.  A failed trip
+    raises NoIntegralSolution naming the first g in the table that moves y.
+    None when ``trips`` is 0.
     """
-    width = hyperplane_count(G.descriptor)
-    # itemgetter needs an index and returns a bare value for one; with
-    # fewer than two hyperplanes every pi_g is the identity and fixes any y.
-    table = element_permutations(G) if trips and width > 1 else {}
-    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
+    if not trips:
+        return None
+    forest = _schreier_forest(G)
+    # itemgetter needs an index and returns a bare value for one; with fewer
+    # than two hyperplanes there are no edges and every pi_g fixes any y.
+    gathers = len(forest.root) > 1
+    if gathers:
+        table = element_permutations(G)
+        for g, pi in table.items():
+            if itemgetter(*pi)(forest.root) != forest.root:
+                raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {g}")
+        at_root = itemgetter(*forest.root)
+        images = [itemgetter(*hyperplane_permutation(s)) for s in small_generating_set(G)]
     first = None
-    labels = (0,) * width
-    getrandbits = rng.getrandbits
     for _ in range(trips):
-        draws = []
-        for _ in range(width):
-            v = getrandbits(5)
-            while v >= 19:
-                v = getrandbits(5)
-            draws.append(v - 9)
-        x0 = tuple(draws)
-        x = _solve_on_generators([(pi, _difference(pi, x0)) for pi in steps], width)
-        # Two hyperplanes share a label exactly when they share (label, y[k]),
-        # that is, their whole column of the trips so far.
-        refined: dict[tuple[int, int], int] = {}
-        labels = tuple([
-            refined.setdefault(pair, len(refined)) for pair in zip(labels, map(sub, x, x0))
-        ])
+        u = _draws(rng, len(forest.root))
+        values = [list(map(sub, image(u), u)) for image in images] if gathers else []
+        x = _solve_on_generators(forest, values)
+        # z = u - x = 9 - y is fixed by the same g as y, with entries in
+        # [0, 18] when x is right: small ints that Python does not allocate.
+        if gathers and at_root(z := tuple(map(sub, u, x))) != z:
+            g = next(g for g, pi in table.items() if itemgetter(*pi)(z) != z)
+            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
         if first is None:
             first = x
-    for g, pi in table.items():
-        if itemgetter(*pi)(labels) != labels:
-            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
     return first
 
 

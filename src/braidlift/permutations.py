@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import permutations as _all_perms
+from operator import itemgetter
 
 from .errors import GuardExceeded
 
@@ -23,8 +24,8 @@ def is_permutation(p: Sequence[int]) -> bool:
 
 
 def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """p after q."""
-    return tuple([p[i] for i in q])
+    """p after q, gathered in C; itemgetter returns a bare value for one index."""
+    return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
 
 
 def invert(p: Sequence[int]) -> tuple[int, ...]:

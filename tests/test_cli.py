@@ -308,7 +308,7 @@ def test_failed_solve_maps_to_invariant_exit_code(capsys, monkeypatch):
     from braidlift import lattice
     from braidlift.errors import NoIntegralSolution
 
-    def unsolvable(edges, width):
+    def unsolvable(forest, values):
         raise NoIntegralSolution("forced failure")
 
     monkeypatch.setattr(lattice, "_solve_on_generators", unsolvable)
@@ -326,11 +326,10 @@ def test_wrong_solution_fails_the_whole_group_check(capsys, monkeypatch):
 
     solve = lattice._solve_on_generators
 
-    def off_by_one(edges, width):
-        x = list(solve(edges, width))
-        # The image of hyperplane 0 shares its orbit, so it is not a root.
-        k = next(pi[0] for pi, _ in edges if pi[0] != 0)
-        x[k] += 1
+    def off_by_one(forest, values):
+        x = list(solve(forest, values))
+        # The first edge's target shares its orbit with a root, so is not one.
+        x[forest.target[0]] += 1
         return tuple(x)
 
     monkeypatch.setattr(lattice, "_solve_on_generators", off_by_one)
@@ -341,6 +340,22 @@ def test_wrong_solution_fails_the_whole_group_check(capsys, monkeypatch):
         code, _, err = invoke(capsys, *argv)
         assert code == 5, argv
         assert "the coboundary equation fails at" in err and "Traceback" not in err
+
+
+def test_moved_orbit_labels_map_to_invariant_exit_code(capsys, monkeypatch):
+    from braidlift import lattice
+
+    def every_hyperplane_a_root(G):
+        return lattice._Forest(tuple(range(lattice.hyperplane_count(G.descriptor))), [], [], [])
+
+    monkeypatch.setattr(lattice, "_schreier_forest", every_hyperplane_a_root)
+    for argv in (
+        ["cocycle", "--group", "S(3)", "--generators", "perm=[2,3,1];exp=[0,0,0]"],
+        ["verify"],  # through criterion 10
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 5, argv
+        assert "orbit labels" in err and "Traceback" not in err
 
 
 def test_cocycle_on_arrangements_of_at_most_one_hyperplane(capsys):

@@ -260,9 +260,9 @@ def test_roundtrips_check_a_late_trip_on_every_element(monkeypatch):
     solve = lattice._solve_on_generators
     calls = []
 
-    def third_call_off_by_one(edges, width):
+    def third_call_off_by_one(forest, values):
         calls.append(None)
-        x = list(solve(edges, width))
+        x = list(solve(forest, values))
         if len(calls) == 3:
             x[1] += 1
         return tuple(x)

@@ -33,9 +33,12 @@ from braidlift.arrangement import (
 )
 from braidlift.classify import bieberbach_bruteforce, free_action_general
 from braidlift.cli import parse_grid
-from braidlift.errors import GuardExceeded, ParseError
+from braidlift.errors import GuardExceeded, NoIntegralSolution, ParseError
+from braidlift.intlinalg import rank
 from braidlift.lattice import (
     SemidirectElement,
+    _difference,
+    _draws,
     canonical_splitting,
     coboundary,
     coboundary_roundtrips,
@@ -148,6 +151,144 @@ def test_roundtrips_equal_single_trips_in_sequence(G, trips, seed):
     solutions = [coboundary_roundtrips(G, 1, singles) for _ in range(trips)]
     assert first == solutions[0]
     assert rng.getstate() == singles.getstate()
+
+
+def reference_solve(edges, width):
+    """x with x[pi_s(k)] = x[k] + c(s)[pi_s(k)] per edge (pi_s, c(s)), by depth-first search."""
+    x = [None] * width
+    for root in range(width):
+        if x[root] is not None:
+            continue
+        x[root] = 0
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            for pi, cs in edges:
+                j = pi[k]
+                if x[j] is None:
+                    x[j] = x[k] + cs[j]
+                    stack.append(j)
+    return tuple(x)
+
+
+def reference_roundtrips(G, trips, rng):
+    """Round trips with a 5-bit draw per entry, a depth-first solve per trip and
+    a column label per hyperplane, refined by every trip and gathered per g."""
+    width = len(hyperplanes(G.descriptor))
+    table = element_permutations(G) if trips and width > 1 else {}
+    steps = [hyperplane_permutation(s) for s in G.generators]
+    first = None
+    labels = (0,) * width
+    for _ in range(trips):
+        draws = []
+        for _ in range(width):
+            v = rng.getrandbits(5)
+            while v >= 19:
+                v = rng.getrandbits(5)
+            draws.append(v - 9)
+        x0 = tuple(draws)
+        x = reference_solve([(pi, _difference(pi, x0)) for pi in steps], width)
+        refined = {}
+        labels = tuple(
+            refined.setdefault((label, a - b), len(refined)) for label, a, b in zip(labels, x, x0)
+        )
+        if first is None:
+            first = x
+    for g, pi in table.items():
+        if tuple(labels[k] for k in pi) != labels:
+            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
+    return first
+
+
+@PROPERTY_SETTINGS
+@given(subgroups(), st.integers(0, 4), st.integers(0, 2**32))
+def test_roundtrips_equal_the_per_trip_reference(G, trips, seed):
+    rng, reference = Random(seed), Random(seed)
+    assert coboundary_roundtrips(G, trips, rng) == reference_roundtrips(G, trips, reference)
+    assert rng.getstate() == reference.getstate()
+
+
+def cyclic_symmetric(n):
+    desc = GroupDescriptor.from_deer(1, 1, n)
+    return closure(desc, [from_permutation(desc, perms.from_cycle(n, tuple(range(n))))])
+
+
+@pytest.mark.parametrize("G", [
+    cyclic_symmetric(1),  # 0 hyperplanes
+    cyclic_symmetric(2),  # 1
+    closure(D222 := GroupDescriptor.from_deer(2, 2, 2), [from_permutation(D222, (1, 0))]),  # 2
+    cyclic_symmetric(5),  # 10
+    cyclic_symmetric(35),  # 595
+], ids=lambda G: f"width-{len(hyperplanes(G.descriptor))}")
+def test_roundtrips_consume_the_randint_stream(G):
+    width = len(hyperplanes(G.descriptor))
+    for seed in range(5):
+        rng, reference = Random(seed), Random(seed)
+        coboundary_roundtrips(G, 3, rng)
+        for _ in range(3 * width):
+            reference.randint(-9, 9)
+        assert rng.getstate() == reference.getstate()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 600), st.integers(0, 2**32))
+def test_bulk_draws_equal_randint(width, seed):
+    rng, reference = Random(seed), Random(seed)
+    assert [v - 9 for v in _draws(rng, width)] == [reference.randint(-9, 9) for _ in range(width)]
+    assert rng.getstate() == reference.getstate()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))))
+def test_compose_equals_the_list_reference(pq):
+    p, q = pq
+    assert perms.compose(p, q) == tuple([p[i] for i in q])
+    assert perms.compose(list(p), list(q)) == tuple([p[i] for i in q])
+
+
+def reference_rank(rows):
+    """Fraction-free echelon that rebuilds the reduced row as a new dict at each step."""
+    basis = {}
+    rk = 0
+    for raw in rows:
+        if isinstance(raw, dict):
+            row = {k: v for k, v in raw.items() if v}
+        else:
+            row = {k: v for k, v in enumerate(raw) if v}
+        while row:
+            lead = min(row)
+            if lead not in basis:
+                basis[lead] = row
+                rk += 1
+                break
+            other = basis[lead]
+            a, b = row[lead], other[lead]
+            g = math.gcd(a, b)
+            ma, mb = a // g, b // g
+            row = {
+                k: v
+                for k in row.keys() | other.keys()
+                if (v := row.get(k, 0) * mb - other.get(k, 0) * ma)
+            }
+    return rk
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(0, 7))
+    entry = st.integers(-6, 6) if draw(st.booleans()) else st.sampled_from([0, 0, 0, 0, 2, -3, 4])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    if draw(st.booleans()):  # sparse form
+        return [{k: v for k, v in enumerate(row) if v} for row in rows]
+    return rows
+
+
+@PROPERTY_SETTINGS
+@given(integer_matrices())
+def test_rank_equals_the_rebuilding_reference(rows):
+    before = repr(rows)
+    assert rank(rows) == reference_rank(rows)
+    assert repr(rows) == before  # the rows reduced in place are copies
 
 
 def rebuilt(w):
