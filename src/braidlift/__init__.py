@@ -14,9 +14,9 @@ from importlib import import_module
 
 _EXPORTS = {
     "arrangement": (
-        "Coord", "Hyperplane", "ScalarRoot", "Swap", "act", "acts_faithfully_on_arrangement",
-        "format_hyperplane", "hyperplane_index", "hyperplanes", "in_parabolic", "orbits",
-        "parse_hyperplane", "scalar_on_normal", "stabilizes",
+        "Coord", "Hyperplane", "ScalarRoot", "Swap", "act",
+        "acts_faithfully_on_arrangement", "format_hyperplane", "hyperplanes", "orbit_count",
+        "orbits", "scalar_on_normal", "stabilizes",
     ),
     "classify": (
         "EXCEPTIONAL_BIEBERBACH", "FrobeniusSpec", "PermutationGroup", "as_symmetric_subgroup",
@@ -37,13 +37,13 @@ _EXPORTS = {
     ),
     "lifting": (
         "LiftReport", "LiftWitness", "element_lifts_fast", "element_lifts_oracle",
-        "obstruction_shortcuts", "subgroup_lifts", "subgroup_lifts_local",
+        "subgroup_lifts",
     ),
     "monomial": (
         "CycleData", "GroupDescriptor", "MonomialElement", "Subgroup",
         "center", "center_order", "class_representatives", "closure", "diagonal",
-        "enumerate_elements", "format_element", "from_permutation", "identity", "is_central",
-        "pad", "parse_element", "standard_generators",
+        "enumerate_elements", "format_element", "from_permutation", "identity", "pad",
+        "parse_element", "standard_generators",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -331,11 +331,5 @@ _CRITERIA = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
-    if not 1 <= number <= len(_CRITERIA):
-        raise ValueError(f"no criterion {number}")
-    return _CRITERIA[number - 1]()
-
-
 def run_all() -> list[CriterionResult]:
     return [fn() for fn in _CRITERIA]

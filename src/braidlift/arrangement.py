@@ -23,13 +23,16 @@ index dict; the tests check it against ``act``.  ``_index_coordinates``
 inverts that numbering, and ``_normal_scalar`` tests an element against the
 plane at those coordinates, so the lifting scans of ``lifting`` and
 ``acts_faithfully_on_arrangement`` build no Hyperplane either; the latter
-stops at each element's first moved index.  ``orbits`` follows the
-generators' permutations breadth-first and is kept on the subgroup, so the
-scans that read it share one search.  ``element_permutations`` is the table
-g -> pi_g of every element's permutation, read only by the cocycle code of
-``lattice``, which uses every entry.
+stops at each element's first moved index.  ``orbits`` is the one search
+along the generators' permutations: a spanning forest with each index
+labelled by its orbit's least index, kept on the subgroup, which the
+lifting scan, the orbit counts and the cocycle solver of ``lattice`` all
+read.  ``element_permutations`` is the table g -> pi_g of every element's
+permutation, read only by the cocycle code of ``lattice``, which uses
+every entry.  ``hyperplanes`` builds the arrangement for the tests and
+caches nothing.
 
-Hyperplane text format (1-based): "H[i,j;t]" for Swap, "H[i]" for Coord.
+Witnesses name a hyperplane as "H[i,j;t]" for Swap and "H[i]" for Coord (1-based).
 """
 
 from __future__ import annotations
@@ -40,26 +43,14 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import GuardExceeded, MismatchError, ParseError
-from .monomial import (
-    ENUMERATION_GUARD,
-    GroupDescriptor,
-    MonomialElement,
-    Subgroup,
-    _fields,
-    identity,
-)
+from .errors import GuardExceeded, MismatchError
+from .monomial import ENUMERATION_GUARD, GroupDescriptor, MonomialElement, Subgroup, identity
 from .permutations import compose
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
-#: tables call it on generators only: ``verify`` fills 111 entries and the test
-#: suite 840-1,060, so neither evicts, while a long session stays bounded.
+#: tables call it on generators only: ``verify`` fills 111 entries, so it does
+#: not evict, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
-#: Descriptors kept by the ``hyperplanes`` and ``hyperplane_index`` caches:
-#: ``verify`` builds 21 arrangements (and no index) and the benchmark's survey
-#: 20, so neither evicts, while a long session keeps at most this many large
-#: arrangements.
-ARRANGEMENT_CACHE_SIZE = 32
 
 
 class Swap(namedtuple("Swap", "i j t")):
@@ -77,15 +68,6 @@ class Coord(namedtuple("Coord", "i")):
 Hyperplane = Swap | Coord
 
 
-def _swap(i: int, j: int, t: int, de: int) -> Swap:
-    if i == j:
-        raise ValueError("a swap hyperplane needs two distinct indices")
-    if i < j:
-        return Swap(i, j, t % de)
-    return Swap(j, i, (-t) % de)
-
-
-@lru_cache(maxsize=ARRANGEMENT_CACHE_SIZE)
 def hyperplanes(descriptor: GroupDescriptor) -> tuple[Hyperplane, ...]:
     """All reflection hyperplanes of G(de, e, r), in canonical order."""
     r, de = descriptor.r, descriptor.de
@@ -103,11 +85,6 @@ def hyperplane_count(descriptor: GroupDescriptor) -> int:
     return de * r * (r - 1) // 2 + (r if descriptor.d >= 2 else 0)
 
 
-@lru_cache(maxsize=ARRANGEMENT_CACHE_SIZE)
-def hyperplane_index(descriptor: GroupDescriptor) -> dict[Hyperplane, int]:
-    return {H: k for k, H in enumerate(hyperplanes(descriptor))}
-
-
 def act(w: MonomialElement, H: Hyperplane) -> Hyperplane:
     """The image hyperplane w(H), normalized.
 
@@ -118,12 +95,8 @@ def act(w: MonomialElement, H: Hyperplane) -> Hyperplane:
         if desc.d < 2:
             raise MismatchError(f"{desc} has no coordinate hyperplanes (d = 1)")
         return Coord(w.sigma[H.i])
-    return _swap(
-        w.sigma[H.i],
-        w.sigma[H.j],
-        H.t + w.exponents[H.i] - w.exponents[H.j],
-        desc.de,
-    )
+    i, j, t = w.sigma[H.i], w.sigma[H.j], H.t + w.exponents[H.i] - w.exponents[H.j]
+    return Swap(i, j, t % desc.de) if i < j else Swap(j, i, -t % desc.de)
 
 
 def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
@@ -281,37 +254,55 @@ def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
     return ScalarRoot(de + 2 * (H.t + a_i), 2 * de)
 
 
-def in_parabolic(w: MonomialElement, H: Hyperplane) -> bool:
-    """Whether w lies in C_H, the pointwise fixer of the line H^perp."""
-    return stabilizes(w, H) and scalar_on_normal(w, H).is_one
+class Orbits(namedtuple("Orbits", "root target source step")):
+    """G's orbits on the hyperplanes, as a spanning forest of its search.
 
-
-def orbits(G: Subgroup) -> tuple[tuple[int, ...], ...]:
-    """Orbits of G on the hyperplanes, as sorted tuples of canonical indices.
-
-    A breadth-first search from each hyperplane not yet reached, along the
-    generators' permutations: O(|A| * k) steps for k generators.  In a finite
-    group every inverse is a power, so these edges reach the whole orbit.
-    Kept on G, like ``element_permutations``'s table, so G is searched once.
+    root[k] is the least index of k's orbit.  Edge e, in flat lists, joins
+    source[e] to target[e] = pi_s(source[e]) for s the generator numbered
+    step[e]; parents come first, and each index but the roots is a target
+    once.  So the representatives are the k with root[k] == k, and there are
+    len(root) - len(target) orbits.
     """
-    if (out := vars(G).get("_orbits")) is not None:
-        return out
+
+    __slots__ = ()
+
+
+def orbits(G: Subgroup) -> Orbits:
+    """The breadth-first search along G's generators' permutations.
+
+    From each index not yet reached, in ascending order: O(|A| * k) steps for
+    k generators.  In a finite group every inverse is a power, so these
+    edges reach the whole orbit.  Kept on G, like ``element_permutations``'s
+    table, so G is searched once; no tuple per orbit is built.
+    """
+    if (forest := vars(G).get("_orbits")) is not None:
+        return forest
     steps = [hyperplane_permutation(s) for s in G.generators]
-    seen = [False] * hyperplane_count(G.descriptor)
-    out = []
-    for root in range(len(seen)):
-        if seen[root]:
+    root: list[int | None] = [None] * hyperplane_count(G.descriptor)
+    target, source, step = [], [], []
+    # A generator's images are 0, ..., |A| - 1 once each: sorted, they number
+    # the roots with int objects that exist already, not |A| new ones.
+    for r in sorted(steps[0]) if steps else range(len(root)):
+        if root[r] is not None:
             continue
-        seen[root] = True
-        orbit = [root]
+        root[r] = r
+        orbit = [r]
         for k in orbit:
-            for pi in steps:
-                if not seen[j := pi[k]]:
-                    seen[j] = True
+            for i, pi in enumerate(steps):
+                if root[j := pi[k]] is None:
+                    root[j] = r
                     orbit.append(j)
-        out.append(tuple(sorted(orbit)))
-    vars(G)["_orbits"] = out = tuple(out)
-    return out
+                    target.append(j)
+                    source.append(k)
+                    step.append(i)
+    vars(G)["_orbits"] = forest = Orbits(tuple(root), target, source, step)
+    return forest
+
+
+def orbit_count(G: Subgroup) -> int:
+    """The number of G's orbits on the hyperplanes, off ``orbits``."""
+    forest = orbits(G)
+    return len(forest.root) - len(forest.target)
 
 
 def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
@@ -337,39 +328,3 @@ def format_hyperplane(H: Hyperplane) -> str:
     if isinstance(H, Coord):
         return f"H[{H.i + 1}]"
     return f"H[{H.i + 1},{H.j + 1};{H.t}]"
-
-
-def parse_hyperplane(descriptor: GroupDescriptor, text: str) -> Hyperplane:
-    """Read "H[i,j;t]" or "H[i]" (1-based) as a hyperplane of descriptor.
-
-    Membership is decided by arithmetic, without building the arrangement:
-    Swap(i, j, t) is in it for every 0 <= i < j < r (t is taken mod de), and
-    Coord(i) for every 0 <= i < r exactly when d >= 2.
-    """
-    parts = _fields(text, "H[", "]", ";")
-    indices = _fields(parts[0], "", "", ",") if parts else None
-    # The last part is t for a Swap and the index itself for a Coord.
-    if (
-        indices is None
-        or len(parts) > 2
-        or len(indices) != len(parts)
-        or not all(map(str.isdecimal, indices))
-        or not parts[-1].removeprefix("-").isdecimal()
-    ):
-        raise ParseError(f"cannot parse hyperplane {text!r}")
-    try:
-        ends = [int(k) - 1 for k in indices]
-        t = int(parts[1]) if len(parts) == 2 else None
-    except ValueError as exc:
-        raise ParseError(f"{text!r}: {exc}") from exc
-    if t is None:
-        (i,) = ends
-        if descriptor.d < 2 or not 0 <= i < descriptor.r:
-            raise ParseError(f"{text!r} is not a hyperplane of {descriptor}")
-        return Coord(i)
-    i, j = ends
-    if min(i, j) < 0 or max(i, j) >= descriptor.r:
-        raise ParseError(f"{text!r}: index out of range for {descriptor}")
-    if i == j:
-        raise ParseError(f"{text!r}: a swap hyperplane needs two distinct indices")
-    return _swap(i, j, t, descriptor.de)

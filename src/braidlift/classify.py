@@ -13,7 +13,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
 from . import permutations as perms
-from .arrangement import hyperplane_count, orbits
+from .arrangement import hyperplane_count, orbit_count
 from .errors import GuardExceeded, InvariantViolation
 from .lifting import oracle_verdicts
 from .monomial import (
@@ -65,11 +65,7 @@ class OracleBudget:
         self.left -= steps
 
 
-def bieberbach_bruteforce(
-    descriptor: GroupDescriptor,
-    guard: int = ENUMERATION_GUARD,
-    budget: OracleBudget | None = None,
-) -> bool:
+def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: OracleBudget | None = None) -> bool:
     """Oracle route: torsion-free iff no nonidentity element lifts.
 
     Only elements of prime order are handed to the oracle.  The oracle's
@@ -88,11 +84,12 @@ def bieberbach_bruteforce(
 
     Each element's verdict walk (``oracle_verdicts``) is charged to
     ``budget``, when one is given, in full before it starts.  Raises
-    GuardExceeded when |G| > guard, which also bounds the class walk: it
-    builds at most 3|G| partial and whole multisets (``class_representatives``).
+    GuardExceeded when |G| > ENUMERATION_GUARD, which also bounds the class
+    walk: it builds at most 3|G| partial and whole multisets
+    (``class_representatives``).
     """
-    if descriptor.order_exceeds(guard):
-        raise GuardExceeded(f"{descriptor} has more than {guard} elements")
+    if descriptor.order_exceeds(ENUMERATION_GUARD):
+        raise GuardExceeded(f"{descriptor} has more than {ENUMERATION_GUARD} elements")
     width = hyperplane_count(descriptor)
     for w in class_representatives(descriptor):
         n = w.order()
@@ -214,9 +211,10 @@ def free_action_general(G: Subgroup) -> bool:
 
     The stabilizers along an orbit are conjugate, so it suffices that each
     orbit's stabilizer is trivial, that is (orbit-stabilizer) that every
-    orbit has |G| hyperplanes.
+    orbit has |G| hyperplanes.  No orbit has more and the orbits partition
+    the arrangement, so that holds exactly when count x |G| = |A|.
     """
-    return all(len(orbit) == len(G) for orbit in orbits(G))
+    return orbit_count(G) * len(G) == hyperplane_count(G.descriptor)
 
 
 def _is_prime(n: int) -> bool:

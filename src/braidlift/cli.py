@@ -126,7 +126,7 @@ def cmd_check_element(args: SimpleNamespace) -> int:
 
 
 def cmd_check_subgroup(args: SimpleNamespace) -> int:
-    from .arrangement import acts_faithfully_on_arrangement, orbits
+    from .arrangement import acts_faithfully_on_arrangement, orbit_count
     from .lifting import subgroup_lifts
     from .monomial import GroupDescriptor
 
@@ -140,7 +140,7 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
     summary = {
         "group": str(desc),
         "order": len(G),
-        "orbits": len(orbits(G)),
+        "orbits": orbit_count(G),
         "faithful": faithful,
     }
     if args.json:
@@ -339,7 +339,7 @@ COMMANDS = {
     "survey": (cmd_survey, "classification table over a grid of descriptors",
                (("grid", str, ..., 'bounds like "d<=2,e<=3,r<=2"'), _JSON)),
     "frobenius": (cmd_frobenius, "coset action of the affine group Z/p : Z/q", (
-        ("p", int, ..., "an odd prime"), ("q", int, ..., "a prime dividing p - 1"), _JSON)),
+        ("p", int, ..., "an odd prime"), ("q", int, ..., "an odd divisor > 1 of p - 1"), _JSON)),
     "cocycle": (cmd_cocycle, "random cocycle generate-and-solve round trips", (
         _GROUP, _GENERATORS, ("random", int, 10, "the number of round trips"),
         ("seed", int, 0, "the seed of the random cocycles"), _JSON)),

@@ -4,8 +4,8 @@ Z[A] is the free abelian group on the hyperplanes of G(de, e, r), with the
 group permuting coordinates; vectors are integer tuples in the canonical
 hyperplane order.  For a subgroup G this module models the split extension
 Z[A] x| G, detects torsion there, and solves 1-cocycle equations
-c(g) = x - g.x over the integers, as a difference system on a Schreier
-spanning forest of G on the hyperplanes, each answer checked on all of G.
+c(g) = x - g.x over the integers, as a difference system on the spanning
+forest of ``arrangement.orbits``, each answer checked on all of G.
 Solvability of the latter for every cocycle (the vanishing of the first
 cohomology of a permutation module) is what makes complements unique up to
 lattice conjugation, and the solver treats a failure as a falsified
@@ -20,7 +20,7 @@ from random import Random
 
 from . import intlinalg
 from .arrangement import (
-    element_permutations, hyperplane_count, hyperplane_index, hyperplane_permutation, orbits
+    Orbits, element_permutations, hyperplane_count, hyperplane_permutation, orbit_count, orbits
 )
 from .errors import InvariantViolation, MismatchError, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup, identity
@@ -32,13 +32,6 @@ Cocycle = dict[MonomialElement, LatticeVector]
 
 def zero_vector(descriptor) -> LatticeVector:
     return (0,) * hyperplane_count(descriptor)
-
-
-def basis_vector(descriptor, H) -> LatticeVector:
-    k = hyperplane_index(descriptor)[H]
-    v = [0] * hyperplane_count(descriptor)
-    v[k] = 1
-    return tuple(v)
 
 
 def permute_vector(g: MonomialElement, v: LatticeVector) -> LatticeVector:
@@ -132,39 +125,7 @@ def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
     return G.generators
 
 
-_Forest = namedtuple("_Forest", "root target source step")
-
-
-def _schreier_forest(G: Subgroup) -> _Forest:
-    """The spanning forest of the breadth-first search ``orbits`` makes on G.
-
-    root[k] is the first hyperplane of k's orbit.  Edge e, in flat lists,
-    joins source[e] to target[e] = pi_s(source[e]) for s the generator
-    numbered step[e]; parents come first, and each hyperplane but the
-    roots is a target once.
-    """
-    steps = [hyperplane_permutation(s) for s in small_generating_set(G)]
-    root: list[int | None] = [None] * hyperplane_count(G.descriptor)
-    target, source, step = [], [], []
-    # A generator's images are 0, ..., |A| - 1 once each: sorted, they number
-    # the roots with int objects that exist already, not |A| new ones.
-    for r in sorted(steps[0]) if steps else range(len(root)):
-        if root[r] is not None:
-            continue
-        root[r] = r
-        orbit = [r]
-        for k in orbit:
-            for i, pi in enumerate(steps):
-                if root[j := pi[k]] is None:
-                    root[j] = r
-                    orbit.append(j)
-                    target.append(j)
-                    source.append(k)
-                    step.append(i)
-    return _Forest(tuple(root), target, source, step)
-
-
-def _solve_on_generators(forest: _Forest, values: list[LatticeVector]) -> LatticeVector:
+def _solve_on_generators(forest: Orbits, values: list[LatticeVector]) -> LatticeVector:
     """The x with x = 0 on the roots and x[j] = x[k] + c(s)[j] on each edge.
 
     values[i][k] is c(s)[pi_s(k)] for the i-th generator s.  On an edge
@@ -182,7 +143,7 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     """An integer vector x with c(g) = x - g.x for every g in G.
 
     _solve_on_generators solves the equations of the generators on the
-    Schreier forest of G.  The cocycle identity determines c on all of G
+    forest of ``orbits``.  The cocycle identity determines c on all of G
     from the generators, so the result is verified against every g in G.
     Any solution differs from it by a constant on each orbit, which g.x
     preserves, so a failed check means no solution exists.
@@ -194,7 +155,7 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     if missing:
         raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
     values = [compose(c[s], hyperplane_permutation(s)) for s in small_generating_set(G)]
-    result = _solve_on_generators(_schreier_forest(G), values)
+    result = _solve_on_generators(orbits(G), values)
     for g, pi in element_permutations(G).items():
         if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
@@ -229,8 +190,8 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     Each trip draws x0, one entry per hyperplane from the stream of
     ``rng.randint(-9, 9)`` (as u = x0 + 9, see _draws), computes
     c(s) = x0 - s.x0 at pi_s's images by one gather of u by pi_s per
-    generator s (the shift cancels), and solves on the Schreier forest,
-    built once per call, as trivialize_cocycle(coboundary(x0, G), G) would.
+    generator s (the shift cancels), and solves on the forest of ``orbits``,
+    as trivialize_cocycle(coboundary(x0, G), G) would.
 
     Every answer is checked on all of G.  With y = x - x0, x - g.x = c(g)
     exactly when y[pi_g[k]] == y[k] for every k.  Once per call, the
@@ -242,7 +203,7 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     """
     if not trips:
         return None
-    forest = _schreier_forest(G)
+    forest = orbits(G)
     # itemgetter needs an index and returns a bare value for one; with fewer
     # than two hyperplanes there are no edges and every pi_g fixes any y.
     gathers = len(forest.root) > 1
@@ -277,7 +238,7 @@ def fixed_lattice_rank(G: Subgroup) -> int:
     generating set.
     """
     n_planes = hyperplane_count(G.descriptor)
-    orbit_count = len(orbits(G))
+    count = orbit_count(G)
     rows = []
     for s in small_generating_set(G):
         pi = hyperplane_permutation(s)
@@ -285,11 +246,11 @@ def fixed_lattice_rank(G: Subgroup) -> int:
             if pi[k] != k:
                 rows.append({k: 1, pi[k]: -1})
     by_elimination = n_planes - intlinalg.rank(rows)
-    if by_elimination != orbit_count:
+    if by_elimination != count:
         raise InvariantViolation(
-            f"fixed-lattice rank {by_elimination} != orbit count {orbit_count} for {G.descriptor}"
+            f"fixed-lattice rank {by_elimination} != orbit count {count} for {G.descriptor}"
         )
-    return orbit_count
+    return count
 
 
 def canonical_splitting(G: Subgroup) -> SplittingMap:

@@ -4,9 +4,9 @@ An element w (or a subgroup G) of the reflection group lifts to a
 finite-order element (subgroup) of the quasi-abelianized braid group B/[P,P]
 exactly when every power of w (every element of G) that stabilizes a
 reflection hyperplane H already fixes the normal line H^perp pointwise.
-This module implements that structural test as a brute-force oracle, plus
-the fast combinatorial criterion special to the monomial groups, plus two
-cheap obstruction shortcuts.
+This module implements that structural test as a brute-force oracle, for
+elements and for whole subgroups, plus the fast combinatorial criterion
+special to the monomial groups.
 
 The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
@@ -18,6 +18,8 @@ arrangement tuple.  Its two walks share one per-power scan.
 hyperplane pair, the identity power on purpose too.  ``oracle_verdicts``
 only decides: it stops at the first violation, so only a "lifts" verdict
 rests on a scan of every pair, and it scans a power its elements share once.
+``subgroup_lifts`` scans G at one hyperplane per orbit, the roots of the
+forest that ``arrangement.orbits`` keeps on G.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .arrangement import (
     orbits,
 )
 from .errors import InvariantViolation
-from .monomial import MonomialElement, Subgroup, format_element, is_central
+from .monomial import MonomialElement, Subgroup, format_element
 from .permutations import compose
 
 
@@ -189,8 +191,9 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
 
     The criterion is invariant under conjugation by G: t in G sends a
     violating pair (g, H) to (t g t^-1, t(H)), with the same scalar on the
-    normal line.  So G is scanned once per orbit (``orbits``), at the
-    orbit's least hyperplane, and if no element violates there, G lifts.
+    normal line.  So G is scanned once per orbit, at the orbit's least
+    hyperplane, the k with root[k] == k in ``orbits``, and if no element
+    violates there, G lifts.
     Otherwise a second scan names the witness: elements in sorted order, each
     at the ascending fixed indices of its ``_index_permutation``, the first
     violating pair.  Both scans test decoded indices by ``_normal_scalar``,
@@ -202,10 +205,13 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     r, de = desc.r, desc.de
     subject = f"subgroup of {desc} with {len(G)} elements"
     others = G.sorted_elements[1:]  # the identity sorts first
+    root = orbits(G).root
+    indices = range(len(root))
+    representatives = compress(indices, map(eq, root, indices))
     # Representatives are decoded one at a time: a list would hold a tuple per orbit.
     if not any(
         _normal_scalar(g.sigma, g.exponents, de, i, j, t)
-        for i, j, t in (_index_coordinates(orbit[0], r, de) for orbit in orbits(G))
+        for i, j, t in (_index_coordinates(k, r, de) for k in representatives)
         for g in others
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
@@ -216,28 +222,3 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
                 witness = LiftWitness(_hyperplane_at(desc, k), element=g)
                 return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")
-
-
-def subgroup_lifts_local(G: Subgroup) -> bool:
-    """Element-by-element test; agrees with subgroup_lifts on closed subgroups."""
-    return all(oracle_verdicts(G).values())
-
-
-def obstruction_shortcuts(w: MonomialElement) -> str | None:
-    """A cheap reason why w cannot lift, or None.
-
-    "even-order": a power of w is an order-2 element, which never lifts.
-    "central-power": some power w^k (1 <= k < order) is a nontrivial central
-    element, which fixes every hyperplane but acts as a nontrivial scalar on
-    every normal line.  Either reason is sound: it forces every lifting of w
-    to have infinite order.
-    """
-    n = w.order()
-    if n % 2 == 0:
-        return "even-order"
-    u = w
-    for _ in range(n - 1):
-        if is_central(u):
-            return "central-power"
-        u = u * w
-    return None

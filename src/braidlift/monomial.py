@@ -35,7 +35,7 @@ def _fields(text: str, head: str, tail: str, sep: str) -> list[str] | None:
     """The fields of the stripped text between a literal head and tail, split
     at sep and each stripped, or None when the head or tail is missing.
 
-    Shared by the descriptor, element, hyperplane and grid parsers, which
+    Shared by the descriptor, element and grid parsers, which
     then check each field: with ``str.isdecimal`` for a number, or character
     by character.  Stripping removes what ``str.isspace`` calls whitespace.
     """
@@ -262,17 +262,15 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[MonomialElement, .
     return tuple(gens)
 
 
-def enumerate_elements(
-    descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD
-) -> Iterator[MonomialElement]:
+def enumerate_elements(descriptor: GroupDescriptor) -> Iterator[MonomialElement]:
     """Yield every element of G(de, e, r) exactly once, in a fixed order.
 
     Iterates permutations lexicographically and, for each, all exponent
     vectors with sum = 0 mod e (the first r-1 entries are free, the last is
     determined up to the d multiples of e).
     """
-    if descriptor.order_exceeds(guard):
-        raise GuardExceeded(f"{descriptor} has more than {guard} elements")
+    if descriptor.order_exceeds(ENUMERATION_GUARD):
+        raise GuardExceeded(f"{descriptor} has more than {ENUMERATION_GUARD} elements")
     d, e, r, de = descriptor.d, descriptor.e, descriptor.r, descriptor.de
     for sigma in perms.all_permutations(r):
         for head in _cartesian(range(de), repeat=r - 1):
@@ -426,21 +424,16 @@ def center_order(descriptor: GroupDescriptor) -> int:
     return d * math.gcd(e, r)
 
 
-def center(descriptor: GroupDescriptor, guard: int = ENUMERATION_GUARD) -> Subgroup:
+def center(descriptor: GroupDescriptor) -> Subgroup:
     """The centre, as the elements commuting with the standard generators.
 
     Enumerates the whole group; ``center_order`` gives its size in closed form.
     """
     gens = standard_generators(descriptor)
     central = frozenset(
-        w for w in enumerate_elements(descriptor, guard) if all(w * g == g * w for g in gens)
+        w for w in enumerate_elements(descriptor) if all(w * g == g * w for g in gens)
     )
     return Subgroup(descriptor, central)
-
-
-def is_central(w: MonomialElement) -> bool:
-    """Centrality without enumeration: w commutes with the standard generators."""
-    return all(w * g == g * w for g in standard_generators(w.descriptor))
 
 
 def format_element(w: MonomialElement) -> str:

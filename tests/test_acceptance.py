@@ -26,7 +26,7 @@ TITLES = {
 
 @pytest.mark.parametrize("number", sorted(TITLES))
 def test_criterion(number):
-    result = acceptance.run_criterion(number)
+    result = acceptance._CRITERIA[number - 1]()
     print(result.line())
     assert result.title == TITLES[number]
     assert result.passed, result.detail

@@ -1,6 +1,7 @@
 """The arrangement, the action on it, stabilizers and normal scalars."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -9,20 +10,20 @@ from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
     Swap,
+    _hyperplane_at,
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
     format_hyperplane,
     hyperplane_count,
-    hyperplane_index,
+    hyperplane_permutation,
     hyperplanes,
-    in_parabolic,
+    orbit_count,
     orbits,
-    parse_hyperplane,
     scalar_on_normal,
     stabilizes,
 )
-from braidlift.errors import GuardExceeded, MismatchError, ParseError
+from braidlift.errors import GuardExceeded, MismatchError
 from braidlift.lattice import coboundary
 from braidlift.lifting import subgroup_lifts
 from braidlift.monomial import (
@@ -120,42 +121,39 @@ def test_scalar_is_multiplicative_along_powers():
 
 
 def test_in_parabolic_examples():
+    # w lies in C_H, the pointwise fixer of H^perp, when it stabilizes H with
+    # scalar 1 on the normal line; scalar_on_normal raises off N_H.
     s3 = D(1, 1, 3)
-    assert not in_parabolic(from_permutation(s3, (1, 0, 2)), Swap(0, 1, 0))
+    t = from_permutation(s3, (1, 0, 2))
+    assert stabilizes(t, Swap(0, 1, 0)) and not scalar_on_normal(t, Swap(0, 1, 0)).is_one
     for H in hyperplanes(s3):
-        assert in_parabolic(identity(s3), H)
+        assert scalar_on_normal(identity(s3), H).is_one
     s5 = D(1, 1, 5)
     w = from_permutation(s5, (0, 1, 3, 4, 2))  # 3-cycle on {3,4,5}
-    assert in_parabolic(w, Swap(0, 1, 0))
-
-
-def test_in_parabolic_implies_stabilizes():
-    rng = random.Random(37)
-    for desc in (D(4, 2, 2), D(2, 1, 3)):
-        pool = list(enumerate_elements(desc))
-        for _ in range(150):
-            w = rng.choice(pool)
-            H = rng.choice(hyperplanes(desc))
-            if in_parabolic(w, H):
-                assert stabilizes(w, H)
+    assert scalar_on_normal(w, Swap(0, 1, 0)).is_one
 
 
 def test_orbits_examples():
     s3 = D(1, 1, 3)
     G = closure(s3, [from_permutation(s3, (1, 2, 0))])
-    assert orbits(G) == ((0, 1, 2),)
+    # pi = (2, 0, 1): the search from 0 reaches 2, then 1 from 2
+    assert orbits(G) == ((0, 0, 0), [2, 1], [0, 2], [0, 0])
     trivial = closure(s3, [identity(s3)])
-    assert orbits(trivial) == ((0,), (1,), (2,))
+    assert orbits(trivial) == ((0, 1, 2), [], [], [])
+    assert (orbit_count(G), orbit_count(trivial)) == (1, 3)
     d332 = D(3, 3, 2)
     G = closure(d332, [diagonal(d332, (1, 2))])
-    assert orbits(G) == ((0, 1, 2),)  # the swaps t = 0, 1, 2 form one orbit
+    assert orbits(G).root == (0, 0, 0)  # the swaps t = 0, 1, 2 form one orbit
 
 
 def test_orbits_partition_everything():
     for desc in (D(6, 3, 2), D(2, 2, 3)):
         G = closure(desc, [next(iter(enumerate_elements(desc)))])
-        covered = sorted(i for orbit in orbits(G) for i in orbit)
-        assert covered == list(range(len(hyperplanes(desc))))
+        root = orbits(G).root
+        assert len(root) == len(hyperplanes(desc))
+        # every label is a root, labelled by itself, and one orbit per root
+        assert all(root[k] == k <= j for j, k in enumerate(root))
+        assert orbit_count(G) == len(set(root))
 
 
 def test_faithfulness_examples():
@@ -207,7 +205,7 @@ def test_whole_subgroup_tests_build_no_permutation_table():
     # 21 elements and one orbit on 21; both lift and act freely.
     for p, m, n_orbits in ((31, 2, 3), (7, 2, 1)):
         G = affine_closure(p, m)
-        assert len(orbits(G)) == n_orbits
+        assert orbit_count(G) == n_orbits
         assert subgroup_lifts(G).lifts
         assert acts_faithfully_on_arrangement(G)
         assert "_hyperplane_permutations" not in vars(G)
@@ -217,62 +215,27 @@ def test_hyperplane_text_roundtrip():
     desc = D(6, 3, 2)
     assert format_hyperplane(Swap(0, 1, 4)) == "H[1,2;4]"
     assert format_hyperplane(Coord(1)) == "H[2]"
-    for H in hyperplanes(desc):
-        assert parse_hyperplane(desc, format_hyperplane(H)) == H
-    # reversed indices normalize: z_2 = z^1 z_1 is z_1 = z^-1 z_2
-    assert parse_hyperplane(desc, "H[2,1;1]") == Swap(0, 1, 5)
-
-
-def test_hyperplane_parse_errors():
-    with pytest.raises(ParseError):
-        parse_hyperplane(D(3, 3, 2), "H[1]")  # no Coord planes when d = 1
-    with pytest.raises(ParseError):
-        parse_hyperplane(D(3, 3, 2), "H[1,5;0]")
-    with pytest.raises(ParseError):
-        parse_hyperplane(D(3, 3, 2), "nonsense")
-    with pytest.raises(ParseError, match="two distinct indices"):
-        parse_hyperplane(D(3, 3, 2), "H[1,1;0]")
-
-
-@pytest.mark.parametrize("desc", [D(1, 1, 3), D(3, 3, 2), D(2, 1, 3), D(6, 2, 2), D(4, 4, 1)])
-def test_hyperplane_membership_equals_the_built_arrangement(desc):
-    """parse_hyperplane decides membership by arithmetic; check it against
-    the arrangement on every hyperplane-shaped input with small numbers."""
-    index = hyperplane_index(desc)
-    numbers = range(desc.r + 2)
-    for i in numbers:
-        text = f"H[{i}]"
-        if Coord(i - 1) in index:
-            assert parse_hyperplane(desc, text) == Coord(i - 1)
-        else:
-            with pytest.raises(ParseError):
-                parse_hyperplane(desc, text)
-        for j in numbers:
-            for t in range(-desc.de - 1, desc.de + 2):
-                text = f"H[{i},{j};{t}]"
-                lo, hi = sorted((i - 1, j - 1))
-                H = Swap(lo, hi, (t if lo == i - 1 else -t) % desc.de)
-                if H in index:
-                    assert parse_hyperplane(desc, text) == H
-                else:
-                    with pytest.raises(ParseError):
-                        parse_hyperplane(desc, text)
+    # each hyperplane has its own text, so a witness's text names one plane
+    texts = {format_hyperplane(H): H for H in hyperplanes(desc)}
+    assert list(texts.values()) == list(hyperplanes(desc))
 
 
 def test_hyperplane_index_is_canonical():
+    # The one index is the arithmetic numbering: identity images and decoding.
     for desc in GRID:
-        index = hyperplane_index(desc)
-        for k, H in enumerate(hyperplanes(desc)):
-            assert index[H] == k
+        planes = hyperplanes(desc)
+        assert hyperplane_permutation(identity(desc)) == tuple(range(len(planes)))
+        for k, H in enumerate(planes):
+            assert _hyperplane_at(desc, k) == H and type(_hyperplane_at(desc, k)) is type(H)
 
 
 def test_arrangement_caches_are_bounded():
-    bound = arrangement.ARRANGEMENT_CACHE_SIZE
-    descs = [D(1, 1, r) for r in range(2, bound + 7)]
-    for desc in descs:
-        hyperplane_index(desc)
-    assert hyperplanes.cache_info().currsize == hyperplane_index.cache_info().currsize == bound
-    # evicted or not, every arrangement still equals a fresh build
-    for desc in descs:
-        assert hyperplanes(desc) == hyperplanes.__wrapped__(desc)
-        assert hyperplane_index(desc) == hyperplane_index.__wrapped__(desc)
+    # The one arrangement cache is hyperplane_permutation's, keyed by element.
+    bound = arrangement.HYPERPLANE_CACHE_SIZE
+    elements = list(islice(enumerate_elements(D(1, 1, 7)), bound + 6))
+    for g in elements:
+        hyperplane_permutation(g)
+    assert hyperplane_permutation.cache_info().currsize == bound
+    # evicted or not, every permutation still equals a fresh numbering
+    for g in elements:
+        assert hyperplane_permutation(g) == hyperplane_permutation.__wrapped__(g)

@@ -52,10 +52,9 @@ def test_bieberbach_bruteforce_examples():
     assert not bieberbach_bruteforce(D(3, 3, 2))
     assert bieberbach_bruteforce(D(1, 1, 2))
     assert not bieberbach_bruteforce(D(2, 1, 3))
-    # The guard compares |G| = 48, not the 10 classes the scan walks.
-    assert not bieberbach_bruteforce(D(2, 1, 3), guard=48)
+    # The guard compares |G| = 3,628,800, not the 42 classes the walk would visit.
     with pytest.raises(GuardExceeded):
-        bieberbach_bruteforce(D(2, 1, 3), guard=47)
+        bieberbach_bruteforce(D(1, 1, 10))
 
 
 def test_bieberbach_formula_equals_bruteforce_on_grid():

@@ -1,28 +1,26 @@
-"""Lifting criteria: oracle, fast case analysis, subgroup tests, shortcuts."""
+"""Lifting criteria: oracle, fast case analysis, subgroup tests, and two
+cheap obstructions the oracle must agree with."""
 
 import json
 import random
 
-from braidlift import acceptance, classify, lifting
+from braidlift import acceptance, arrangement, classify, lifting
 from braidlift.acceptance import GRID, _elements
 from braidlift.arrangement import (
     Coord,
     Swap,
     format_hyperplane,
     hyperplanes,
-    in_parabolic,
     orbits,
-    parse_hyperplane,
+    scalar_on_normal,
     stabilizes,
 )
 from braidlift.lifting import (
     LiftWitness,
     element_lifts_fast,
     element_lifts_oracle,
-    obstruction_shortcuts,
     oracle_verdicts,
     subgroup_lifts,
-    subgroup_lifts_local,
 )
 from braidlift.monomial import (
     GroupDescriptor,
@@ -34,6 +32,7 @@ from braidlift.monomial import (
     identity,
     pad,
     parse_element,
+    standard_generators,
 )
 
 D = GroupDescriptor.from_deer
@@ -133,7 +132,7 @@ def test_failing_witnesses_are_verifiable():
             assert report.witness is not None
             u = w**report.witness.power
             H = report.witness.hyperplane
-            assert stabilizes(u, H) and not in_parabolic(u, H)
+            assert stabilizes(u, H) and not scalar_on_normal(u, H).is_one
 
 
 def test_subgroup_examples():
@@ -157,8 +156,8 @@ def test_subgroup_witness_away_from_the_orbit_representative():
     s6 = D(1, 1, 6)
     G = closure(s6, [from_permutation(s6, (1, 2, 3, 4, 5, 0)),
                      from_permutation(s6, (1, 0, 2, 3, 4, 5))])
-    (orbit,) = orbits(G)
-    assert format_hyperplane(hyperplanes(s6)[orbit[0]]) == "H[1,2;0]"
+    assert set(orbits(G).root) == {0}
+    assert format_hyperplane(hyperplanes(s6)[0]) == "H[1,2;0]"
     assert subgroup_lifts(G).witness.to_json() == {
         "hyperplane": "H[5,6;0]", "element": "perm=[1,2,3,4,6,5];exp=[0,0,0,0,0,0]",
     }
@@ -171,7 +170,7 @@ def test_subgroup_local_equivalence():
         groups = [closure(desc, [w]) for w in pool]
         groups += [closure(desc, [rng.choice(pool), rng.choice(pool)]) for _ in range(20)]
         for G in groups:
-            assert subgroup_lifts(G).lifts == subgroup_lifts_local(G)
+            assert subgroup_lifts(G).lifts == all(oracle_verdicts(G).values())
 
 
 def test_liftable_implies_odd_order():
@@ -188,6 +187,27 @@ def test_liftable_subgroup_meets_center_trivially():
             G = closure(desc, [w])
             if subgroup_lifts(G).lifts:
                 assert all(g.is_identity for g in G.elements & Z.elements)
+
+
+def obstruction_shortcuts(w):
+    """A cheap reason why w cannot lift, or None.
+
+    "even-order": a power of w is an order-2 element, which never lifts.
+    "central-power": some power w^k (1 <= k < order) is a nontrivial central
+    element, which fixes every hyperplane but acts as a nontrivial scalar on
+    every normal line.  Either reason forces every lifting of w to have
+    infinite order, so the oracle must refuse w.
+    """
+    n = w.order()
+    if n % 2 == 0:
+        return "even-order"
+    gens = standard_generators(w.descriptor)
+    u = w
+    for _ in range(n - 1):
+        if all(u * g == g * u for g in gens):
+            return "central-power"
+        u = u * w
+    return None
 
 
 def test_shortcut_examples():
@@ -223,19 +243,23 @@ def test_report_json_roundtrip():
     doc = json.loads(json.dumps(element_lifts_oracle(w).to_json()))
     assert doc["lifts"] is False and doc["method"] == "oracle"
     assert parse_element(desc, doc["element"]) == w
-    H = parse_hyperplane(desc, doc["witness"]["hyperplane"])
-    assert not in_parabolic(w ** doc["witness"]["power"], H)
+    H = {format_hyperplane(H): H for H in hyperplanes(desc)}[doc["witness"]["hyperplane"]]
+    u = w ** doc["witness"]["power"]
+    assert stabilizes(u, H) and not scalar_on_normal(u, H).is_one
 
     lifting = element_lifts_oracle(diagonal(D(3, 3, 2), (1, 2))).to_json()
     assert lifting["lifts"] is True and lifting["witness"] is None
 
 
-def test_oracle_builds_no_arrangement():
+def refuse_arrangement(desc):
+    raise AssertionError(f"built the arrangement of {desc}")
+
+
+def test_oracle_builds_no_arrangement(monkeypatch):
     # A Swap witness in G(6,2,3), a Coord witness in G(2,1,2), none in S(7):
     # neither the scan nor the witness reads hyperplanes(desc).
-    before = hyperplanes.cache_info()
+    monkeypatch.setattr(arrangement, "hyperplanes", refuse_arrangement)
     swap_witness = element_lifts_oracle(diagonal(D(6, 2, 3), (1, 1, 0))).witness
     coord_witness = element_lifts_oracle(diagonal(D(2, 1, 2), (1, 0))).witness
     assert (swap_witness, coord_witness) == (LiftWitness(Swap(0, 1, 0), 1), LiftWitness(Coord(0), 1))
     assert element_lifts_oracle(from_permutation(D(1, 1, 7), (1, 2, 0, 4, 5, 3, 6))).lifts
-    assert hyperplanes.cache_info() == before

@@ -24,11 +24,10 @@ from braidlift.arrangement import (
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
-    hyperplane_index,
     hyperplane_permutation,
     hyperplanes,
+    orbit_count,
     orbits,
-    parse_hyperplane,
     scalar_on_normal,
 )
 from braidlift.classify import bieberbach_bruteforce, free_action_general
@@ -372,7 +371,7 @@ def reference_power_walk(w):
     up to order(w): the same scan as element_lifts_oracle, by other routes."""
     desc = w.descriptor
     planes = hyperplanes(desc)
-    index = hyperplane_index(desc)
+    index = {H: k for k, H in enumerate(planes)}
     pi_w = tuple([index[act(w, H)] for H in planes])
     n = w.order()
     witness, limit = None, len(planes)
@@ -450,8 +449,9 @@ def arrangement_groups(draw, d_is_one):
 def test_index_permutation_equals_the_act_reference(d_is_one, data):
     desc = data.draw(arrangement_groups(d_is_one))
     g = elements(data.draw, desc)
-    index = hyperplane_index(desc)
-    assert _index_permutation(g) == tuple(index[act(g, H)] for H in hyperplanes(desc))
+    planes = hyperplanes(desc)
+    index = {H: k for k, H in enumerate(planes)}
+    assert _index_permutation(g) == tuple(index[act(g, H)] for H in planes)
 
 
 @ELEMENT_SETTINGS
@@ -592,14 +592,15 @@ def test_subgroup_scan_equals_the_per_pair_reference(G):
 
 
 def reference_orbits(G):
-    index = hyperplane_index(G.descriptor)
-    seen, out = set(), []
-    for k, H in enumerate(hyperplanes(G.descriptor)):
-        if k not in seen:
-            orbit = {index[act(g, H)] for g in G}
-            seen |= orbit
-            out.append(tuple(sorted(orbit)))
-    return tuple(out)
+    """The orbit labels by act: each index labelled by its orbit's least index."""
+    planes = hyperplanes(G.descriptor)
+    index = {H: k for k, H in enumerate(planes)}
+    root = [None] * len(planes)
+    for k, H in enumerate(planes):
+        if root[k] is None:
+            for g in G:
+                root[index[act(g, H)]] = k
+    return tuple(root)
 
 
 def reference_acts_faithfully(G):
@@ -619,11 +620,12 @@ def reference_free_action(G):
 
 
 def reference_coboundary(x, G):
-    index = hyperplane_index(G.descriptor)
+    planes = hyperplanes(G.descriptor)
+    index = {H: k for k, H in enumerate(planes)}
     cocycle = {}
     for g in G:
         gx = [0] * len(x)
-        for k, H in enumerate(hyperplanes(G.descriptor)):
+        for k, H in enumerate(planes):
             gx[index[act(g, H)]] = x[k]
         cocycle[g] = tuple(a - b for a, b in zip(x, gx))
     return cocycle
@@ -635,7 +637,7 @@ def test_table_loops_equal_the_per_element_references(G, data):
     width = len(hyperplanes(G.descriptor))
     x = tuple(data.draw(st.lists(st.integers(-9, 9), min_size=width, max_size=width)))
     for H in (G, validated(G)):
-        assert orbits(H) == reference_orbits(G)
+        assert orbits(H).root == reference_orbits(G)
         assert free_action_general(H) == reference_free_action(G)
         assert coboundary(x, H) == reference_coboundary(x, G)
         if width:
@@ -643,6 +645,23 @@ def test_table_loops_equal_the_per_element_references(G, data):
         else:
             with pytest.raises(ValueError):
                 acts_faithfully_on_arrangement(H)
+
+
+@PROPERTY_SETTINGS
+@given(subgroups())
+def test_orbit_forest_labels_each_orbit_by_its_least_index(G):
+    root = reference_orbits(G)
+    for H in (G, validated(G)):
+        forest = orbits(H)
+        assert forest.root == root
+        assert orbit_count(H) == len(set(root))
+        steps = [hyperplane_permutation(s) for s in H.generators]
+        # each index but the roots is reached once, from one reached before it
+        reached = {k for k, r in enumerate(root) if k == r}
+        for j, k, i in zip(forest.target, forest.source, forest.step, strict=True):
+            assert k in reached and j not in reached and steps[i][k] == j
+            reached.add(j)
+        assert len(reached) == len(root)
 
 
 @PROPERTY_SETTINGS
@@ -738,8 +757,6 @@ def test_public_constructors_still_validate(data):
 DESCRIPTOR_RE = re.compile(r"^\s*G\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*$")
 SYMMETRIC_RE = re.compile(r"^\s*S\(\s*(\d+)\s*\)\s*$")
 ELEMENT_RE = re.compile(r"^\s*perm=\[([0-9,\s]*)\]\s*;\s*exp=\[([0-9,\s+-]*)\]\s*$")
-SWAP_RE = re.compile(r"^\s*H\[\s*(\d+)\s*,\s*(\d+)\s*;\s*(-?\d+)\s*\]\s*$")
-COORD_RE = re.compile(r"^\s*H\[\s*(\d+)\s*\]\s*$")
 GRID_RE = re.compile(
     r"^\s*d\s*(?:<=|≤)\s*(\d+)\s*,\s*e\s*(?:<=|≤)\s*(\d+)\s*,\s*r\s*(?:<=|≤)\s*(\d+)\s*$"
 )
@@ -771,24 +788,6 @@ def reference_parse_element(desc, text):
         raise ParseError(f"{text!r} is not an element of {desc}: {exc}") from exc
 
 
-def reference_parse_hyperplane(desc, text):
-    """Membership by the built arrangement; equal indices are a ParseError."""
-    if m := SWAP_RE.match(text):
-        i, j, t = int(m.group(1)) - 1, int(m.group(2)) - 1, int(m.group(3))
-        if i < 0 or j < 0 or max(i, j) >= desc.r:
-            raise ParseError(f"{text!r}: index out of range for {desc}")
-        if i == j:
-            raise ParseError(f"{text!r}: a swap hyperplane needs two distinct indices")
-        H = Swap(i, j, t % desc.de) if i < j else Swap(j, i, -t % desc.de)
-    elif m := COORD_RE.match(text):
-        H = Coord(int(m.group(1)) - 1)
-    else:
-        raise ParseError(f"cannot parse hyperplane {text!r}")
-    if H not in hyperplane_index(desc):
-        raise ParseError(f"{text!r} is not a hyperplane of {desc}")
-    return H
-
-
 def reference_parse_grid(text):
     if m := GRID_RE.match(text):
         return tuple(map(int, m.groups()))
@@ -800,7 +799,7 @@ def reference_parse_grid(text):
 #: their literal heads.
 PIECES = (
     "0", "1", "2", "3", "٣", "²", " ", "\x1c", "\n", "+", "-", "_", ",", ";", "(", ")",
-    "[", "]", "=", "≤", "<=", "G(", "S(", "perm=[", "exp=[", "H[", "d", "e", "r",
+    "[", "]", "=", "≤", "<=", "G(", "S(", "perm=[", "exp=[", "d", "e", "r",
 )
 _NUMBER = st.sampled_from(
     ("0", "1", "2", "3", "10", "٣", "1٣", "²", "-1", "+2", "1_0", "--1", "")
@@ -819,8 +818,6 @@ SHAPES = (
     "W G( W N W , W N W , W N W ) W",
     "W S( W N W ) W",
     "W perm=[ L ] W ; W exp=[ L ] W",
-    "W H[ W N W , W N W ; W N W ] W",
-    "W H[ W N W ] W",
     "W d W <= W N W , W e W <= W N W , W r W <= W N W",
 )
 
@@ -848,10 +845,8 @@ def outcome(parse, *args):
     return type(value), value
 
 
-#: Element inputs are read in G(2,1,1) and G(2,1,2), hyperplane inputs in
-#: G(2,1,3) and S(3), with and without coordinate hyperplanes.
+#: Element inputs are read in G(2,1,1) and G(2,1,2).
 ELEMENT_GROUPS = (GroupDescriptor(2, 1, 1), GroupDescriptor(2, 1, 2))
-HYPERPLANE_GROUPS = (GroupDescriptor(2, 1, 3), GroupDescriptor(1, 1, 3))
 
 
 @settings(max_examples=400, deadline=None)
@@ -864,10 +859,6 @@ HYPERPLANE_GROUPS = (GroupDescriptor(2, 1, 3), GroupDescriptor(1, 1, 3))
 @example("perm=[٣,1];exp=[0,0]")
 @example("perm=[2,1];exp=[٣,0]")
 @example("perm=[\x1c2,1];exp=[0,0]")  # int() does not strip "\x1c"
-@example("H[1,3;-1]")
-@example("H[ 2 ]")
-@example("H[²]")
-@example("H[1,1;0]")
 @example("d≤1, e<=2 ,r ≤٣")
 @example("d<=²,e<=1,r<=1")
 def test_parsers_accept_exactly_what_their_patterns_accepted(text):
@@ -875,7 +866,3 @@ def test_parsers_accept_exactly_what_their_patterns_accepted(text):
     assert outcome(parse_grid, text) == outcome(reference_parse_grid, text)
     for desc in ELEMENT_GROUPS:
         assert outcome(parse_element, desc, text) == outcome(reference_parse_element, desc, text)
-    for desc in HYPERPLANE_GROUPS:
-        assert outcome(parse_hyperplane, desc, text) == outcome(
-            reference_parse_hyperplane, desc, text
-        )
