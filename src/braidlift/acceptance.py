@@ -181,7 +181,7 @@ def criterion_6() -> CriterionResult:
     """Free action on 2-subsets of {1..5} is equivalent to free cycle type."""
     for P in _s5_sample_subgroups():
         free = free_action_symmetric(P)
-        typed = all(has_free_cycle_type(g) for g in P)
+        typed = all(has_free_cycle_type(perms.cycle_type(g)) for g in P)
         if free != typed:
             return CriterionResult(6, "free action equivalence in S_5", False,
                                    f"order-{len(P)} subgroup: free={free}, type={typed}")
@@ -214,7 +214,7 @@ def criterion_7() -> CriterionResult:
 
 
 @lru_cache(maxsize=2)
-def _frobenius_group(p: int, q: int) -> Subgroup:
+def _frobenius_action(p: int, q: int) -> tuple[Subgroup, frozenset[tuple[int, ...]]]:
     return frobenius_coset_action(FrobeniusSpec.find(p, q))
 
 
@@ -222,11 +222,10 @@ def criterion_8() -> CriterionResult:
     """Frobenius coset actions: cycle structure, free type, and lifting."""
     for p, q in ((7, 3), (13, 3)):
         # Construction raises InvariantViolation on a wrong cycle structure.
-        P = _frobenius_group(p, q)
-        for g in P:
-            if not has_free_cycle_type(g.sigma):
-                return CriterionResult(8, "Frobenius coset actions", False,
-                                       f"{g} in F_{p*q} escapes the free cycle types")
+        P, types = _frobenius_action(p, q)
+        if not all(map(has_free_cycle_type, types)):
+            return CriterionResult(8, "Frobenius coset actions", False,
+                                   f"F_{p*q} escapes the free cycle types")
         if not subgroup_lifts(P).lifts:
             return CriterionResult(8, "Frobenius coset actions", False,
                                    f"degree-{p} image of F_{p*q} fails to lift")
@@ -239,12 +238,11 @@ def _cayley_images() -> tuple[tuple[str, PermutationGroup], ...]:
     z5 = permutation_group(5, [perms.from_cycle(5, tuple(range(5)))])
     z7 = permutation_group(7, [perms.from_cycle(7, tuple(range(7)))])
     z3z3 = permutation_group(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))])
-    f21 = _frobenius_group(7, 3)
     return (
         ("Z/5", cayley_embedding(z5)),
         ("Z/7", cayley_embedding(z7)),
         ("Z/3 x Z/3", cayley_embedding(z3z3)),
-        ("Z/7 : Z/3", cayley_embedding(f21)),
+        ("Z/7 : Z/3", cayley_embedding(_frobenius_action(7, 3)[0])),
     )
 
 
@@ -252,7 +250,7 @@ def criterion_9() -> CriterionResult:
     """Left-translation images land in the free cycle types and lift."""
     start = time.perf_counter()
     for name, image in _cayley_images():
-        if not all(has_free_cycle_type(g) for g in image):
+        if not all(has_free_cycle_type(perms.cycle_type(g)) for g in image):
             return CriterionResult(9, "Cayley embeddings lift", False,
                                    f"{name}: image leaves the free cycle types")
         if not subgroup_lifts(as_symmetric_subgroup(image)).lifts:
@@ -295,7 +293,7 @@ def _rank_test_subgroups() -> tuple[Subgroup, ...]:
         for G in _cyclic_subgroups(desc):
             put(G)
     for p, q in ((7, 3), (13, 3)):
-        put(_frobenius_group(p, q))
+        put(_frobenius_action(p, q)[0])
     for _, image in _cayley_images():
         put(as_symmetric_subgroup(image))
     return tuple(seen.values())

@@ -21,9 +21,9 @@ permutation of canonical indices, numbered by arithmetic on the canonical
 order (``_index_permutation``), so it builds neither the arrangement nor an
 index dict; the tests check it against ``act``.  ``_index_coordinates``
 inverts that numbering, and ``_normal_scalar`` tests an element against the
-plane at those coordinates, so the lifting scans of ``lifting`` and
-``acts_faithfully_on_arrangement`` build no Hyperplane either; the latter
-stops at each element's first moved index.  ``orbits`` is the one search
+plane at those coordinates, so the lifting scans of ``lifting`` build no
+Hyperplane either; ``acts_faithfully_on_arrangement`` tests no plane at all,
+only whether an element is central.  ``orbits`` is the one search
 along the generators' permutations: a spanning forest with each index
 labelled by its orbit's least index, kept on the subgroup, which the
 lifting scan, the orbit counts and the cocycle solver of ``lattice`` all
@@ -199,7 +199,8 @@ def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...
     if len(G) * width > ENUMERATION_GUARD:
         raise GuardExceeded(f"{len(G)} elements x {width} hyperplanes exceed the guard")
     steps = [(s, hyperplane_permutation(s)) for s in G.generators]
-    queue = [(identity(G.descriptor), tuple(range(width)))]
+    # The identity's images, as in ``orbits``: a generator's ints, sorted.
+    queue = [(identity(G.descriptor), tuple(sorted(steps[0][1]) if steps else range(width)))]
     table = dict(queue)
     for h, pi_h in queue:
         for s, pi_s in steps:
@@ -308,20 +309,19 @@ def orbit_count(G: Subgroup) -> int:
 def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
     """Whether only the identity of G fixes every hyperplane.
 
-    Equivalent to G meeting the centre of the ambient group trivially, since
-    the kernel of the action of the full group on its arrangement is its
-    centre.  Each element is tested by ``_normal_scalar`` and stops at its
-    first moved index, which for most elements is one of the first few.
+    The kernel of the ambient group's action on it is the centre (Lehrer-Taylor,
+    ch. 2), so no g != 1 in G may be central: a scalar, sigma = id with equal
+    exponents, or any element of the abelian G(1, 1, 2) and G(2, 2, 2)
+    (``center_order``).  O(r) per element.
     """
     desc = G.descriptor
-    r, de, width = desc.r, desc.de, hyperplane_count(desc)
-    if not width:
+    if not hyperplane_count(desc):
         raise ValueError(f"{desc} has an empty arrangement")
-    return not any(
-        all(_normal_scalar(g.sigma, g.exponents, de, *_index_coordinates(k, r, de)) is not None
-            for k in range(width))
-        for g in G.elements if not g.is_identity
-    )
+    if desc.r == 2 and desc.d == 1 and desc.e <= 2:
+        return len(G) == 1
+    unmoved = tuple(range(desc.r))
+    return not any(g.sigma == unmoved and (a := g.exponents)[0] and a.count(a[0]) == desc.r
+                   for g in G.elements)
 
 
 def format_hyperplane(H: Hyperplane) -> str:

@@ -1,9 +1,11 @@
 """Classification predicates: torsion-free quotients, odd-order lifting,
 free actions on the arrangement, Frobenius coset actions, Cayley embeddings.
 
-The closed-form predicates (``is_bieberbach_series``,
-``has_odd_lift_property``) are tested against brute-force scans built only
-on the lifting oracle, so the two routes stay independent.
+The closed-form predicates (``is_bieberbach_series``, ``has_odd_lift_property``)
+are tested against brute-force scans built only on the lifting oracle, so
+the two routes stay independent.  ``has_free_cycle_type`` reads a cycle
+type, and ``frobenius_coset_action`` returns the types it measured and
+checked, so no element's cycles are computed twice.
 """
 
 from __future__ import annotations
@@ -116,21 +118,16 @@ def has_odd_lift_property(descriptor: GroupDescriptor) -> bool:
     return r == 2 and d == 1 and e >= 3
 
 
-def has_free_cycle_type(perm: Sequence[int]) -> bool:
-    """Whether a permutation's cycle type forces free action on 2-subsets.
+def has_free_cycle_type(lengths: Sequence[int]) -> bool:
+    """Whether a cycle type, fixed points included, forces free action on 2-subsets.
 
-    True iff all nontrivial cycles share one odd length k and at most one
-    point is fixed (cycle type k^{n/k}, or one fixed point plus k-cycles).
-    The identity qualifies with k = 1.
+    True for the identity's type, and otherwise iff all nontrivial cycles share
+    one odd length k and at most one point is fixed: k^{n/k}, or 1 plus k-cycles.
     """
-    lengths = [len(c) for c in perms.cycles(perm)]
-    nontrivial = [length for length in lengths if length > 1]
+    nontrivial = set(lengths) - {1}
     if not nontrivial:
         return True
-    k = nontrivial[0]
-    if k % 2 == 0 or any(length != k for length in nontrivial):
-        return False
-    return lengths.count(1) <= 1
+    return len(nontrivial) == 1 and max(nontrivial) % 2 == 1 and lengths.count(1) <= 1
 
 
 def has_free_monomial_type(w: MonomialElement) -> bool:
@@ -267,7 +264,7 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
         raise ValueError(f"no element of order {q} mod {p}")
 
 
-def frobenius_coset_action(spec: FrobeniusSpec) -> Subgroup:
+def frobenius_coset_action(spec: FrobeniusSpec) -> tuple[Subgroup, frozenset[tuple[int, ...]]]:
     """The action of Z/p x| Z/q on the cosets of its complement, in G(1, 1, p).
 
     Realized as the closure of x -> x + 1 and x -> m x, the maps x -> c x + b
@@ -275,7 +272,8 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> Subgroup:
     order read off its multiplier c, not off the cycle type under test:
     translations (c = 1) have order p and form one p-cycle; the conjugates of
     the complement have order k = ord(c mod p), fix exactly one point and
-    split the rest into (p-1)/k cycles of length k.
+    split the rest into (p-1)/k cycles of length k.  Returns the group and
+    the set of cycle types measured on its nonidentity elements.
     """
     p, m = spec.p, spec.m
     desc = GroupDescriptor(1, 1, p)
@@ -284,6 +282,7 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> Subgroup:
     group = closure(desc, [shift, scale])
     if len(group) != p * spec.q:
         raise InvariantViolation(f"affine action of order {p * spec.q} has {len(group)} elements")
+    types = set()
     for g in group:
         sigma = g.sigma
         if (c := (sigma[1] - sigma[0]) % p) != 1:
@@ -298,7 +297,8 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> Subgroup:
             raise InvariantViolation(
                 f"cycle type {ctype} of {sigma} contradicts the coset-action structure {expected}"
             )
-    return group
+        types.add(ctype)
+    return group, frozenset(types)
 
 
 def cayley_embedding(

@@ -246,8 +246,8 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
         spec = FrobeniusSpec.find(p, q)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    group = frobenius_coset_action(spec)
-    free_type = all(has_free_cycle_type(g.sigma) for g in group)
+    group, types = frobenius_coset_action(spec)
+    free_type = all(map(has_free_cycle_type, types))
     lifts = subgroup_lifts(group).lifts
     doc = {
         "p": spec.p,

@@ -36,6 +36,7 @@ from .arrangement import (
     _index_permutation,
     _normal_scalar,
     format_hyperplane,
+    hyperplane_permutation,
     orbits,
 )
 from .errors import InvariantViolation
@@ -195,11 +196,11 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     hyperplane, the k with root[k] == k in ``orbits``, and if no element
     violates there, G lifts.
     Otherwise a second scan names the witness: elements in sorted order, each
-    at the ascending fixed indices of its ``_index_permutation``, the first
-    violating pair.  Both scans test decoded indices by ``_normal_scalar``,
-    build no Hyperplane but the witness, and skip the identity, which fixes
-    every normal line.  The two scans agreeing is a theorem;
-    InvariantViolation if they do not.
+    at the ascending fixed indices of its permutation (a generator's from the
+    cache ``orbits`` filled, the rest uncached), the first violating pair.
+    Both scans test decoded indices by ``_normal_scalar``, build no Hyperplane
+    but the witness, and skip the identity, which fixes every normal line.
+    The two scans agreeing is a theorem; InvariantViolation if they do not.
     """
     desc = G.descriptor
     r, de = desc.r, desc.de
@@ -216,7 +217,7 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in others:
-        pi = _index_permutation(g)
+        pi = hyperplane_permutation(g) if g in G.generators else _index_permutation(g)
         for k in compress(range(len(pi)), map(eq, pi, range(len(pi)))):
             if _normal_scalar(g.sigma, g.exponents, de, *_index_coordinates(k, r, de)):
                 witness = LiftWitness(_hyperplane_at(desc, k), element=g)

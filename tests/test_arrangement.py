@@ -165,7 +165,10 @@ def test_faithfulness_examples():
 
 
 def test_faithfulness_equals_trivial_center_intersection():
-    for desc in (D(2, 1, 2), D(3, 3, 3), D(6, 6, 2)):
+    # G(1,1,2) and G(2,2,2) are abelian, G(2,1,1) and G(4,2,1) of rank 1:
+    # every element is central there.
+    for desc in (D(2, 1, 2), D(3, 3, 3), D(6, 6, 2), D(1, 1, 2), D(2, 2, 2), D(2, 1, 1),
+                 D(4, 2, 1)):
         Z = center(desc)
         for w in enumerate_elements(desc):
             G = closure(desc, [w])

@@ -95,16 +95,18 @@ def test_odd_lift_property_equals_bruteforce_on_grid():
         assert has_odd_lift_property(desc) == brute, desc
 
 
+def free_type(perm):
+    return has_free_cycle_type(perms.cycle_type(perm))
+
+
 def test_free_cycle_type_examples():
-    assert not has_free_cycle_type(perms.from_cycle(6, (0, 1, 2)))  # three fixed points
+    assert not free_type(perms.from_cycle(6, (0, 1, 2)))  # three fixed points
     two_threes = perms.compose(perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5)))
-    assert has_free_cycle_type(two_threes)
-    assert has_free_cycle_type(perms.from_cycle(4, (0, 1, 2)))
-    assert not has_free_cycle_type(
-        perms.compose(perms.from_cycle(4, (0, 1)), perms.from_cycle(4, (2, 3)))
-    )
-    assert has_free_cycle_type(perms.identity(5))
-    assert not has_free_cycle_type(perms.from_cycle(5, (0, 1, 2)))  # two fixed points
+    assert free_type(two_threes)
+    assert free_type(perms.from_cycle(4, (0, 1, 2)))
+    assert not free_type(perms.compose(perms.from_cycle(4, (0, 1)), perms.from_cycle(4, (2, 3))))
+    assert free_type(perms.identity(5))
+    assert not free_type(perms.from_cycle(5, (0, 1, 2)))  # two fixed points
 
 
 def test_free_action_symmetric_examples():
@@ -134,7 +136,7 @@ def test_free_action_implies_subgroup_lifts():
 
 
 def test_frobenius_examples():
-    group = frobenius_coset_action(FrobeniusSpec(7, 3, 2))
+    group, _ = frobenius_coset_action(FrobeniusSpec(7, 3, 2))
     ident = perms.identity(7)
     for g in group:
         if g.sigma == ident:
@@ -162,7 +164,7 @@ def reference_affine_action(spec):
 @pytest.mark.parametrize("p, q", [(7, 3), (13, 3), (31, 5), (61, 5)])
 def test_frobenius_closure_equals_the_affine_maps(p, q):
     spec = FrobeniusSpec.find(p, q)
-    group = frobenius_coset_action(spec)
+    group, _ = frobenius_coset_action(spec)
     assert group.descriptor == GroupDescriptor(1, 1, p)
     assert {g.sigma for g in group} == reference_affine_action(spec)
     assert all(not any(g.exponents) for g in group)
@@ -171,8 +173,16 @@ def test_frobenius_closure_equals_the_affine_maps(p, q):
 def test_frobenius_structure_holds_for_larger_parameters():
     # construction self-checks fixed points and cycle shapes; it must not raise
     for p, q in ((7, 3), (13, 3), (31, 5)):
-        group = frobenius_coset_action(FrobeniusSpec.find(p, q))
+        group, _ = frobenius_coset_action(FrobeniusSpec.find(p, q))
         assert len(group) == p * q
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (13, 3), (61, 5)])
+def test_frobenius_construction_returns_the_measured_cycle_types(p, q):
+    group, types = frobenius_coset_action(FrobeniusSpec.find(p, q))
+    ident = perms.identity(p)
+    assert types == {perms.cycle_type(g.sigma) for g in group if g.sigma != ident}
+    assert all(map(has_free_cycle_type, types))
 
 
 def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
@@ -184,7 +194,7 @@ def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
 def test_free_action_equivalence_on_s4_cyclic_subgroups():
     for g in perms.all_permutations(4):
         P = permutation_group(4, [g])
-        assert free_action_symmetric(P) == all(has_free_cycle_type(h) for h in P)
+        assert free_action_symmetric(P) == all(free_type(h) for h in P)
 
 
 def test_frobenius_spec_validation():
@@ -217,9 +227,9 @@ def test_cayley_embedding_trivial_and_monomial_input():
 
 
 def test_cayley_embedding_frobenius():
-    image = cayley_embedding(frobenius_coset_action(FrobeniusSpec(7, 3, 2)))
+    image = cayley_embedding(frobenius_coset_action(FrobeniusSpec(7, 3, 2))[0])
     assert image.degree == 21 and len(image) == 21
-    assert all(has_free_cycle_type(g) for g in image)
+    assert all(free_type(g) for g in image)
 
 
 def test_permutation_group_validation():

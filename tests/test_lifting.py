@@ -163,6 +163,25 @@ def test_subgroup_witness_away_from_the_orbit_representative():
     }
 
 
+def test_subgroup_witness_scan_reads_generators_from_the_cache(monkeypatch):
+    numbered = []
+    index_permutation = arrangement._index_permutation
+
+    def counting(g):
+        numbered.append(g)
+        return index_permutation(g)
+
+    monkeypatch.setattr(arrangement, "_index_permutation", counting)
+    monkeypatch.setattr(lifting, "_index_permutation", counting)
+    arrangement.hyperplane_permutation.cache_clear()
+    s40 = D(1, 1, 40)
+    swap = from_permutation(s40, (1, 0, *range(2, 40)))
+    report = subgroup_lifts(closure(s40, [swap]))
+    assert not report.lifts and report.witness.element == swap
+    # numbered once, by orbits through the cache; the witness scan reads it there
+    assert numbered == [swap]
+
+
 def test_subgroup_local_equivalence():
     rng = random.Random(41)
     for desc in (D(3, 3, 3), D(2, 2, 3)):

@@ -86,6 +86,8 @@ def mask_elapsed(stdout):
      "perm=[2,3,1,4];exp=[0,0,0,0];perm=[1,3,4,2];exp=[0,0,0,0]"),
     ("frobenius", "--p", "7", "--q", "3"),
     ("verify",),
+    # -1 is central in G(2,1,2): the answer is "faithful: False"
+    ("check-subgroup", "--group", "G(2,1,2)", "--generators", "perm=[1,2];exp=[1,1]"),
 ])
 def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     trace_path = tmp_path / "trace.json"
@@ -98,5 +100,5 @@ def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     assert calls > 0
     assert "monomial.element_init" in trace["counts"]
     if argv[0] == "check-subgroup":
-        # two generators parsed through the validating constructor
-        assert trace["counts"]["monomial.element_init"] >= 2
+        # each generator parsed through the validating constructor
+        assert trace["counts"]["monomial.element_init"] >= argv[-1].count("perm=")
