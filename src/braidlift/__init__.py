@@ -30,10 +30,8 @@ _EXPORTS = {
         "MismatchError", "NoIntegralSolution", "ParseError",
     ),
     "lattice": (
-        "Cocycle", "LatticeVector", "SemidirectElement", "canonical_splitting", "coboundary",
-        "conjugate_complement", "conjugate_splitting", "fixed_lattice_rank", "is_cocycle",
-        "is_splitting", "permute_vector", "semidirect_compose", "semidirect_identity",
-        "semidirect_inverse", "semidirect_order", "small_generating_set", "trivialize_cocycle",
+        "Cocycle", "LatticeVector", "coboundary", "fixed_lattice_rank", "permute_vector",
+        "small_generating_set", "trivialize_cocycle",
     ),
     "lifting": (
         "LiftReport", "LiftWitness", "element_lifts_fast", "element_lifts_oracle",

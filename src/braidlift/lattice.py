@@ -1,20 +1,17 @@
-"""The permutation lattice on the arrangement and its split extensions.
+"""The permutation lattice on the arrangement.
 
 Z[A] is the free abelian group on the hyperplanes of G(de, e, r), with the
 group permuting coordinates; vectors are integer tuples in the canonical
-hyperplane order.  For a subgroup G this module models the split extension
-Z[A] x| G, detects torsion there, and solves 1-cocycle equations
+hyperplane order.  For a subgroup G this module solves 1-cocycle equations
 c(g) = x - g.x over the integers, as a difference system on the spanning
-forest of ``arrangement.orbits``, each answer checked on all of G.
-Solvability of the latter for every cocycle (the vanishing of the first
-cohomology of a permutation module) is what makes complements unique up to
-lattice conjugation, and the solver treats a failure as a falsified
-theorem, not as a data error.
+forest of ``arrangement.orbits``, each answer checked on all of G, and
+computes the rank of the fixed lattice.  Every cocycle is a coboundary (the
+vanishing of the first cohomology of a permutation module), so the solver
+treats a failure as a falsified theorem, not as a data error.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from operator import itemgetter, sub
 from random import Random
 
@@ -22,16 +19,12 @@ from . import intlinalg
 from .arrangement import (
     Orbits, element_permutations, hyperplane_count, hyperplane_permutation, orbit_count, orbits
 )
-from .errors import InvariantViolation, MismatchError, NoIntegralSolution
-from .monomial import MonomialElement, Subgroup, identity
+from .errors import InvariantViolation, NoIntegralSolution
+from .monomial import MonomialElement, Subgroup
 from .permutations import compose
 
 LatticeVector = tuple[int, ...]
 Cocycle = dict[MonomialElement, LatticeVector]
-
-
-def zero_vector(descriptor) -> LatticeVector:
-    return (0,) * hyperplane_count(descriptor)
 
 
 def permute_vector(g: MonomialElement, v: LatticeVector) -> LatticeVector:
@@ -47,10 +40,6 @@ def _permute(pi: tuple[int, ...], v: LatticeVector) -> LatticeVector:
     return tuple(out)
 
 
-def _add(u: LatticeVector, v: LatticeVector) -> LatticeVector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def _difference(pi: tuple[int, ...], x: LatticeVector) -> LatticeVector:
     """x - g.x, for the g that permutes hyperplane indices by pi."""
     out = list(x)
@@ -59,65 +48,9 @@ def _difference(pi: tuple[int, ...], x: LatticeVector) -> LatticeVector:
     return tuple(out)
 
 
-class SemidirectElement(namedtuple("SemidirectElement", "vector element")):
-    """An element (v, g) of Z[A] x| G, composing as (v, g)(w, h) = (v + g.w, gh)."""
-
-    __slots__ = ()
-
-
-SplittingMap = dict[MonomialElement, SemidirectElement]
-
-
-def semidirect_identity(descriptor) -> SemidirectElement:
-    return SemidirectElement(zero_vector(descriptor), identity(descriptor))
-
-
-def semidirect_compose(x: SemidirectElement, y: SemidirectElement) -> SemidirectElement:
-    if x.element.descriptor != y.element.descriptor:
-        raise MismatchError("semidirect elements over different groups")
-    return SemidirectElement(
-        _add(x.vector, permute_vector(x.element, y.vector)), x.element * y.element
-    )
-
-
-def semidirect_inverse(x: SemidirectElement) -> SemidirectElement:
-    ginv = x.element.inverse()
-    return SemidirectElement(
-        tuple(-c for c in permute_vector(ginv, x.vector)), ginv
-    )
-
-
-def semidirect_order(x: SemidirectElement) -> int | None:
-    """Order of (v, g), or None when infinite.
-
-    (v, g)^n = (v + g.v + ... + g^{n-1}.v, g^n) with n = order(g); the
-    element has finite order (then exactly n) iff that orbit sum vanishes,
-    because the lattice itself is torsion free.
-    """
-    n = x.element.order()
-    total = x.vector
-    current = x.vector
-    for _ in range(n - 1):
-        current = permute_vector(x.element, current)
-        total = _add(total, current)
-    return n if not any(total) else None
-
-
 def coboundary(x: LatticeVector, G: Subgroup) -> Cocycle:
     """The principal cocycle g -> x - g.x on all of G."""
     return {g: _difference(pi, x) for g, pi in element_permutations(G).items()}
-
-
-def is_cocycle(c: Cocycle, G: Subgroup) -> bool:
-    """Exhaustive check of c(gh) = c(g) + g.c(h) over G x G."""
-    if c.keys() != G.elements:
-        return False
-    for g, pi in element_permutations(G).items():
-        cg = c[g]
-        for h in G:
-            if c[g * h] != _add(cg, _permute(pi, c[h])):
-                return False
-    return True
 
 
 def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
@@ -252,37 +185,3 @@ def fixed_lattice_rank(G: Subgroup) -> int:
         )
     return count
 
-
-def canonical_splitting(G: Subgroup) -> SplittingMap:
-    """The tautological section g -> (0, g)."""
-    zero = zero_vector(G.descriptor)
-    return {g: SemidirectElement(zero, g) for g in G}
-
-
-def conjugate_splitting(s: SplittingMap, x: LatticeVector, G: Subgroup) -> SplittingMap:
-    """Conjugate a section of G by the lattice element x: g -> (x + s(g) - g.x, g)."""
-    return {g: SemidirectElement(_add(s[g].vector, d), g) for g, d in coboundary(x, G).items()}
-
-
-def is_splitting(s: SplittingMap, G: Subgroup) -> bool:
-    """Whether s is a homomorphic section of the projection to G.
-
-    With s(g) = (c(g), g), s(g)s(h) = (c(g) + g.c(h), gh), so s is a
-    homomorphism exactly when c is a cocycle.
-    """
-    if any(sg.element != g for g, sg in s.items()):
-        return False
-    return is_cocycle({g: sg.vector for g, sg in s.items()}, G)
-
-
-def conjugate_complement(s1: SplittingMap, s2: SplittingMap, G: Subgroup) -> LatticeVector:
-    """A lattice vector conjugating the section s1 onto s2.
-
-    The difference g -> s2(g) - s1(g) of two sections is a cocycle; any
-    trivializing vector conjugates one complement onto the other, and one
-    always exists.  Inputs are checked to be homomorphic sections first.
-    """
-    if not is_splitting(s1, G) or not is_splitting(s2, G):
-        raise ValueError("inputs are not homomorphic sections")
-    difference = {g: tuple(a - b for a, b in zip(s2[g].vector, s1[g].vector)) for g in G}
-    return trivialize_cocycle(difference, G)

@@ -204,10 +204,6 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
     def __str__(self) -> str:
         return format_element(self)
 
-    @classmethod
-    def parse(cls, descriptor: GroupDescriptor, text: str) -> "MonomialElement":
-        return parse_element(descriptor, text)
-
 
 def identity(descriptor: GroupDescriptor) -> MonomialElement:
     return MonomialElement(descriptor, perms.identity(descriptor.r), (0,) * descriptor.r)

@@ -35,15 +35,10 @@ from braidlift.cli import parse_grid
 from braidlift.errors import GuardExceeded, NoIntegralSolution, ParseError
 from braidlift.intlinalg import rank
 from braidlift.lattice import (
-    SemidirectElement,
     _difference,
     _draws,
-    canonical_splitting,
     coboundary,
     coboundary_roundtrips,
-    conjugate_splitting,
-    is_splitting,
-    semidirect_compose,
     trivialize_cocycle,
 )
 from braidlift.lifting import (
@@ -675,31 +670,6 @@ def test_faithfulness_equals_the_act_reference(G):
         return
     for H in (G, validated(G)):
         assert acts_faithfully_on_arrangement(H) == expected
-
-
-def reference_is_splitting(s, G):
-    """The definition: s(g) lies over g and s(g)s(h) = s(gh), by semidirect products."""
-    return (
-        s.keys() == G.elements
-        and all(s[g].element == g for g in G)
-        and all(semidirect_compose(s[g], s[h]) == s[g * h] for g in G for h in G)
-    )
-
-
-@PROPERTY_SETTINGS
-@given(subgroups(), st.data())
-def test_splitting_check_equals_the_all_pairs_reference(G, data):
-    width = len(hyperplanes(G.descriptor))
-    vectors = st.lists(st.integers(-9, 9), min_size=width, max_size=width).map(tuple)
-    s = conjugate_splitting(canonical_splitting(G), data.draw(vectors), G)
-    assert reference_is_splitting(s, G)
-    if data.draw(st.booleans()):
-        # replace the vector of s(g), its element, both or neither
-        g = data.draw(st.sampled_from(G.sorted_elements))
-        h = data.draw(st.sampled_from(G.sorted_elements))
-        s[g] = SemidirectElement(data.draw(st.just(s[g].vector) | vectors), h)
-    for H in (G, validated(G)):
-        assert is_splitting(s, H) == reference_is_splitting(s, G)
 
 
 def element_key(w):
