@@ -43,8 +43,8 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import GuardExceeded, MismatchError
-from .monomial import ENUMERATION_GUARD, GroupDescriptor, MonomialElement, Subgroup, identity
+from .errors import Budget, MismatchError
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, identity
 from .permutations import compose
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
@@ -190,14 +190,12 @@ def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...
     breadth-first walk from the identity over ``G.generators``: only the
     generators' permutations are numbered directly, and every other one follows
     from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  Keys are in walk
-    order.  Raises GuardExceeded, before the walk, when |G| * |A| exceeds
-    ENUMERATION_GUARD.
+    order.  Charges |G| * |A| to a ``Budget`` before the walk.
     """
     if table := vars(G).get("_hyperplane_permutations"):
         return table
     width = hyperplane_count(G.descriptor)
-    if len(G) * width > ENUMERATION_GUARD:
-        raise GuardExceeded(f"{len(G)} elements x {width} hyperplanes exceed the guard")
+    Budget().spend(len(G) * width, f"{len(G)} elements x {width} hyperplanes")
     steps = [(s, hyperplane_permutation(s)) for s in G.generators]
     # The identity's images, as in ``orbits``: a generator's ints, sorted.
     queue = [(identity(G.descriptor), tuple(sorted(steps[0][1]) if steps else range(width)))]
@@ -235,9 +233,6 @@ class ScalarRoot(namedtuple("ScalarRoot", "exponent modulus")):
 
     def __pow__(self, n: int) -> "ScalarRoot":
         return ScalarRoot(self.exponent * n, self.modulus)
-
-    def order(self) -> int:
-        return self.modulus // math.gcd(self.exponent, self.modulus)
 
 
 def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:

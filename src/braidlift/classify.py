@@ -14,12 +14,12 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
+from . import errors
 from . import permutations as perms
 from .arrangement import hyperplane_count, orbit_count
-from .errors import GuardExceeded, InvariantViolation
+from .errors import Budget, GuardExceeded, InvariantViolation
 from .lifting import oracle_verdicts
 from .monomial import (
-    ENUMERATION_GUARD,
     GroupDescriptor,
     MonomialElement,
     Subgroup,
@@ -47,27 +47,7 @@ def is_bieberbach_series(descriptor: GroupDescriptor) -> bool:
     return r == 1 or (r == 2 and (d >= 2 or _is_power_of_two(e)))
 
 
-class OracleBudget:
-    """Oracle steps left to a run of brute-force scans.
-
-    An oracle walk on w is charged order(w) powers times |A| hyperplanes, an
-    upper bound: ``oracle_verdicts`` stops at w's first violating power.
-    ``spend`` is called before each walk and raises GuardExceeded, without
-    spending, once the steps would pass the budget.
-    """
-
-    __slots__ = ("total", "left")
-
-    def __init__(self, total: int) -> None:
-        self.total = self.left = total
-
-    def spend(self, steps: int) -> None:
-        if steps > self.left:
-            raise GuardExceeded(f"the brute-force scans need more than {self.total} oracle steps")
-        self.left -= steps
-
-
-def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: OracleBudget | None = None) -> bool:
+def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = None) -> bool:
     """Oracle route: torsion-free iff no nonidentity element lifts.
 
     Only elements of prime order are handed to the oracle.  The oracle's
@@ -85,19 +65,21 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: OracleBudget | No
     s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
 
     Each element's verdict walk (``oracle_verdicts``) is charged to
-    ``budget``, when one is given, in full before it starts.  Raises
+    ``budget``, when one is given, in full before it starts: order(w) powers
+    times |A| hyperplanes, an upper bound, since the walk stops at w's first
+    violating power.  Raises
     GuardExceeded when |G| > ENUMERATION_GUARD, which also bounds the class
     walk: it builds at most 3|G| partial and whole multisets
     (``class_representatives``).
     """
-    if descriptor.order_exceeds(ENUMERATION_GUARD):
-        raise GuardExceeded(f"{descriptor} has more than {ENUMERATION_GUARD} elements")
+    if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
+        raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
     width = hyperplane_count(descriptor)
     for w in class_representatives(descriptor):
         n = w.order()
         if _is_prime(n):
             if budget is not None:
-                budget.spend(n * width)
+                budget.spend(n * width, "the brute-force scans' oracle steps")
             if oracle_verdicts((w,))[w]:
                 return False
     return True
@@ -186,7 +168,7 @@ def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> Permu
     """The group generated by the given permutations."""
     gens = [tuple(g) for g in generators]
     return PermutationGroup(
-        degree, perms.mulclose(gens, ENUMERATION_GUARD) | {perms.identity(degree)}
+        degree, perms.mulclose(gens, errors.ENUMERATION_GUARD) | {perms.identity(degree)}
     )
 
 
@@ -301,13 +283,14 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> tuple[Subgroup, frozenset[tup
     return group, frozenset(types)
 
 
-def cayley_embedding(
-    G: PermutationGroup | Subgroup, max_degree: int = 10**4
-) -> PermutationGroup:
-    """The left-translation action of G on its own sorted element list."""
+def cayley_embedding(G: PermutationGroup | Subgroup) -> PermutationGroup:
+    """The left-translation action of G on its own sorted element list.
+
+    Its |G|^2 products are charged to a ``Budget`` before the first one.
+    """
+    n = len(G)
+    Budget().spend(n * n, f"the {n} x {n} left translations of a Cayley embedding")
     elements = G.sorted_elements
-    if len(elements) > max_degree:
-        raise GuardExceeded(f"Cayley degree {len(elements)} exceeds the guard {max_degree}")
     index = {g: k for k, g in enumerate(elements)}
     if isinstance(G, PermutationGroup):
         mul = perms.compose
@@ -317,9 +300,9 @@ def cayley_embedding(
     images = frozenset(
         tuple(index[mul(g, x)] for x in elements) for g in elements
     )
-    if len(images) != len(elements):
+    if len(images) != n:
         raise InvariantViolation("left translation action is not faithful")
-    return PermutationGroup(len(elements), images)
+    return PermutationGroup(n, images)
 
 
 def as_symmetric_subgroup(G: PermutationGroup) -> Subgroup:

@@ -13,7 +13,8 @@ from itertools import product
 from types import SimpleNamespace
 
 # Each handler imports the math modules it runs, so --help loads none of them.
-from .errors import ENUMERATION_GUARD, GuardExceeded, InvariantViolation, MismatchError, ParseError
+from . import errors
+from .errors import Budget, GuardExceeded, InvariantViolation, MismatchError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -67,7 +68,7 @@ def _guarded_closure(descriptor: GroupDescriptor, gens: list):
     from .monomial import closure
 
     width = max(1, hyperplane_count(descriptor))
-    return closure(descriptor, gens, max_size=ENUMERATION_GUARD // width)
+    return closure(descriptor, gens, max_size=errors.ENUMERATION_GUARD // width)
 
 
 def _print_json(doc) -> None:
@@ -102,13 +103,9 @@ def cmd_check_element(args: SimpleNamespace) -> int:
     w = parse_element(desc, args.element)
     reports: list[LiftReport] = []
     if args.method in ("oracle", "both"):
-        # The oracle's steps, as OracleBudget charges them: every power x hyperplane.
+        # The oracle's steps, as the survey charges them: every power x hyperplane.
         n, width = w.order(), hyperplane_count(desc)
-        if n * width > ENUMERATION_GUARD:
-            raise GuardExceeded(
-                f"the oracle needs {n} powers x {width} hyperplanes = {n * width} steps, "
-                f"above the guard {ENUMERATION_GUARD}"
-            )
+        Budget().spend(n * width, f"{n} oracle powers x {width} hyperplanes = {n * width} steps")
         reports.append(element_lifts_oracle(w))
     if args.method in ("fast", "both"):
         reports.append(LiftReport(str(w), element_lifts_fast(w), None, "fast"))
@@ -152,7 +149,7 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
     return EXIT_OK if report.lifts else EXIT_NO_LIFT
 
 
-def _classify_row(desc: GroupDescriptor, budget: OracleBudget | None = None) -> dict:
+def _classify_row(desc: GroupDescriptor, budget: Budget | None = None) -> dict:
     """One classification row; every column but the brute force is a closed form.
 
     Above the enumeration guard the brute-force column is None, printed as
@@ -164,7 +161,7 @@ def _classify_row(desc: GroupDescriptor, budget: OracleBudget | None = None) -> 
     from .monomial import center_order
 
     bruteforce = None
-    if not desc.order_exceeds(ENUMERATION_GUARD):
+    if not desc.order_exceeds(errors.ENUMERATION_GUARD):
         bruteforce = bieberbach_bruteforce(desc, budget=budget)
     return {
         "descriptor": str(desc),
@@ -200,7 +197,6 @@ def cmd_classify(args: SimpleNamespace) -> int:
 
 
 def cmd_survey(args: SimpleNamespace) -> int:
-    from .classify import OracleBudget
     from .monomial import GroupDescriptor
 
     dmax, emax, rmax = parse_grid(args.grid)
@@ -211,19 +207,19 @@ def cmd_survey(args: SimpleNamespace) -> int:
     # (monomial.class_representatives), so the sum of the orders still
     # bounds the walks.  Every order is at least 1: the row count is checked
     # first, and the sum stops at the first row that crosses the guard.
-    if dmax * emax * rmax > ENUMERATION_GUARD:
-        raise GuardExceeded(f"grid {args.grid!r} has more than {ENUMERATION_GUARD} rows")
+    Budget().spend(dmax * emax * rmax, f"the {dmax * emax * rmax} rows of grid {args.grid!r}")
     grid, work = [], 0
     for d, e, r in product(range(1, dmax + 1), range(1, emax + 1), range(1, rmax + 1)):
         desc = GroupDescriptor(d, e, r)
-        if desc.order_exceeds(ENUMERATION_GUARD - work):
+        if desc.order_exceeds(errors.ENUMERATION_GUARD - work):
             raise GuardExceeded(
-                f"grid {args.grid!r} enumerates more than {ENUMERATION_GUARD} elements by {desc}"
+                f"grid {args.grid!r} enumerates more than "
+                f"{errors.ENUMERATION_GUARD} elements by {desc}"
             )
         work += desc.order()
         grid.append(desc)
     # The rows share one budget of oracle steps: a prime d costs about d^2.
-    budget = OracleBudget(ENUMERATION_GUARD)
+    budget = Budget()
     _print_rows([_classify_row(desc, budget) for desc in grid], args.json)
     return EXIT_OK
 
@@ -237,11 +233,9 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
     # reads one hyperplane per orbit, but the closure builds all p*q elements
     # of degree p and checks each one's cycle type, and a witness scan would
     # pair elements with hyperplanes, so the guard bounds the group up front.
-    if p > 0 and q > 0 and p * q * (p * (p - 1) // 2) > ENUMERATION_GUARD:
-        raise GuardExceeded(
-            f"Z/{p} : Z/{q} has {p * q} elements x "
-            f"{p * (p - 1) // 2} hyperplanes, above the guard {ENUMERATION_GUARD}"
-        )
+    if p > 0 and q > 0:
+        width = p * (p - 1) // 2
+        Budget().spend(p * q * width, f"Z/{p} : Z/{q}'s {p * q} elements x {width} hyperplanes")
     try:
         spec = FrobeniusSpec.find(p, q)
     except ValueError as exc:
@@ -280,17 +274,11 @@ def cmd_cocycle(args: SimpleNamespace) -> int:
 
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
-    # Every trip draws and solves one entry per hyperplane, then checks the
-    # answer on every element, so both products are bounded before the first draw.
-    if args.random * len(G) > ENUMERATION_GUARD:
-        raise GuardExceeded(
-            f"{args.random} round trips over {len(G)} elements exceed the guard {ENUMERATION_GUARD}"
-        )
+    # Every trip draws and solves one entry per hyperplane, and costs a step
+    # even on an empty arrangement; the closure guard already bounds the one
+    # check of the solver's orbit labels on all of G.
     width = hyperplane_count(desc)
-    if args.random * width > ENUMERATION_GUARD:
-        raise GuardExceeded(
-            f"{args.random} round trips over {width} hyperplanes exceed the guard {ENUMERATION_GUARD}"
-        )
+    Budget().spend(args.random * max(1, width), f"{args.random} round trips x {width} hyperplanes")
     # A failed solve raises NoIntegralSolution (exit 5), so every trip succeeds.
     sample = coboundary_roundtrips(G, args.random, Random(args.seed))
     doc = {

@@ -4,8 +4,9 @@ The CLI maps these onto exit codes, so raising the right class matters:
 ParseError -> 2, GuardExceeded -> 4, InvariantViolation -> 5.
 """
 
-#: Default ceiling for whole-group enumeration and subgroup closure, kept
-#: beside GuardExceeded so the CLI reads it without loading ``monomial``.
+#: Ceiling for whole-group enumeration, subgroup closure and every Budget,
+#: kept beside GuardExceeded so the CLI reads it without loading ``monomial``.
+#: Every module reads it here when a guard runs, so one patch moves them all.
 ENUMERATION_GUARD = 10**6
 
 
@@ -23,6 +24,25 @@ class MismatchError(BraidLiftError, ValueError):
 
 class GuardExceeded(BraidLiftError):
     """A brute-force enumeration would exceed the configured size guard."""
+
+
+class Budget:
+    """Steps left under ENUMERATION_GUARD to work whose size is known up front.
+
+    ``spend`` is called before the work it charges and raises GuardExceeded,
+    without spending, once the steps would pass the guard.  The guard is read
+    when the budget is made.
+    """
+
+    __slots__ = ("total", "left")
+
+    def __init__(self) -> None:
+        self.total = self.left = ENUMERATION_GUARD
+
+    def spend(self, steps: int, what: str) -> None:
+        if steps > self.left:
+            raise GuardExceeded(f"{what} exceed the guard {self.total}")
+        self.left -= steps
 
 
 class InvariantViolation(BraidLiftError):

@@ -198,8 +198,9 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     Otherwise a second scan names the witness: elements in sorted order, each
     at the ascending fixed indices of its permutation (a generator's from the
     cache ``orbits`` filled, the rest uncached), the first violating pair.
-    Both scans test decoded indices by ``_normal_scalar``, build no Hyperplane
-    but the witness, and skip the identity, which fixes every normal line.
+    The first scan tests by ``_normal_scalar``, the second by
+    ``_least_violation``; neither builds a Hyperplane but the witness, and
+    both skip the identity, which fixes every normal line.
     The two scans agreeing is a theorem; InvariantViolation if they do not.
     """
     desc = G.descriptor
@@ -218,8 +219,7 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in others:
         pi = hyperplane_permutation(g) if g in G.generators else _index_permutation(g)
-        for k in compress(range(len(pi)), map(eq, pi, range(len(pi)))):
-            if _normal_scalar(g.sigma, g.exponents, de, *_index_coordinates(k, r, de)):
-                witness = LiftWitness(_hyperplane_at(desc, k), element=g)
-                return LiftReport(subject, False, witness, "oracle", kind="subgroup")
+        if (k := _least_violation(pi, g.sigma, g.exponents, r, de, len(pi))) is not None:
+            witness = LiftWitness(_hyperplane_at(desc, k), element=g)
+            return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")

@@ -27,8 +27,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from itertools import product as _cartesian
 
+from . import errors
 from . import permutations as perms
-from .errors import ENUMERATION_GUARD, GuardExceeded, MismatchError, ParseError
+from .errors import GuardExceeded, MismatchError, ParseError
 
 
 def _fields(text: str, head: str, tail: str, sep: str) -> list[str] | None:
@@ -265,8 +266,8 @@ def enumerate_elements(descriptor: GroupDescriptor) -> Iterator[MonomialElement]
     vectors with sum = 0 mod e (the first r-1 entries are free, the last is
     determined up to the d multiples of e).
     """
-    if descriptor.order_exceeds(ENUMERATION_GUARD):
-        raise GuardExceeded(f"{descriptor} has more than {ENUMERATION_GUARD} elements")
+    if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
+        raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
     d, e, r, de = descriptor.d, descriptor.e, descriptor.r, descriptor.de
     for sigma in perms.all_permutations(r):
         for head in _cartesian(range(de), repeat=r - 1):
@@ -390,10 +391,15 @@ class Subgroup:
 def closure(
     descriptor: GroupDescriptor,
     generators: Iterable[MonomialElement],
-    max_size: int = ENUMERATION_GUARD,
+    max_size: int | None = None,
 ) -> Subgroup:
-    """Smallest subgroup containing the generators, by breadth-first products."""
+    """Smallest subgroup containing the generators, by breadth-first products.
+
+    At most ``max_size`` elements, by default the guard as it stands at the call.
+    """
     gens = list(generators)
+    if max_size is None:
+        max_size = errors.ENUMERATION_GUARD
     if not gens:
         raise ValueError("closure needs at least one generator")
     for g in gens:

@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from braidlift import arrangement
+from braidlift import arrangement, errors
 from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
@@ -185,13 +185,13 @@ def test_faithfulness_needs_nonempty_arrangement():
 def test_permutation_table_checks_its_guard_first(monkeypatch):
     s4 = D(1, 1, 4)  # 24 elements x 6 hyperplanes = 144 table entries
     gens = [from_permutation(s4, (1, 2, 3, 0)), from_permutation(s4, (1, 0, 2, 3))]
-    monkeypatch.setattr(arrangement, "ENUMERATION_GUARD", 143)
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 143)
     G = closure(s4, gens)
     with pytest.raises(GuardExceeded, match="24 elements x 6 hyperplanes exceed"):
         element_permutations(G)
     with pytest.raises(GuardExceeded):
         coboundary((0,) * 6, G)
-    monkeypatch.setattr(arrangement, "ENUMERATION_GUARD", 144)
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 144)
     table = element_permutations(G)
     assert len(table) == 24 and element_permutations(G) is table
 

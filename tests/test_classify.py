@@ -2,6 +2,7 @@
 
 import pytest
 
+from braidlift import errors
 from braidlift import permutations as perms
 from braidlift.acceptance import (
     GRID,
@@ -29,6 +30,7 @@ from braidlift.errors import GuardExceeded, InvariantViolation
 from braidlift.lifting import element_lifts_oracle, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
+    MonomialElement,
     Subgroup,
     closure,
     diagonal,
@@ -224,6 +226,24 @@ def test_cayley_embedding_trivial_and_monomial_input():
     G = closure(desc, [diagonal(desc, (1, 2))])
     image = cayley_embedding(G)
     assert image.degree == 3 and len(image) == 3
+
+
+def test_cayley_embedding_charges_its_translations_first(monkeypatch):
+    # 1009 x 1009 left translations exceed the guard: refused before any product.
+    desc = D(1009, 1, 1)
+    G = closure(desc, [diagonal(desc, (1,))])
+    monkeypatch.setattr(MonomialElement, "__mul__", None)
+    with pytest.raises(GuardExceeded, match="1009 x 1009 left translations"):
+        cayley_embedding(G)
+    monkeypatch.undo()
+    # |G|^2 is charged exactly: 3 x 3 translations need a guard of 9.
+    desc = D(3, 3, 2)
+    G = closure(desc, [diagonal(desc, (1, 2))])
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 8)
+    with pytest.raises(GuardExceeded, match="guard 8"):
+        cayley_embedding(G)
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 9)
+    assert cayley_embedding(G).degree == 3
 
 
 def test_cayley_embedding_frobenius():

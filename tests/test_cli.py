@@ -265,10 +265,10 @@ def test_cocycle_roundtrips(capsys):
 
 
 def test_closure_guard_exceeded(capsys, monkeypatch):
-    from braidlift import cli as cli_module
+    from braidlift import errors
 
     # S(6) has 15 hyperplanes, so its closures stop at 1500 // 15 = 100 elements.
-    monkeypatch.setattr(cli_module, "ENUMERATION_GUARD", 1500)
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 1500)
     s6 = "perm=[2,3,4,5,6,1];exp=[0,0,0,0,0,0];perm=[2,1,3,4,5,6];exp=[0,0,0,0,0,0]"
     for command in ("check-subgroup", "cocycle"):
         code, out, err = invoke(capsys, command, "--group", "S(6)", "--generators", s6)
@@ -372,6 +372,12 @@ def test_cocycle_on_arrangements_of_at_most_one_hyperplane(capsys):
         )
         assert code == 0, group
         assert json.loads(out)["sample_solution"] == solution, group
+    # With no hyperplane a trip still costs a step, so the trips stay bounded.
+    code, out, err = invoke(
+        capsys, "cocycle", "--group", "S(1)", "--generators", "perm=[1];exp=[0]",
+        "--random", "1000000000",
+    )
+    assert code == 4 and out == "" and "guard" in err
 
 
 def test_cocycle_guard_counts_hyperplanes_per_trip(capsys):
@@ -387,6 +393,17 @@ def test_cocycle_guard_counts_hyperplanes_per_trip(capsys):
     )
     assert code == 4 and out == "" and "499500 hyperplanes" in err
     assert time.perf_counter() - start < 5
+
+
+def test_cocycle_guard_charges_trips_by_hyperplanes_not_elements(capsys):
+    # All of S(7): 2000 trips x 21 hyperplanes pass the guard, though
+    # 2000 trips x 5040 elements would not.
+    s7 = "perm=[2,3,4,5,6,7,1];exp=[0,0,0,0,0,0,0];perm=[2,1,3,4,5,6,7];exp=[0,0,0,0,0,0,0]"
+    code, out, err = invoke(
+        capsys, "cocycle", "--group", "S(7)", "--generators", s7, "--random", "2000"
+    )
+    assert code == 0 and err == ""
+    assert out.endswith("with 5040 elements: 2000/2000 solved\n")
 
 
 def readme_block(heading, language):

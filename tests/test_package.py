@@ -1,4 +1,4 @@
-"""The package itself: its lazy export table, and the imports of its modules."""
+"""The package itself: its lazy export table, and the imports of its modules and tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import braidlift
 
 PACKAGE = Path(braidlift.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves_once():
@@ -39,6 +40,6 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os", "b"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from braidlift import permutations as perms
 from braidlift.acceptance import GRID
 from braidlift.arrangement import (
-    Coord,
     Swap,
     _hyperplane_at,
     _index_permutation,
