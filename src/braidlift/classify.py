@@ -64,9 +64,8 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = N
     scalar s, then t u t^-1 lies in N_tH and acts on (tH)^perp by the same
     s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
 
-    Each element's verdict walk (``oracle_verdicts``) is charged to
-    ``budget``, when one is given, in full before it starts: order(w) powers
-    times |A| hyperplanes, an upper bound, since the walk stops at w's first
+    Each element's verdict walk (``oracle_verdicts``) charges ``budget``,
+    when one is given, |A| steps for each power it scans, up to w's first
     violating power.  Raises
     GuardExceeded when |G| > ENUMERATION_GUARD, which also bounds the class
     walk: it builds at most 3|G| partial and whole multisets
@@ -74,14 +73,9 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = N
     """
     if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
         raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
-    width = hyperplane_count(descriptor)
     for w in class_representatives(descriptor):
-        n = w.order()
-        if _is_prime(n):
-            if budget is not None:
-                budget.spend(n * width, "the brute-force scans' oracle steps")
-            if oracle_verdicts((w,))[w]:
-                return False
+        if _is_prime(w.order()) and oracle_verdicts((w,), budget)[w]:
+            return False
     return True
 
 

@@ -95,7 +95,6 @@ def _print_report(report: LiftReport, as_json: bool) -> None:
 
 
 def cmd_check_element(args: SimpleNamespace) -> int:
-    from .arrangement import hyperplane_count
     from .lifting import LiftReport, element_lifts_fast, element_lifts_oracle
     from .monomial import GroupDescriptor, parse_element
 
@@ -103,9 +102,6 @@ def cmd_check_element(args: SimpleNamespace) -> int:
     w = parse_element(desc, args.element)
     reports: list[LiftReport] = []
     if args.method in ("oracle", "both"):
-        # The oracle's steps, as the survey charges them: every power x hyperplane.
-        n, width = w.order(), hyperplane_count(desc)
-        Budget().spend(n * width, f"{n} oracle powers x {width} hyperplanes = {n * width} steps")
         reports.append(element_lifts_oracle(w))
     if args.method in ("fast", "both"):
         reports.append(LiftReport(str(w), element_lifts_fast(w), None, "fast"))
@@ -154,7 +150,7 @@ def _classify_row(desc: GroupDescriptor, budget: Budget | None = None) -> dict:
 
     Above the enumeration guard the brute-force column is None, printed as
     "skipped", and the row is still reported.  The brute force charges its
-    oracle calls to ``budget``, if one is given, and a spent budget raises.
+    oracle walks to ``budget``, if one is given, and a spent budget raises.
     """
     from .arrangement import hyperplane_count
     from .classify import bieberbach_bruteforce, has_odd_lift_property, is_bieberbach_series
@@ -218,7 +214,7 @@ def cmd_survey(args: SimpleNamespace) -> int:
             )
         work += desc.order()
         grid.append(desc)
-    # The rows share one budget of oracle steps: a prime d costs about d^2.
+    # The rows share one budget of oracle steps: |A| for each power a verdict walk scans.
     budget = Budget()
     _print_rows([_classify_row(desc, budget) for desc in grid], args.json)
     return EXIT_OK

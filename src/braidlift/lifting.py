@@ -13,11 +13,12 @@ ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
 The oracle reads stabilizers off the permutation each power induces on the
 hyperplane indices, numbered and decoded by arithmetic, and builds no
-arrangement tuple.  Its two walks share one per-power scan.
-``element_lifts_oracle`` names a witness, so it scans every power x
-hyperplane pair, the identity power on purpose too.  ``oracle_verdicts``
-only decides: it stops at the first violation, so only a "lifts" verdict
-rests on a scan of every pair, and it scans a power its elements share once.
+arrangement tuple.  One walk over the powers, the identity power on
+purpose too, yields every violation and charges the powers it scans.
+``element_lifts_oracle`` reads all of it to name a witness, and reserves
+its full cost first.  ``oracle_verdicts`` only decides: it stops at the
+first violation, so only a "lifts" verdict rests on a scan of every pair,
+and it scans a power its elements share once.
 ``subgroup_lifts`` scans G at one hyperplane per orbit, the roots of the
 forest that ``arrangement.orbits`` keeps on G.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import compress
 from operator import eq
 
@@ -36,12 +37,12 @@ from .arrangement import (
     _index_permutation,
     _normal_scalar,
     format_hyperplane,
+    hyperplane_count,
     hyperplane_permutation,
     orbits,
 )
-from .errors import InvariantViolation
+from .errors import Budget, InvariantViolation
 from .monomial import MonomialElement, Subgroup, format_element
-from .permutations import compose
 
 
 class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
@@ -77,11 +78,12 @@ class LiftReport(
         }
 
 
-def _least_violation(pi, sigma, a, r: int, de: int, limit: int) -> int | None:
-    """The least k < limit fixed by pi, the permutation of (sigma, a) on the
+def _least_violation(pi, sigma, a, r: int, de: int) -> int | None:
+    """The least index fixed by pi, the permutation of (sigma, a) on the
     hyperplane indices, where (sigma, a) acts on the normal line by a
     nontrivial scalar (``_index_coordinates``, ``scalar_on_normal``); or None."""
-    for k in compress(range(limit), map(eq, pi, range(limit))):
+    indices = range(len(pi))
+    for k in compress(indices, map(eq, pi, indices)):
         i, _, t = _index_coordinates(k, r, de)
         # zeta_2de^e on the normal line: Coord(i) and Swap(i, j, t) with i
         # and j fixed give 2 a_i; a Swap with i and j exchanged, de + 2(t + a_i).
@@ -90,59 +92,60 @@ def _least_violation(pi, sigma, a, r: int, de: int, limit: int) -> int | None:
     return None
 
 
+def _violations(w: MonomialElement, seen: dict, budget: Budget | None = None) -> Iterator:
+    """(k, ell) for each violating power w^ell, k its least violating index.
+
+    Walks w^1, w^2, ... by multiplication up to the identity, which is
+    scanned too, and never computes w's order.  ``seen`` maps each power
+    scanned so far to its least violating index, or None.  Any other power is
+    charged |A| steps on ``budget``, when one is given, then numbered
+    (``_index_permutation``) and scanned (``_least_violation``).
+    """
+    desc = w.descriptor
+    r, de, width = desc.r, desc.de, hyperplane_count(desc)
+    u, ell, unmoved = w, 1, tuple(range(r))
+    while True:
+        k = seen.get(u, -1)  # -1: not scanned yet; None: no violation
+        if k == -1:
+            if budget is not None:
+                budget.spend(width, "the brute-force scans' oracle steps")
+            k = seen[u] = _least_violation(_index_permutation(u), u.sigma, u.exponents, r, de)
+        if k is not None:
+            yield k, ell
+        if u.sigma == unmoved and not any(u.exponents):  # u.is_identity, without its tuple
+            return
+        u, ell = u * w, ell + 1
+
+
 def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     """Structural test: every power of w in any N_H must lie in C_H.
 
-    Walks the powers u = w^1, w^2, ... in order until u is the identity,
-    which is scanned too, with the permutation pi of u on canonical
-    hyperplane indices alongside: pi_w is numbered by arithmetic
-    (``_index_permutation``), and each next power's follows from the
-    left-action law, pi_{u*w} = pi_w after pi_u.  One pi is held at a time,
-    and w's order is never computed.  Each power is scanned by
-    ``_least_violation``.  Only a witness is built as a Hyperplane.  The
-    witness is the least violating hyperplane in canonical order and the
-    least power violating there: each power scans only the hyperplanes
-    before the least one found so far.
+    Reserves order(w) powers x |A| hyperplanes on a fresh ``Budget`` before
+    the walk, then scans every power x hyperplane pair (``_violations``).
+    Only a witness is built as a Hyperplane: the least violating hyperplane
+    in canonical order, then the least power violating there.
     """
     desc = w.descriptor
-    r, de = desc.r, desc.de
-    pi_w = _index_permutation(w)
-    witness, limit = None, len(pi_w)
-    u, pi, ell, unmoved = w, pi_w, 1, tuple(range(r))
-    while True:
-        sigma, a = u.sigma, u.exponents
-        k = _least_violation(pi, sigma, a, r, de, limit)
-        if k is not None:
-            witness, limit = LiftWitness(_hyperplane_at(desc, k), power=ell), k
-        if sigma == unmoved and not any(a):  # u.is_identity, without its tuple
-            break
-        u, pi, ell = u * w, compose(pi_w, pi), ell + 1
+    n, width = w.order(), hyperplane_count(desc)
+    Budget().spend(n * width, f"{n} oracle powers x {width} hyperplanes = {n * width} steps")
+    witness = None
+    if (least := min(_violations(w, {}), default=None)) is not None:
+        witness = LiftWitness(_hyperplane_at(desc, least[0]), power=least[1])
     return LiftReport(format_element(w), witness is None, witness, "oracle")
 
 
-def oracle_verdicts(elements: Iterable[MonomialElement]) -> dict[MonomialElement, bool]:
+def oracle_verdicts(
+    elements: Iterable[MonomialElement], budget: Budget | None = None
+) -> dict[MonomialElement, bool]:
     """``element_lifts_oracle(w).lifts`` for each w, without the witness.
 
-    Walks w, w^2, ... by multiplication, numbering each power by
-    ``_index_permutation``, and stops at the first violating power or after
-    the identity.  A dict local to the call records whether each scanned
-    power violates, so a power that several elements share is scanned once.
+    Each walk (``_violations``) stops at w's first violating power or after
+    the identity.  The walks share one ``seen``, so a power that several
+    elements share is scanned once per call, and only the powers scanned are
+    charged to ``budget``, when one is given.
     """
-    violates: dict[MonomialElement, bool] = {}
-    verdicts: dict[MonomialElement, bool] = {}
-    for w in elements:
-        r, de = w.descriptor.r, w.descriptor.de
-        u, unmoved = w, tuple(range(r))
-        while True:
-            if (bad := violates.get(u)) is None:
-                pi = _index_permutation(u)
-                k = _least_violation(pi, u.sigma, u.exponents, r, de, len(pi))
-                bad = violates[u] = k is not None
-            if bad or u.sigma == unmoved and not any(u.exponents):
-                break
-            u = u * w
-        verdicts[w] = not bad
-    return verdicts
+    seen: dict[MonomialElement, int | None] = {}
+    return {w: next(_violations(w, seen, budget), None) is None for w in elements}
 
 
 def _root_order(exponent: int, de: int) -> int:
@@ -219,7 +222,7 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in others:
         pi = hyperplane_permutation(g) if g in G.generators else _index_permutation(g)
-        if (k := _least_violation(pi, g.sigma, g.exponents, r, de, len(pi))) is not None:
+        if (k := _least_violation(pi, g.sigma, g.exponents, r, de)) is not None:
             witness = LiftWitness(_hyperplane_at(desc, k), element=g)
             return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")

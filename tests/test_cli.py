@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidlift import lifting
 from braidlift.arrangement import format_hyperplane, hyperplanes
 from braidlift.cli import run
 from braidlift.monomial import GroupDescriptor, parse_element
@@ -63,6 +64,23 @@ def test_check_element_oracle_guard(capsys):
         capsys, "check-element", "--group", f"S({n})", "--element", cycle, "--method", "fast"
     )
     assert code == 0 and out.endswith("lifts [fast]\n")
+
+
+def test_check_element_oracle_guard_numbers_no_power(capsys, monkeypatch):
+    # A 3-cycle in S(1000): 3 powers x 499,500 hyperplanes, refused before
+    # the walk numbers its first power.
+    def refuse(u):
+        raise AssertionError(f"power {u} numbered past the guard")
+
+    monkeypatch.setattr(lifting, "_index_permutation", refuse)
+    n = 1000
+    cycle = f"perm=[2,3,1,{','.join(map(str, range(4, n + 1)))}];exp=[{','.join(['0'] * n)}]"
+    for method in ("oracle", "both"):
+        code, out, err = invoke(
+            capsys, "check-element", "--group", f"S({n})", "--element", cycle, "--method", method
+        )
+        assert code == 4 and out == "", method
+        assert "3 oracle powers x 499500 hyperplanes = 1498500 steps exceed the guard 1000000" in err
 
 
 def test_check_element_parse_errors(capsys):
@@ -209,15 +227,24 @@ def test_survey_guard_exceeded(capsys):
 
 
 def test_survey_oracle_budget_exceeded(capsys):
-    # The cyclic groups G(d,1,1), d <= 1000, pass the element guard (500,500
-    # elements), but a prime d is charged about d^2 oracle steps: the shared
-    # budget of 10**6 steps runs out near d = 140.  The charge is an upper
-    # bound: each walk stops at its first power, so this takes well under a
-    # second.
+    # The groups G(d,1,r), d <= 100, r <= 2, pass the element guard (10,100
+    # elements), but the powers their verdict walks scan, |A| steps each,
+    # run past the shared budget of 10**6 steps.
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "survey", "--grid", "d<=1000,e<=1,r<=1")
-    assert code == 4 and out == "" and "oracle steps" in err
+    code, out, err = invoke(capsys, "survey", "--grid", "d<=100,e<=1,r<=2")
+    assert code == 4 and out == ""
+    assert "the brute-force scans' oracle steps exceed the guard" in err
     assert time.perf_counter() - start < 30
+
+
+def test_survey_oracle_budget_charges_only_the_powers_scanned(capsys):
+    # Charged order(w) x |A| per verdict walk, this grid ran out of budget,
+    # although each walk stops at w's first violating power.
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=60,e<=1,r<=2", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 120
+    assert all(row["bieberbach_bruteforce"] == row["bieberbach_formula"] for row in rows)
 
 
 def test_frobenius(capsys):

@@ -15,6 +15,7 @@ from braidlift.arrangement import (
     scalar_on_normal,
     stabilizes,
 )
+from braidlift.errors import Budget
 from braidlift.lifting import (
     LiftWitness,
     element_lifts_fast,
@@ -120,6 +121,19 @@ def test_verdict_callers_number_each_power_once_and_name_no_witness(monkeypatch)
     numbered.clear()
     assert classify.bieberbach_bruteforce(D(24, 1, 2))
     assert numbered
+
+
+def test_verdict_walk_charges_each_power_it_scans_once():
+    # S(4) has 6 hyperplanes.  A transposition violates at its first power;
+    # a 3-cycle lifts, so its walk scans w, w^2 and the identity, and a
+    # second walk over the same powers scans none of them again.
+    s4 = D(1, 1, 4)
+    transposition = from_permutation(s4, (1, 0, 2, 3))
+    three_cycle = from_permutation(s4, (1, 2, 0, 3))
+    for ws, steps in (((transposition,), 6), ((three_cycle,), 18), ((three_cycle,) * 2, 18)):
+        budget = Budget()
+        oracle_verdicts(ws, budget)
+        assert budget.total - budget.left == steps, ws
 
 
 def test_failing_witnesses_are_verifiable():

@@ -1,4 +1,5 @@
-"""The package itself: its lazy export table, and the imports of its modules and tests."""
+"""The package itself: its lazy export table, the imports of its modules and
+tests, and the private names its modules define."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,52 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """The names read under node: bare names not assigned to, attributes and
+    the names a ``from`` import takes."""
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            read.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            read.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names that no module reads, as ``module.name``.
+
+    A function, class or assignment at the top of a module defines a private
+    name when the name starts with exactly one underscore.  It counts as read
+    when some module reads it (``names_read``) outside its own definition.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                names = set()
+            defined += [(module, n) for n in sorted(names) if n[:1] == "_" and n[:2] != "__"]
+            read |= names_read(node) - names
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a": "def _used(): pass\ndef _recursive(): return _recursive()\n_X = 1\n__all__ = []\n",
+        "b": "from a import _used\nimport a\nprint(a._X)\n_Y: int = 0\n",
+    }
+    assert unread_private_names(sources) == ["a._recursive", "b._Y"]
+
+
+def test_private_names_are_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

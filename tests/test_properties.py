@@ -31,7 +31,7 @@ from braidlift.arrangement import (
 )
 from braidlift.classify import bieberbach_bruteforce, free_action_general
 from braidlift.cli import parse_grid
-from braidlift.errors import GuardExceeded, NoIntegralSolution, ParseError
+from braidlift.errors import Budget, GuardExceeded, NoIntegralSolution, ParseError
 from braidlift.intlinalg import rank
 from braidlift.lattice import (
     _difference,
@@ -426,6 +426,26 @@ def test_verdict_walk_equals_the_per_pair_reference(ws):
     assert set(verdicts) == set(ws)
     for w in ws:
         assert verdicts[w] == reference_element_lifts(w).lifts, w
+
+
+@PROPERTY_SETTINGS
+@given(power_lists())
+def test_verdict_walk_charges_the_distinct_powers_it_scans(ws):
+    # Reference: each walk runs to w's first violating power, or to the identity.
+    planes = hyperplanes(ws[0].descriptor)
+    scanned = set()
+    for w in ws:
+        u = w
+        while True:
+            scanned.add(u)
+            if u.is_identity or any(
+                act(u, H) == H and not scalar_on_normal(u, H).is_one for H in planes
+            ):
+                break
+            u = u * w
+    budget = Budget()
+    oracle_verdicts(ws, budget)
+    assert budget.total - budget.left == len(planes) * len(scanned)
 
 
 @st.composite
