@@ -234,26 +234,27 @@ def criterion_8() -> CriterionResult:
 
 
 @lru_cache(maxsize=1)
-def _cayley_images() -> tuple[tuple[str, PermutationGroup], ...]:
+def _cayley_images() -> tuple[tuple[str, PermutationGroup, Subgroup], ...]:
+    """Each image with its Subgroup, made once: criteria 9-11 share one forest."""
     z5 = permutation_group(5, [perms.from_cycle(5, tuple(range(5)))])
     z7 = permutation_group(7, [perms.from_cycle(7, tuple(range(7)))])
     z3z3 = permutation_group(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))])
-    return (
+    return tuple((name, image, as_symmetric_subgroup(image)) for name, image in (
         ("Z/5", cayley_embedding(z5)),
         ("Z/7", cayley_embedding(z7)),
         ("Z/3 x Z/3", cayley_embedding(z3z3)),
         ("Z/7 : Z/3", cayley_embedding(_frobenius_action(7, 3)[0])),
-    )
+    ))
 
 
 def criterion_9() -> CriterionResult:
     """Left-translation images land in the free cycle types and lift."""
     start = time.perf_counter()
-    for name, image in _cayley_images():
+    for name, image, subgroup in _cayley_images():
         if not all(has_free_cycle_type(perms.cycle_type(g)) for g in image):
             return CriterionResult(9, "Cayley embeddings lift", False,
                                    f"{name}: image leaves the free cycle types")
-        if not subgroup_lifts(as_symmetric_subgroup(image)).lifts:
+        if not subgroup_lifts(subgroup).lifts:
             return CriterionResult(9, "Cayley embeddings lift", False,
                                    f"{name}: image of degree {image.degree} fails to lift")
     elapsed = time.perf_counter() - start
@@ -270,7 +271,7 @@ def criterion_10() -> CriterionResult:
     settings = [
         ("<(1,2,3)> in S_3", closure(d3, [from_permutation(d3, perms.from_cycle(3, (0, 1, 2)))])),
         ("<(1,2,3,4,5)> in S_5", closure(d5, [from_permutation(d5, perms.from_cycle(5, tuple(range(5))))])),
-        ("Cayley Z/7:Z/3 in S_21", as_symmetric_subgroup(_cayley_images()[3][1])),
+        ("Cayley Z/7:Z/3 in S_21", _cayley_images()[3][2]),
     ]
     report = []
     for name, G in settings:
@@ -294,8 +295,8 @@ def _rank_test_subgroups() -> tuple[Subgroup, ...]:
             put(G)
     for p, q in ((7, 3), (13, 3)):
         put(_frobenius_action(p, q)[0])
-    for _, image in _cayley_images():
-        put(as_symmetric_subgroup(image))
+    for _, _, subgroup in _cayley_images():
+        put(subgroup)
     return tuple(seen.values())
 
 

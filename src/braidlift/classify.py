@@ -73,8 +73,11 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = N
     """
     if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
         raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
+    prime: dict[int, bool] = {}  # each distinct order is tested once
     for w in class_representatives(descriptor):
-        if _is_prime(w.order()) and oracle_verdicts((w,), budget)[w]:
+        if (n := w.order()) not in prime:
+            prime[n] = _is_prime(n)
+        if prime[n] and oracle_verdicts((w,), budget)[w]:
             return False
     return True
 

@@ -12,6 +12,7 @@ treats a failure as a falsified theorem, not as a data error.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import itemgetter, sub
 from random import Random
 
@@ -58,17 +59,17 @@ def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
     return G.generators
 
 
-def _solve_on_generators(forest: Orbits, values: list[LatticeVector]) -> LatticeVector:
+def _solve_on_generators(forest: Orbits, values: Iterable[int]) -> LatticeVector:
     """The x with x = 0 on the roots and x[j] = x[k] + c(s)[j] on each edge.
 
-    values[i][k] is c(s)[pi_s(k)] for the i-th generator s.  On an edge
-    k -> j = pi_s(k), c(s) = x - s.x reads x[j] = x[k] + c(s)[j]: a
+    ``values`` holds c(s)[j] for each forest edge k -> j = pi_s(k), in the
+    forest's order.  There c(s) = x - s.x reads x[j] = x[k] + c(s)[j]: a
     difference system on the Schreier graph, solved in one pass over the
-    forest.  Nothing is checked here; the callers verify x on all of G.
+    forest, one value per edge.  Nothing is checked here; the callers verify x.
     """
     x = [0] * len(forest.root)
-    for j, k, i in zip(forest.target, forest.source, forest.step):
-        x[j] = x[k] + values[i][k]
+    for j, k, c in zip(forest.target, forest.source, values):
+        x[j] = x[k] + c
     return tuple(x)
 
 
@@ -87,8 +88,8 @@ def trivialize_cocycle(c: Cocycle, G: Subgroup) -> LatticeVector:
     missing = G.elements - c.keys()
     if missing:
         raise ValueError(f"cocycle is not defined on all of the subgroup: missing {min(missing)}")
-    values = [compose(c[s], hyperplane_permutation(s)) for s in small_generating_set(G)]
-    result = _solve_on_generators(orbits(G), values)
+    forest, cs = orbits(G), [c[s] for s in small_generating_set(G)]
+    result = _solve_on_generators(forest, [cs[i][j] for j, i in zip(forest.target, forest.step)])
     for g, pi in element_permutations(G).items():
         if _difference(pi, result) != c[g]:
             raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
@@ -121,10 +122,9 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
     Each trip draws x0, one entry per hyperplane from the stream of
-    ``rng.randint(-9, 9)`` (as u = x0 + 9, see _draws), computes
-    c(s) = x0 - s.x0 at pi_s's images by one gather of u by pi_s per
-    generator s (the shift cancels), and solves on the forest of ``orbits``,
-    as trivialize_cocycle(coboundary(x0, G), G) would.
+    ``rng.randint(-9, 9)`` (as u = x0 + 9, see _draws), gathers u at the
+    targets and at the sources of the forest's edges k -> j, reads c(s)[j] =
+    u[j] - u[k] (the shift cancels), and solves as trivialize_cocycle would.
 
     Every answer is checked on all of G.  With y = x - x0, x - g.x = c(g)
     exactly when y[pi_g[k]] == y[k] for every k.  Once per call, the
@@ -146,12 +146,10 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
             if itemgetter(*pi)(forest.root) != forest.root:
                 raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {g}")
         at_root = itemgetter(*forest.root)
-        images = [itemgetter(*hyperplane_permutation(s)) for s in small_generating_set(G)]
-    first = None
+    targets, sources, first = forest.target, forest.source, None
     for _ in range(trips):
         u = _draws(rng, len(forest.root))
-        values = [list(map(sub, image(u), u)) for image in images] if gathers else []
-        x = _solve_on_generators(forest, values)
+        x = _solve_on_generators(forest, map(sub, compose(u, targets), compose(u, sources)))
         # z = u - x = 9 - y is fixed by the same g as y, with entries in
         # [0, 18] when x is right: small ints that Python does not allocate.
         if gathers and at_root(z := tuple(map(sub, u, x))) != z:

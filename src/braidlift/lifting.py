@@ -12,9 +12,11 @@ The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
 The oracle reads stabilizers off the permutation each power induces on the
-hyperplane indices, numbered and decoded by arithmetic, and builds no
-arrangement tuple.  One walk over the powers, the identity power on
-purpose too, yields every violation and charges the powers it scans.
+hyperplane indices, decoded by arithmetic, and builds no arrangement tuple.
+One walk over the powers, the identity power on purpose too, yields every
+violation and charges the powers it scans.  It numbers pi_w by arithmetic
+and composes pi_{w^(l+1)} = pi_w o pi_{w^l} in C, until a power scanned
+before breaks the chain.
 ``element_lifts_oracle`` reads all of it to name a witness, and reserves
 its full cost first.  ``oracle_verdicts`` only decides: it stops at the
 first violation, so only a "lifts" verdict rests on a scan of every pair,
@@ -43,6 +45,7 @@ from .arrangement import (
 )
 from .errors import Budget, InvariantViolation
 from .monomial import MonomialElement, Subgroup, format_element
+from .permutations import compose
 
 
 class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
@@ -98,18 +101,24 @@ def _violations(w: MonomialElement, seen: dict, budget: Budget | None = None) ->
     Walks w^1, w^2, ... by multiplication up to the identity, which is
     scanned too, and never computes w's order.  ``seen`` maps each power
     scanned so far to its least violating index, or None.  Any other power is
-    charged |A| steps on ``budget``, when one is given, then numbered
-    (``_index_permutation``) and scanned (``_least_violation``).
+    charged |A| steps on ``budget``, when one is given, then scanned
+    (``_least_violation``) against its permutation: compose(pi_w, pi_{w^l})
+    if this walk scanned w and w^l, else numbered (``_index_permutation``).
     """
     desc = w.descriptor
     r, de, width = desc.r, desc.de, hyperplane_count(desc)
     u, ell, unmoved = w, 1, tuple(range(r))
+    pi_w = pi = None  # w's permutation; the previous power's, if this walk scanned it
     while True:
         k = seen.get(u, -1)  # -1: not scanned yet; None: no violation
         if k == -1:
             if budget is not None:
                 budget.spend(width, "the brute-force scans' oracle steps")
-            k = seen[u] = _least_violation(_index_permutation(u), u.sigma, u.exponents, r, de)
+            pi = _index_permutation(u) if pi is None or pi_w is None else compose(pi_w, pi)
+            pi_w = pi if ell == 1 else pi_w
+            k = seen[u] = _least_violation(pi, u.sigma, u.exponents, r, de)
+        else:
+            pi = None
         if k is not None:
             yield k, ell
         if u.sigma == unmoved and not any(u.exponents):  # u.is_identity, without its tuple

@@ -196,11 +196,16 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
         On the span of a cycle of length L with exponent sum p, w^L acts as
         the scalar zeta^p, so that block has order L * ord(zeta^p).
         """
-        de, exponents = self.descriptor.de, self.exponents
-        return math.lcm(*(
-            len(c) * (de // math.gcd(sum([exponents[i] for i in c]), de))
-            for c in perms.cycles(self.sigma)
-        ))
+        de, sigma, a = self.descriptor.de, self.sigma, self.exponents
+        seen, blocks = [False] * len(sigma), []
+        for start in range(len(sigma)):  # one pass, no tuple per cycle
+            length, p, k = 0, 0, start
+            while not seen[k]:
+                seen[k] = True
+                length, p, k = length + 1, p + a[k], sigma[k]
+            if length:
+                blocks.append(length * (de // math.gcd(p, de)))
+        return math.lcm(*blocks)
 
     def __str__(self) -> str:
         return format_element(self)

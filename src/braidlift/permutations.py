@@ -57,12 +57,20 @@ def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
 
 
 def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included."""
-    return tuple(sorted((len(c) for c in cycles(p)), reverse=True))
+    """Cycle lengths in decreasing order, fixed points included; one pass, no tuple per cycle."""
+    seen, lengths = [False] * len(p), []
+    for start in range(len(p)):
+        length, k = 0, start
+        while not seen[k]:
+            seen[k] = True
+            length, k = length + 1, p[k]
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 def order(p: Sequence[int]) -> int:
-    return math.lcm(*(len(c) for c in cycles(p))) if len(p) else 1
+    return math.lcm(*cycle_type(p))  # lcm() is 1: the empty permutation
 
 
 def from_cycle(n: int, cycle: Sequence[int]) -> tuple[int, ...]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from braidlift import errors
+from braidlift import classify, errors
 from braidlift import permutations as perms
 from braidlift.acceptance import (
     GRID,
@@ -57,6 +57,19 @@ def test_bieberbach_bruteforce_examples():
     # The guard compares |G| = 3,628,800, not the 42 classes the walk would visit.
     with pytest.raises(GuardExceeded):
         bieberbach_bruteforce(D(1, 1, 10))
+
+
+def test_bieberbach_bruteforce_tests_each_order_for_primality_once(monkeypatch):
+    tested = []
+    is_prime = classify._is_prime
+    monkeypatch.setattr(classify, "_is_prime", lambda n: tested.append(n) or is_prime(n))
+    # rank 1 is torsion-free, so all 97 classes of Z/97 are walked: orders 1 and 97
+    assert bieberbach_bruteforce(D(97, 1, 1))
+    assert sorted(tested) == [1, 97]
+    for desc in (D(6, 3, 4), D(1, 1, 6), D(4, 2, 3)):
+        tested.clear()
+        bieberbach_bruteforce(desc)
+        assert len(tested) == len(set(tested)), desc
 
 
 def test_bieberbach_formula_equals_bruteforce_on_grid():
@@ -265,7 +278,7 @@ def test_symmetric_image_keeps_the_generators_its_check_would_pick():
     # On every permutation group verify converts: the image, built without a
     # second check, equals the checked Subgroup, generators included.
     groups = list(_s5_sample_subgroups())
-    groups += [image for _, image in _cayley_images()]
+    groups += [image for _, image, _ in _cayley_images()]
     for P in groups:
         desc = GroupDescriptor(1, 1, P.degree)
         image = as_symmetric_subgroup(P)

@@ -95,7 +95,8 @@ def test_verdict_walk_equals_the_oracle_on_the_grid():
         assert oracle_verdicts(elements) == {w: element_lifts_oracle(w).lifts for w in elements}
 
 
-def test_verdict_callers_number_each_power_once_and_name_no_witness(monkeypatch):
+def record_numberings(monkeypatch):
+    """The list of elements the oracle numbers by ``_index_permutation`` from now on."""
     numbered = []
     index_permutation = lifting._index_permutation
 
@@ -103,24 +104,45 @@ def test_verdict_callers_number_each_power_once_and_name_no_witness(monkeypatch)
         numbered.append(g)
         return index_permutation(g)
 
+    monkeypatch.setattr(lifting, "_index_permutation", counting)
+    return numbered
+
+
+def test_verdict_callers_scan_each_power_once_and_name_no_witness(monkeypatch):
+    numbered, scanned = record_numberings(monkeypatch), []
+    least_violation = lifting._least_violation
+
+    def scanning(pi, sigma, a, r, de):
+        scanned.append((sigma, a))
+        return least_violation(pi, sigma, a, r, de)
+
     def refuse(w):
         raise AssertionError(f"element_lifts_oracle called on {w}")
 
-    monkeypatch.setattr(lifting, "_index_permutation", counting)
+    monkeypatch.setattr(lifting, "_least_violation", scanning)
     for module in (lifting, acceptance, classify):
         for name, value in list(vars(module).items()):
             if value is element_lifts_oracle:
                 monkeypatch.setattr(module, name, refuse)
     s6 = D(1, 1, 6)
-    # One oracle_verdicts call: each of the 720 elements is numbered exactly
-    # once, as itself or as a power of an element before it.
+    # One oracle_verdicts call: each of the 720 elements is scanned exactly
+    # once, as itself or as a power of an element before it; a power after
+    # a scanned one is composed, not numbered.
     lifts = acceptance._oracle_lifts.__wrapped__(s6)
-    assert sorted(numbered) == sorted(_elements(s6))
+    assert sorted(scanned) == sorted((w.sigma, w.exponents) for w in _elements(s6))
+    assert len(numbered) < 720
     # odd order: the identity, 3-cycles, pairs of 3-cycles and 5-cycles
     assert sum(lifts.values()) == 1 + 40 + 40 + 144
-    numbered.clear()
+    scanned.clear()
     assert classify.bieberbach_bruteforce(D(24, 1, 2))
-    assert numbered
+    assert scanned
+
+
+def test_oracle_numbers_a_long_cycle_once_and_composes_its_powers(monkeypatch):
+    numbered = record_numberings(monkeypatch)
+    w = from_permutation(D(1, 1, 99), tuple(range(1, 97)) + (0, 97, 98))  # a 97-cycle
+    assert element_lifts_oracle(w).lifts  # odd order in a symmetric group
+    assert numbered == [w]
 
 
 def test_verdict_walk_charges_each_power_it_scans_once():

@@ -19,6 +19,8 @@ def test_cycles_and_order():
     assert perms.cycle_type(p) == (3, 1, 1)
     assert perms.order(p) == 3
     assert perms.order(perms.identity(4)) == 1
+    # the empty permutation: no cycles, and order 1
+    assert perms.cycles(()) == [] and perms.cycle_type(()) == () and perms.order(()) == 1
 
 
 def test_from_cycle_roundtrip():

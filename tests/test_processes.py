@@ -88,6 +88,8 @@ def mask_elapsed(stdout):
     ("verify",),
     # -1 is central in G(2,1,2): the answer is "faithful: False"
     ("check-subgroup", "--group", "G(2,1,2)", "--generators", "perm=[1,2];exp=[1,1]"),
+    ("cocycle", "--group", "S(5)", "--generators", "perm=[2,3,4,5,1];exp=[0,0,0,0,0]",
+     "--random", "3", "--seed", "1"),
 ])
 def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     trace_path = tmp_path / "trace.json"

@@ -43,6 +43,8 @@ from braidlift.lattice import (
 from braidlift.lifting import (
     LiftReport,
     LiftWitness,
+    _least_violation,
+    _violations,
     element_lifts_fast,
     element_lifts_oracle,
     oracle_verdicts,
@@ -426,6 +428,54 @@ def test_verdict_walk_equals_the_per_pair_reference(ws):
     assert set(verdicts) == set(ws)
     for w in ws:
         assert verdicts[w] == reference_element_lifts(w).lifts, w
+
+
+def reference_violations(w, seen):
+    """``_violations``' walk with every power numbered by ``_index_permutation``."""
+    desc, u, ell = w.descriptor, w, 1
+    while True:
+        if u not in seen:
+            seen[u] = _least_violation(_index_permutation(u), u.sigma, u.exponents,
+                                       desc.r, desc.de)
+        if seen[u] is not None:
+            yield seen[u], ell
+        if u.is_identity:
+            return
+        u, ell = u * w, ell + 1
+
+
+#: An element w of order 6 in G(3,1,3) whose first power violates.  Listed as
+#: [w^6, w, w], the second walk stops at w, so the third starts at a power
+#: already scanned: it must number w^2, and w^3 must not be composed from it.
+_SEEN_BASE = MonomialElement(GroupDescriptor(3, 1, 3), (0, 2, 1), (0, 0, 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(power_lists(), long_cycles().map(lambda w: [w])))
+@example([_SEEN_BASE ** 6, _SEEN_BASE, _SEEN_BASE])
+def test_composed_walk_yields_the_pairs_of_the_numbered_walk(ws):
+    # One seen per side, shared over the list.  Every other walk stops at its
+    # first violation, as oracle_verdicts' do, so later walks meet powers
+    # already scanned before, after and in place of their own w.
+    seen, reference_seen = {}, {}
+    for i, w in enumerate(ws):
+        walk, reference = _violations(w, seen), reference_violations(w, reference_seen)
+        if i % 2:
+            assert next(walk, None) == next(reference, None), w
+        else:
+            assert list(walk) == list(reference), w
+        assert seen == reference_seen
+
+
+@ELEMENT_SETTINGS
+@given(st.one_of(group_elements(), long_cycles()))
+def test_cycle_passes_equal_their_cycles_definitions(w):
+    de, sigma, a = w.descriptor.de, w.sigma, w.exponents
+    cycles = perms.cycles(sigma)
+    assert perms.cycle_type(sigma) == tuple(sorted(map(len, cycles), reverse=True))
+    assert perms.order(sigma) == math.lcm(*map(len, cycles))
+    assert w.order() == math.lcm(*(len(c) * (de // math.gcd(sum(a[i] for i in c), de))
+                                   for c in cycles))
 
 
 @PROPERTY_SETTINGS
