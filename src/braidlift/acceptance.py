@@ -191,11 +191,7 @@ def criterion_6() -> CriterionResult:
 
 @lru_cache(maxsize=len(GRID))
 def _cyclic_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
-    groups: dict[frozenset, Subgroup] = {}
-    for w in _elements(desc):
-        G = closure(desc, [w])
-        groups.setdefault(G.elements, G)
-    return tuple(groups.values())
+    return tuple(dict.fromkeys(closure(desc, [w]) for w in _elements(desc)))
 
 
 def criterion_7() -> CriterionResult:
@@ -282,22 +278,14 @@ def criterion_10() -> CriterionResult:
 
 @lru_cache(maxsize=1)
 def _rank_test_subgroups() -> tuple[Subgroup, ...]:
-    """Every subgroup exercised by criteria 6 through 9, in monomial form."""
-    seen: dict[tuple[GroupDescriptor, frozenset], Subgroup] = {}
-
-    def put(G: Subgroup) -> None:
-        seen.setdefault((G.descriptor, G.elements), G)
-
-    for P in _s5_sample_subgroups():
-        put(as_symmetric_subgroup(P))
-    for desc in (_D(2, 1, 3), _D(4, 2, 2)):
-        for G in _cyclic_subgroups(desc):
-            put(G)
-    for p, q in ((7, 3), (13, 3)):
-        put(_frobenius_action(p, q)[0])
-    for _, _, subgroup in _cayley_images():
-        put(subgroup)
-    return tuple(seen.values())
+    """Every subgroup exercised by criteria 6 through 9, in monomial form,
+    each once (``Subgroup`` equality), in first-seen order."""
+    return tuple(dict.fromkeys([
+        *map(as_symmetric_subgroup, _s5_sample_subgroups()),
+        *_cyclic_subgroups(_D(2, 1, 3)), *_cyclic_subgroups(_D(4, 2, 2)),
+        *(_frobenius_action(p, q)[0] for p, q in ((7, 3), (13, 3))),
+        *(subgroup for _, _, subgroup in _cayley_images()),
+    ]))
 
 
 def criterion_11() -> CriterionResult:

@@ -21,7 +21,10 @@ permutation of canonical indices, numbered by arithmetic on the canonical
 order (``_index_permutation``), so it builds neither the arrangement nor an
 index dict; the tests check it against ``act``.  ``_index_coordinates``
 inverts that numbering, and ``_normal_scalar`` tests an element against the
-plane at those coordinates, so the lifting scans of ``lifting`` build no
+plane at those coordinates.  It is the one index-level copy of the
+normal-line rule, beside the reference ``scalar_on_normal`` on Hyperplane
+objects: ``_least_violation`` reads it at the fixed indices of a
+permutation, so both lifting scans of ``lifting`` rest on it and build no
 Hyperplane either; ``acts_faithfully_on_arrangement`` tests no plane at all,
 only whether an element is central.  ``orbits`` is the one search
 along the generators' permutations: a spanning forest with each index
@@ -41,6 +44,8 @@ import math
 from collections import namedtuple
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import compress
+from operator import eq
 from types import MappingProxyType
 
 from .errors import Budget, MismatchError
@@ -167,6 +172,14 @@ def _normal_scalar(sigma, a, de: int, i: int, j: int | None, t: int | None) -> i
     if j is not None and sigma[i] == j and sigma[j] == i and (2 * t + a[i] - a[j]) % de == 0:
         return (de + 2 * (t + a[i])) % (2 * de)
     return None
+
+
+def _least_violation(pi, sigma, a, r: int, de: int) -> int | None:
+    """The least index k fixed by pi, the permutation of (sigma, a) on the
+    hyperplane indices, where ``_normal_scalar`` is nontrivial; or None."""
+    indices = range(len(pi))
+    return next((k for k in compress(indices, map(eq, pi, indices))
+                 if _normal_scalar(sigma, a, de, *_index_coordinates(k, r, de))), None)
 
 
 def _hyperplane_at(descriptor: GroupDescriptor, k: int) -> Hyperplane:

@@ -10,6 +10,7 @@ checked, so no element's cycles are computed twice.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
@@ -239,7 +240,7 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
         cls._check_orders(p, q)
         for m in range(2, p):
             if _multiplicative_order(m, p) == q:
-                return cls(p, q, m)
+                return tuple.__new__(cls, (p, q, m))  # checked above, so not again by __new__
         raise ValueError(f"no element of order {q} mod {p}")
 
 
@@ -289,11 +290,7 @@ def cayley_embedding(G: PermutationGroup | Subgroup) -> PermutationGroup:
     Budget().spend(n * n, f"the {n} x {n} left translations of a Cayley embedding")
     elements = G.sorted_elements
     index = {g: k for k, g in enumerate(elements)}
-    if isinstance(G, PermutationGroup):
-        mul = perms.compose
-    else:
-        def mul(a, b):
-            return a * b
+    mul = perms.compose if isinstance(G, PermutationGroup) else operator.mul
     images = frozenset(
         tuple(index[mul(g, x)] for x in elements) for g in elements
     )

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 # Each handler imports the math modules it runs, so --help loads none of them.
 from . import errors
-from .errors import Budget, GuardExceeded, InvariantViolation, MismatchError, ParseError
+from .errors import Budget, GuardExceeded, InvariantViolation, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -106,9 +106,8 @@ def cmd_check_element(args: SimpleNamespace) -> int:
     if args.method in ("fast", "both"):
         reports.append(LiftReport(str(w), element_lifts_fast(w), None, "fast"))
     if args.method == "both" and reports[0].lifts != reports[1].lifts:
-        print(f"method mismatch on {w}: oracle={reports[0].lifts} fast={reports[1].lifts}",
-              file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation(
+            f"method mismatch on {w}: oracle={reports[0].lifts} fast={reports[1].lifts}")
     if args.json:
         docs = [r.to_json() for r in reports]
         _print_json(docs[0] if len(docs) == 1 else docs)
@@ -402,9 +401,6 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except MismatchError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

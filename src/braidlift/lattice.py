@@ -30,13 +30,8 @@ Cocycle = dict[MonomialElement, LatticeVector]
 
 def permute_vector(g: MonomialElement, v: LatticeVector) -> LatticeVector:
     """g.v: the coefficient of v at H moves to g(H)."""
-    return _permute(hyperplane_permutation(g), v)
-
-
-def _permute(pi: tuple[int, ...], v: LatticeVector) -> LatticeVector:
-    """v with the coefficient at index k moved to pi[k]."""
     out = [0] * len(v)
-    for j, c in zip(pi, v, strict=True):
+    for j, c in zip(hyperplane_permutation(g), v, strict=True):
         out[j] = c
     return tuple(out)
 

@@ -13,6 +13,9 @@ ever looks at stabilizers and normal scalars, the fast test only at cycle
 data.  Their agreement on whole groups is part of the verification suite.
 The oracle reads stabilizers off the permutation each power induces on the
 hyperplane indices, decoded by arithmetic, and builds no arrangement tuple.
+The normal-line scalar itself is not written here: both scans read it from
+``arrangement`` (``_normal_scalar``, and ``_least_violation`` on a
+permutation's fixed indices).
 One walk over the powers, the identity power on purpose too, yields every
 violation and charges the powers it scans.  It numbers pi_w by arithmetic
 and composes pi_{w^(l+1)} = pi_w o pi_{w^l} in C, until a power scanned
@@ -37,6 +40,7 @@ from .arrangement import (
     _hyperplane_at,
     _index_coordinates,
     _index_permutation,
+    _least_violation,
     _normal_scalar,
     format_hyperplane,
     hyperplane_count,
@@ -79,20 +83,6 @@ class LiftReport(
             "witness": self.witness.to_json() if self.witness else None,
             "method": self.method,
         }
-
-
-def _least_violation(pi, sigma, a, r: int, de: int) -> int | None:
-    """The least index fixed by pi, the permutation of (sigma, a) on the
-    hyperplane indices, where (sigma, a) acts on the normal line by a
-    nontrivial scalar (``_index_coordinates``, ``scalar_on_normal``); or None."""
-    indices = range(len(pi))
-    for k in compress(indices, map(eq, pi, indices)):
-        i, _, t = _index_coordinates(k, r, de)
-        # zeta_2de^e on the normal line: Coord(i) and Swap(i, j, t) with i
-        # and j fixed give 2 a_i; a Swap with i and j exchanged, de + 2(t + a_i).
-        if (2 * a[i] if sigma[i] == i else de + 2 * (t + a[i])) % (2 * de):
-            return k
-    return None
 
 
 def _violations(w: MonomialElement, seen: dict, budget: Budget | None = None) -> Iterator:

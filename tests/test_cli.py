@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidlift import lifting
+from braidlift import cli, lifting
 from braidlift.arrangement import format_hyperplane, hyperplanes
 from braidlift.cli import run
+from braidlift.errors import MismatchError
 from braidlift.monomial import GroupDescriptor, parse_element
 
 
@@ -385,6 +386,24 @@ def test_moved_orbit_labels_map_to_invariant_exit_code(capsys, monkeypatch):
         code, _, err = invoke(capsys, *argv)
         assert code == 5, argv
         assert "orbit labels" in err and "Traceback" not in err
+
+
+def test_check_element_method_mismatch_maps_to_invariant_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(lifting, "element_lifts_fast", lambda w: not w.is_identity)
+    code, out, err = invoke(capsys, "check-element", "--group", "S(3)",
+                            "--element", "perm=[1,2,3];exp=[0,0,0]", "--method", "both")
+    assert code == 5 and out == ""
+    assert err.startswith("internal invariant violated: method mismatch") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [MismatchError, ValueError])
+def test_value_errors_from_a_handler_exit_2(capsys, monkeypatch, error):
+    def handler(args):
+        raise error("forced")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", (handler, "forced", ()))
+    code, out, err = invoke(capsys, "verify")
+    assert (code, out, err) == (2, "", "input error: forced\n")
 
 
 def test_cocycle_on_arrangements_of_at_most_one_hyperplane(capsys):

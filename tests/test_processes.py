@@ -90,6 +90,9 @@ def mask_elapsed(stdout):
     ("check-subgroup", "--group", "G(2,1,2)", "--generators", "perm=[1,2];exp=[1,1]"),
     ("cocycle", "--group", "S(5)", "--generators", "perm=[2,3,4,5,1];exp=[0,0,0,0,0]",
      "--random", "3", "--seed", "1"),
+    # the oracle's power walk and the fast criterion, compared by the handler
+    ("check-element", "--group", "S(5)", "--element", "perm=[2,3,1,4,5];exp=[0,0,0,0,0]",
+     "--method", "both"),
 ])
 def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
     trace_path = tmp_path / "trace.json"

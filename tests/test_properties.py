@@ -19,7 +19,9 @@ from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Swap,
     _hyperplane_at,
+    _index_coordinates,
     _index_permutation,
+    _normal_scalar,
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
@@ -28,6 +30,7 @@ from braidlift.arrangement import (
     orbit_count,
     orbits,
     scalar_on_normal,
+    stabilizes,
 )
 from braidlift.classify import bieberbach_bruteforce, free_action_general
 from braidlift.cli import parse_grid
@@ -527,6 +530,24 @@ def test_index_decoding_equals_the_built_arrangement(data):
     decoded = [_hyperplane_at(desc, k) for k in range(len(hyperplanes(desc)))]
     # Swap and Coord compare as plain tuples, so their types are compared too.
     assert [(type(H), H) for H in decoded] == [(type(H), H) for H in hyperplanes(desc)]
+
+
+@pytest.mark.parametrize("d_is_one", [True, False])
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_index_normal_scalar_equals_the_hyperplane_reference(d_is_one, data):
+    """``_normal_scalar``, which both lifting scans read, against
+    ``scalar_on_normal`` and ``stabilizes`` on the built Hyperplane."""
+    desc = data.draw(arrangement_groups(d_is_one))
+    w = elements(data.draw, desc)
+    n = w.order()
+    # w itself mostly moves its planes; its odd part, often the identity, fixes more
+    for u in (w, w ** (n & -n)):
+        for k in range(len(hyperplanes(desc))):
+            H = _hyperplane_at(desc, k)
+            scalar = _normal_scalar(u.sigma, u.exponents, desc.de,
+                                    *_index_coordinates(k, desc.r, desc.de))
+            assert scalar == (scalar_on_normal(u, H).exponent if stabilizes(u, H) else None)
 
 
 def reference_element_lifts_fast(w):
