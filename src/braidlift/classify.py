@@ -126,8 +126,8 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
 class PermutationGroup:
     """A closed set of permutations of {0..degree-1}, verified on construction.
 
-    The check picks generators greedily in sorted order
-    (``permutations.greedy_generators``) and keeps them in ``generators``.
+    The check grows coset by coset the span of generators picked greedily in
+    sorted order (``permutations.greedy_generators``), kept in ``generators``.
     Groups compare and hash by (degree, elements).
     """
 

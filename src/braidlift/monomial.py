@@ -339,9 +339,9 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
 class Subgroup:
     """A finite subgroup of G(de, e, r), verified on construction.
 
-    The check picks generators greedily in element order and closes them
-    (``permutations.greedy_generators``), so it costs O(|G| * k) products
-    for k generators.  Those generators are kept in ``generators``.
+    The check grows coset by coset the span of generators picked greedily in
+    element order (``permutations.greedy_generators``), about |G| (1 + k)
+    products for k generators, and keeps them in ``generators``.
     ``closure`` and ``classify.as_symmetric_subgroup`` skip the check: their
     output is closed by construction.
     Subgroups compare and hash by (descriptor, elements).
@@ -398,7 +398,7 @@ def closure(
     generators: Iterable[MonomialElement],
     max_size: int | None = None,
 ) -> Subgroup:
-    """Smallest subgroup containing the generators, by breadth-first products.
+    """Smallest subgroup containing the generators, coset by coset (``mulclose``).
 
     At most ``max_size`` elements, by default the guard as it stands at the call.
     """
@@ -410,7 +410,7 @@ def closure(
     for g in gens:
         if g.descriptor != descriptor:
             raise MismatchError(f"generator {g} does not live in {descriptor}")
-    # The BFS output is closed by construction, so the greedy-generator
+    # The closure is closed by construction, so the greedy-generator
     # check of Subgroup.__post_init__ would only repeat its products.
     return Subgroup._trusted(
         descriptor, perms.mulclose(gens, max_size, operator.mul), tuple(dict.fromkeys(gens))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from itertools import permutations as _all_perms
 from operator import itemgetter
 
@@ -85,59 +86,79 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return iter(_all_perms(range(n)))
 
 
-def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset:
-    """The group generated by ``gens``, by breadth-first left products.
+def _guard(size: int, max_size: int | None) -> None:
+    if max_size is not None and size > max_size:
+        raise GuardExceeded(f"closure exceeds {max_size} elements")
 
-    Works for any finite group: ``mul`` defaults to ``compose`` (looked up
-    per call, so a rebinding of ``compose`` is seen) and monomial elements
-    pass ``operator.mul``.  Positive words reach the identity and every
-    inverse in a finite group, so the result is the whole subgroup; no
-    generators give the empty set.
+
+def _powers(g, mul, max_size: int | None) -> list:
+    """g, g^2, ..., g^ord(g) = 1 in ord(g) products, guarded before each is kept."""
+    powers, p = [g], g
+    _guard(1, max_size)
+    while (p := mul(p, g)) != g:
+        _guard(len(powers) + 1, max_size)
+        powers.append(p)
+    return powers
+
+
+def _extend(span: set, used: list, s, mul, max_size: int | None) -> None:
+    """Grow ``span`` = H = <used> in place to <used, s>; s joins ``used``.
+
+    Dimino's step (G. Butler, LNCS 559, 1991): s, then t r for t in ``used``
+    and each coset representative r as ``reps`` grows; one outside the span
+    adds its whole left coset y H, checked against the guard first.
+    """
+    H, reps = list(span), []
+    used.append(s)
+    for y in chain([s], (mul(t, r) for r in reps for t in used)):
+        if y not in span:
+            _guard(len(span) + len(H), max_size)
+            span.update([mul(y, h) for h in H])
+            reps.append(y)
+
+
+def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset:
+    """The group generated by ``gens``, coset by coset (Dimino, ``_extend``).
+
+    ``mul`` defaults to ``compose``, looked up per call so a rebinding is
+    seen; monomial elements pass ``operator.mul``.  Cosets extend H_1, the
+    longest of the k distinct generators' cyclic groups, in at most
+    sum(ord(g_i)) + |G| + k |G| / |H_1| products; no generators give the
+    empty set.  Raises GuardExceeded before a power or coset passes ``max_size``.
     """
     mul = mul or compose
-    gens = list(gens)
-    els = set(gens)
-    if max_size is not None and len(els) > max_size:
-        raise GuardExceeded(f"closure exceeds {max_size} elements")
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = mul(a, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if max_size is not None and len(els) > max_size:
-                        raise GuardExceeded(f"closure exceeds {max_size} elements")
-        frontier = new
-    return frozenset(els)
+    gens = list(dict.fromkeys(gens))
+    longest = max((_powers(g, mul, max_size) for g in gens), key=len, default=[])
+    span, used = set(longest), longest[:1]
+    for s in gens:
+        if s not in span:
+            _extend(span, used, s, mul, max_size)
+    return frozenset(span)
 
 
 def greedy_generators(elements: Sequence, identity, mul=None) -> tuple:
     """Generators of the finite set ``elements``, which must be a group.
 
     Walks the elements in order and keeps each one the earlier picks do not
-    already generate.  Each span is closed with ``max_size=len(elements)``
-    and must stay inside the set; a finite set that contains the identity
-    and is closed under products is a group, so this validates the set
-    with O(|elements| * k) products for k generators instead of all pairs.
-
-    Raises ValueError when the identity is missing or a span leaves the set.
+    already generate, extending the span by its cosets (``_extend``) with
+    the guard at ``len(elements)``.  A finite set that contains the identity
+    and is closed under products is a group, so this validates the set in
+    about |elements| (1 + k) products for k generators.  Raises ValueError
+    when the identity is missing or a span leaves the set.
     """
+    mul = mul or compose
     members = frozenset(elements)
     if identity not in members:
         raise ValueError("identity missing: not a group")
     gens: list = []
-    span = frozenset({identity})
+    span = {identity}
     for g in elements:
         if len(span) == len(members):
             break
         if g in span:
             continue
-        gens.append(g)
         try:
-            span = mulclose(gens, len(members), mul)
+            _extend(span, gens, g, mul, len(members))
         except GuardExceeded:
             span = None
         if span is None or not span <= members:

@@ -13,7 +13,9 @@ import pytest
 
 import braidlift.monomial as monomial
 
+from braidlift import permutations as perms
 from braidlift.acceptance import GRID
+from braidlift.classify import FrobeniusSpec
 from braidlift.errors import GuardExceeded, MismatchError, ParseError
 from braidlift.monomial import (
     GroupDescriptor,
@@ -275,6 +277,43 @@ def test_closure_guard_and_empty_generators():
         closure(desc, gens, max_size=5)
     with pytest.raises(ValueError):
         closure(desc, [])
+
+
+def _subgroup_scan_closures():
+    """The generators the subgroup-scan benchmark closes: check-subgroup on
+    S(6), G(6,3,3) and the affine Z/31 : Z/5 in S(31), and frobenius 61 5."""
+    s6, g633, s31, s61 = D(1, 1, 6), D(6, 3, 3), D(1, 1, 31), D(1, 1, 61)
+
+    def affine(desc, m, b):
+        return from_permutation(desc, [(m * x + b) % desc.r for x in range(desc.r)])
+
+    return [
+        (s6, [from_permutation(s6, (1, 2, 3, 4, 5, 0)), from_permutation(s6, (1, 0, 2, 3, 4, 5))]),
+        (g633, [from_permutation(g633, (1, 0, 2)), from_permutation(g633, (0, 2, 1)),
+                MonomialElement(g633, (1, 0, 2), (5, 1, 0)), diagonal(g633, (3, 0, 0))]),
+        (s31, [affine(s31, 1, 1), affine(s31, 2, 0)]),
+        (s61, [affine(s61, 1, 1), affine(s61, FrobeniusSpec.find(61, 5).m, 0)]),
+    ]
+
+
+@pytest.mark.parametrize("case, cap", zip(_subgroup_scan_closures(), (1000, 600, 200, 350)),
+                         ids=("S(6)", "G(6,3,3)", "S(31) affine", "frobenius 61 5"))
+def test_closure_costs_about_one_product_per_element(case, cap):
+    # breadth-first products cost |G| k: 1,440 / 1,728 / 310 / 610 here
+    desc, gens = case
+    products = 0
+
+    def mul(u, v):
+        nonlocal products
+        products += 1
+        return u * v
+
+    elements = perms.mulclose(gens, None, mul)
+    assert elements == closure(desc, gens).elements
+    orders = [g.order() for g in dict.fromkeys(gens)]
+    n = len(elements)
+    assert products <= cap
+    assert products <= sum(orders) + n + len(orders) * n // max(orders)
 
 
 def test_center_examples():

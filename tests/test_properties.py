@@ -6,6 +6,7 @@ element, which keeps the all-pairs reference check below cheap.
 """
 
 import math
+import operator
 import re
 from functools import lru_cache
 from random import Random
@@ -62,6 +63,7 @@ from braidlift.monomial import (
     enumerate_elements,
     format_element,
     from_permutation,
+    identity,
     parse_element,
 )
 
@@ -119,6 +121,96 @@ def test_subgroup_accepts_exactly_the_closed_sets(data):
     except ValueError:
         accepted = False
     assert accepted == closed_by_all_pairs(els)
+
+
+def reference_mulclose(gens, max_size=None, mul=None):
+    """Breadth-first closure: every element times every generator, |G| k products."""
+    mul = mul or perms.compose
+    gens = list(gens)
+    els = set(gens)
+    if max_size is not None and len(els) > max_size:
+        raise GuardExceeded(f"closure exceeds {max_size} elements")
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in gens:
+            for b in frontier:
+                c = mul(a, b)
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+                    if max_size is not None and len(els) > max_size:
+                        raise GuardExceeded(f"closure exceeds {max_size} elements")
+        frontier = new
+    return frozenset(els)
+
+
+def reference_greedy_generators(elements, identity, mul=None):
+    """Greedy generators, re-closing the whole span from scratch for each pick."""
+    members = frozenset(elements)
+    if identity not in members:
+        raise ValueError("identity missing: not a group")
+    gens = []
+    span = frozenset({identity})
+    for g in elements:
+        if len(span) == len(members):
+            break
+        if g in span:
+            continue
+        gens.append(g)
+        try:
+            span = reference_mulclose(gens, len(members), mul)
+        except GuardExceeded:
+            span = None
+        if span is None or not span <= members:
+            raise ValueError(f"products of {g} escape the set: not a group")
+    return tuple(gens)
+
+
+@st.composite
+def generator_lists(draw):
+    """(gens, mul, identity, element strategy): 1-4 generators, duplicates
+    and the identity allowed, either permutations of degree <= 7 (``mul``
+    None: ``compose``) or elements of a G(de, e, r) of at most 1500 elements."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 7))
+        one, mul, pool = perms.identity(n), None, st.permutations(range(n)).map(tuple)
+    else:
+        desc = draw(descriptors().filter(lambda desc: desc.order() <= ENUMERATION_CAP))
+        one, mul = identity(desc), operator.mul
+        pool = st.composite(elements)(desc)
+    gens = draw(st.lists(pool, min_size=1, max_size=4))
+    repeats = draw(st.lists(st.sampled_from([*gens, one]), max_size=4 - len(gens)))
+    return draw(st.permutations(gens + repeats)), mul, one, pool
+
+
+def greedy_outcome(greedy, *args):
+    """The generators ``greedy`` picks, or the text of its ValueError."""
+    try:
+        return greedy(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(generator_lists(), st.data())
+def test_mulclose_equals_the_breadth_first_reference(case, data):
+    gens, mul, one, pool = case
+    group = reference_mulclose(gens, None, mul)
+    assert perms.mulclose(gens, None, mul) == group
+    n = len(group)
+    cap = data.draw(st.one_of(st.integers(0, 2 * n), st.integers(max(n - 2, 0), n + 2)))
+    if n > cap:
+        with pytest.raises(GuardExceeded, match=f"^closure exceeds {cap} elements$"):
+            perms.mulclose(gens, cap, mul)
+    else:
+        assert perms.mulclose(gens, cap, mul) == group
+    # the greedy generators of the group, and of the group less or plus one element
+    dropped = data.draw(st.sampled_from(sorted(group)))
+    for els in (group, group - {dropped}, group | {data.draw(pool)}):
+        els = sorted(els)
+        assert (greedy_outcome(perms.greedy_generators, els, one, mul)
+                == greedy_outcome(reference_greedy_generators, els, one, mul))
 
 
 @PROPERTY_SETTINGS
