@@ -23,7 +23,6 @@ _EXPORTS = {
         "bieberbach_bruteforce", "cayley_embedding", "free_action_general",
         "free_action_symmetric", "frobenius_coset_action", "has_free_cycle_type",
         "has_free_monomial_type", "has_odd_lift_property", "is_bieberbach_series",
-        "permutation_group",
     ),
     "errors": (
         "ENUMERATION_GUARD", "BraidLiftError", "GuardExceeded", "InvariantViolation",

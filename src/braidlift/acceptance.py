@@ -25,7 +25,6 @@ from .classify import (
     free_action_general,
     free_action_symmetric,
     is_bieberbach_series,
-    permutation_group,
 )
 from .lattice import coboundary_roundtrips, fixed_lattice_rank
 from .lifting import element_lifts_fast, oracle_verdicts, subgroup_lifts
@@ -163,7 +162,8 @@ def criterion_5() -> CriterionResult:
 def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
 
-    Most closures repeat an earlier one; only a new one is checked as a group.
+    Most spans close to an earlier group; each group is kept once, as its
+    first span generates it.
     """
     rng = Random(0x5EED)
     three_cycles = [g for g in perms.all_permutations(5) if perms.order(g) == 3]
@@ -171,9 +171,8 @@ def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     spans += [[rng.choice(three_cycles), rng.choice(three_cycles)] for _ in range(50)]
     groups: dict[frozenset, PermutationGroup] = {}
     for gens in spans:
-        elements = perms.mulclose(gens)
-        if elements not in groups:
-            groups[elements] = PermutationGroup(5, elements)
+        P = PermutationGroup(5, gens)
+        groups.setdefault(P.elements, P)
     return tuple(groups.values())
 
 
@@ -232,9 +231,9 @@ def criterion_8() -> CriterionResult:
 @lru_cache(maxsize=1)
 def _cayley_images() -> tuple[tuple[str, PermutationGroup, Subgroup], ...]:
     """Each image with its Subgroup, made once: criteria 9-11 share one forest."""
-    z5 = permutation_group(5, [perms.from_cycle(5, tuple(range(5)))])
-    z7 = permutation_group(7, [perms.from_cycle(7, tuple(range(7)))])
-    z3z3 = permutation_group(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))])
+    z5 = PermutationGroup(5, [perms.from_cycle(5, tuple(range(5)))])
+    z7 = PermutationGroup(7, [perms.from_cycle(7, tuple(range(7)))])
+    z3z3 = PermutationGroup(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))])
     return tuple((name, image, as_symmetric_subgroup(image)) for name, image in (
         ("Z/5", cayley_embedding(z5)),
         ("Z/7", cayley_embedding(z7)),

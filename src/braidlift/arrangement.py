@@ -53,7 +53,7 @@ from .monomial import GroupDescriptor, MonomialElement, Subgroup, identity
 from .permutations import compose
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
-#: tables call it on generators only: ``verify`` fills 111 entries, so it does
+#: tables call it on generators only: ``verify`` fills 129 entries, so it does
 #: not evict, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
 

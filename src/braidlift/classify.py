@@ -124,24 +124,25 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
 
 
 class PermutationGroup:
-    """A closed set of permutations of {0..degree-1}, verified on construction.
+    """The group of permutations of {0..degree-1} generated by ``generators``.
 
-    The check grows coset by coset the span of generators picked greedily in
-    sorted order (``permutations.greedy_generators``), kept in ``generators``.
+    Keeps the distinct generators, in the order given, as ``generators`` and
+    closes them on construction (``permutations.mulclose``) under the guard.
+    No generators give the trivial group.
     Groups compare and hash by (degree, elements).
     """
 
-    def __init__(self, degree: int, elements: Iterable[tuple[int, ...]]) -> None:
+    def __init__(self, degree: int, generators: Iterable[Sequence[int]]) -> None:
         self.degree = degree
-        self.elements = frozenset(elements)
+        self.generators = tuple(dict.fromkeys(map(tuple, generators)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        for p in self.elements:
+        for p in self.generators:
             if len(p) != self.degree or not perms.is_permutation(p):
                 raise ValueError(f"{p} is not a permutation of 0..{self.degree - 1}")
-        identity = perms.identity(self.degree)
-        self.generators = perms.greedy_generators(self.sorted_elements, identity)
+        gens = self.generators or [perms.identity(self.degree)]
+        self.elements = perms.mulclose(gens, errors.ENUMERATION_GUARD)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PermutationGroup):
@@ -160,14 +161,6 @@ class PermutationGroup:
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.sorted_elements)
-
-
-def permutation_group(degree: int, generators: Sequence[Sequence[int]]) -> PermutationGroup:
-    """The group generated by the given permutations."""
-    gens = [tuple(g) for g in generators]
-    return PermutationGroup(
-        degree, perms.mulclose(gens, errors.ENUMERATION_GUARD) | {perms.identity(degree)}
-    )
 
 
 def free_action_symmetric(G: PermutationGroup) -> bool:
@@ -284,28 +277,24 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> tuple[Subgroup, frozenset[tup
 def cayley_embedding(G: PermutationGroup | Subgroup) -> PermutationGroup:
     """The left-translation action of G on its own sorted element list.
 
-    Its |G|^2 products are charged to a ``Budget`` before the first one.
+    The group generated by the translations by ``G.generators``; it is
+    faithful exactly when it has |G| elements, and InvariantViolation is
+    raised otherwise.  Its |G|^2 products are charged to a ``Budget``
+    before the first one.
     """
     n = len(G)
     Budget().spend(n * n, f"the {n} x {n} left translations of a Cayley embedding")
     elements = G.sorted_elements
     index = {g: k for k, g in enumerate(elements)}
     mul = perms.compose if isinstance(G, PermutationGroup) else operator.mul
-    images = frozenset(
-        tuple(index[mul(g, x)] for x in elements) for g in elements
-    )
-    if len(images) != n:
+    image = PermutationGroup(n, [tuple(index[mul(g, x)] for x in elements) for g in G.generators])
+    if len(image) != n:
         raise InvariantViolation("left translation action is not faithful")
-    return PermutationGroup(n, images)
+    return image
 
 
 def as_symmetric_subgroup(G: PermutationGroup) -> Subgroup:
-    """Realize a permutation group inside G(1, 1, n) with zero exponents.
-
-    G was checked on construction, so the image is not checked again; it
-    keeps the images of G's generators, which the Subgroup check would pick.
-    """
+    """Realize a permutation group inside G(1, 1, n) with zero exponents:
+    the closure of its generators' images."""
     desc, zero = GroupDescriptor(1, 1, G.degree), (0,) * G.degree
-    image = {g: _new(MonomialElement, (desc, tuple(g), zero)) for g in G.elements}
-    generators = tuple(image[g] for g in G.generators)
-    return Subgroup._trusted(desc, frozenset(image.values()), generators)
+    return closure(desc, [_new(MonomialElement, (desc, g, zero)) for g in G.generators])

@@ -337,39 +337,33 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
 
 
 class Subgroup:
-    """A finite subgroup of G(de, e, r), verified on construction.
+    """The finite subgroup of G(de, e, r) generated by ``generators``.
 
-    The check grows coset by coset the span of generators picked greedily in
-    element order (``permutations.greedy_generators``), about |G| (1 + k)
-    products for k generators, and keeps them in ``generators``.
-    ``closure`` and ``classify.as_symmetric_subgroup`` skip the check: their
-    output is closed by construction.
+    Keeps the distinct generators, in the order given, as ``generators`` and
+    closes them on construction, coset by coset (``permutations.mulclose``),
+    into at most ``max_size`` elements, by default the guard as it stands at
+    the call.  No generators give the trivial group.
     Subgroups compare and hash by (descriptor, elements).
     """
 
-    def __init__(self, descriptor: GroupDescriptor, elements: Iterable[MonomialElement]) -> None:
+    def __init__(
+        self,
+        descriptor: GroupDescriptor,
+        generators: Iterable[MonomialElement],
+        max_size: int | None = None,
+    ) -> None:
         self.descriptor = descriptor
-        self.elements = frozenset(elements)
-        self.__post_init__()
+        self.generators = tuple(dict.fromkeys(generators))
+        self.__post_init__(max_size)
 
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("a subgroup must contain at least the identity")
-        for w in self.elements:
-            if w.descriptor != self.descriptor:
-                raise MismatchError(f"element {w} does not live in {self.descriptor}")
-        self.generators = perms.greedy_generators(
-            self.sorted_elements, identity(self.descriptor), operator.mul
-        )
-
-    @classmethod
-    def _trusted(
-        cls, descriptor: GroupDescriptor, elements: frozenset, generators: tuple
-    ) -> Subgroup:
-        """The subgroup of closed ``elements`` spanned by ``generators``, unchecked."""
-        G = object.__new__(cls)
-        G.descriptor, G.elements, G.generators = descriptor, elements, generators
-        return G
+    def __post_init__(self, max_size: int | None) -> None:
+        for g in self.generators:
+            if g.descriptor != self.descriptor:
+                raise MismatchError(f"generator {g} does not live in {self.descriptor}")
+        if max_size is None:
+            max_size = errors.ENUMERATION_GUARD
+        gens = self.generators or [identity(self.descriptor)]
+        self.elements = perms.mulclose(gens, max_size, operator.mul)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -398,23 +392,8 @@ def closure(
     generators: Iterable[MonomialElement],
     max_size: int | None = None,
 ) -> Subgroup:
-    """Smallest subgroup containing the generators, coset by coset (``mulclose``).
-
-    At most ``max_size`` elements, by default the guard as it stands at the call.
-    """
-    gens = list(generators)
-    if max_size is None:
-        max_size = errors.ENUMERATION_GUARD
-    if not gens:
-        raise ValueError("closure needs at least one generator")
-    for g in gens:
-        if g.descriptor != descriptor:
-            raise MismatchError(f"generator {g} does not live in {descriptor}")
-    # The closure is closed by construction, so the greedy-generator
-    # check of Subgroup.__post_init__ would only repeat its products.
-    return Subgroup._trusted(
-        descriptor, perms.mulclose(gens, max_size, operator.mul), tuple(dict.fromkeys(gens))
-    )
+    """Smallest subgroup containing the generators: ``Subgroup(...)``, by name."""
+    return Subgroup(descriptor, generators, max_size)
 
 
 def center_order(descriptor: GroupDescriptor) -> int:
@@ -432,15 +411,17 @@ def center_order(descriptor: GroupDescriptor) -> int:
 
 
 def center(descriptor: GroupDescriptor) -> Subgroup:
-    """The centre, as the elements commuting with the standard generators.
+    """The centre, generated by the elements commuting with the standard generators.
 
-    Enumerates the whole group; ``center_order`` gives its size in closed form.
+    Enumerates the whole group; a central element joins the generators only
+    when those before it do not generate it, so a few generators are closed,
+    not all |Z| elements.  ``center_order`` gives its size in closed form.
     """
-    gens = standard_generators(descriptor)
-    central = frozenset(
-        w for w in enumerate_elements(descriptor) if all(w * g == g * w for g in gens)
-    )
-    return Subgroup(descriptor, central)
+    gens, Z = standard_generators(descriptor), closure(descriptor, [])
+    for w in enumerate_elements(descriptor):
+        if all(w * g == g * w for g in gens) and w not in Z:
+            Z = closure(descriptor, [*Z.generators, w])
+    return Z
 
 
 def format_element(w: MonomialElement) -> str:

@@ -135,32 +135,3 @@ def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset
             _extend(span, used, s, mul, max_size)
     return frozenset(span)
 
-
-def greedy_generators(elements: Sequence, identity, mul=None) -> tuple:
-    """Generators of the finite set ``elements``, which must be a group.
-
-    Walks the elements in order and keeps each one the earlier picks do not
-    already generate, extending the span by its cosets (``_extend``) with
-    the guard at ``len(elements)``.  A finite set that contains the identity
-    and is closed under products is a group, so this validates the set in
-    about |elements| (1 + k) products for k generators.  Raises ValueError
-    when the identity is missing or a span leaves the set.
-    """
-    mul = mul or compose
-    members = frozenset(elements)
-    if identity not in members:
-        raise ValueError("identity missing: not a group")
-    gens: list = []
-    span = {identity}
-    for g in elements:
-        if len(span) == len(members):
-            break
-        if g in span:
-            continue
-        try:
-            _extend(span, gens, g, mul, len(members))
-        except GuardExceeded:
-            span = None
-        if span is None or not span <= members:
-            raise ValueError(f"products of {g} escape the set: not a group")
-    return tuple(gens)

@@ -24,14 +24,12 @@ from braidlift.classify import (
     has_free_monomial_type,
     has_odd_lift_property,
     is_bieberbach_series,
-    permutation_group,
 )
 from braidlift.errors import GuardExceeded, InvariantViolation
 from braidlift.lifting import element_lifts_oracle, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
-    Subgroup,
     closure,
     diagonal,
     enumerate_elements,
@@ -125,10 +123,10 @@ def test_free_cycle_type_examples():
 
 
 def test_free_action_symmetric_examples():
-    five = permutation_group(5, [perms.from_cycle(5, tuple(range(5)))])
+    five = PermutationGroup(5, [perms.from_cycle(5, tuple(range(5)))])
     assert free_action_symmetric(five)
-    assert not free_action_symmetric(permutation_group(5, [perms.from_cycle(5, (0, 1))]))
-    assert free_action_symmetric(permutation_group(5, []))
+    assert not free_action_symmetric(PermutationGroup(5, [perms.from_cycle(5, (0, 1))]))
+    assert free_action_symmetric(PermutationGroup(5, []))
 
 
 def test_free_monomial_type_examples():
@@ -208,7 +206,7 @@ def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
 
 def test_free_action_equivalence_on_s4_cyclic_subgroups():
     for g in perms.all_permutations(4):
-        P = permutation_group(4, [g])
+        P = PermutationGroup(4, [g])
         assert free_action_symmetric(P) == all(free_type(h) for h in P)
 
 
@@ -225,15 +223,23 @@ def test_frobenius_spec_validation():
 
 
 def test_cayley_embedding_cyclic():
-    z3 = permutation_group(3, [perms.from_cycle(3, (0, 1, 2))])
+    z3 = PermutationGroup(3, [perms.from_cycle(3, (0, 1, 2))])
     image = cayley_embedding(z3)
     assert image.degree == 3 and len(image) == 3
     assert any(perms.cycle_type(g) == (3,) for g in image)
     assert subgroup_lifts(as_symmetric_subgroup(image)).lifts
 
 
+def test_cayley_embedding_refuses_an_unfaithful_image():
+    # translations by too few generators close to a smaller group than G
+    z3 = PermutationGroup(3, [perms.from_cycle(3, (0, 1, 2))])
+    z3.generators = ()
+    with pytest.raises(InvariantViolation, match="not faithful"):
+        cayley_embedding(z3)
+
+
 def test_cayley_embedding_trivial_and_monomial_input():
-    trivial = permutation_group(1, [])
+    trivial = PermutationGroup(1, [])
     assert cayley_embedding(trivial).degree == 1
     desc = D(3, 3, 2)
     G = closure(desc, [diagonal(desc, (1, 2))])
@@ -267,20 +273,22 @@ def test_cayley_embedding_frobenius():
 
 def test_permutation_group_validation():
     with pytest.raises(ValueError):
-        PermutationGroup(3, frozenset({perms.from_cycle(3, (0, 1))}))  # no identity
+        PermutationGroup(3, [perms.identity(3), (0, 0, 1)])  # not a permutation
     with pytest.raises(ValueError):
-        PermutationGroup(
-            3, frozenset({perms.identity(3), perms.from_cycle(3, (0, 1, 2))})
-        )  # not closed
+        PermutationGroup(3, [perms.identity(4)])  # wrong degree
+    # an unclosed set of generators is closed: {(1 2), (1 2 3)} gives S_3
+    P = PermutationGroup(3, [perms.from_cycle(3, (0, 1)), perms.from_cycle(3, (0, 1, 2))])
+    assert P.elements == frozenset(perms.all_permutations(3))
+    assert PermutationGroup(3, []).elements == {perms.identity(3)}
 
 
-def test_symmetric_image_keeps_the_generators_its_check_would_pick():
-    # On every permutation group verify converts: the image, built without a
-    # second check, equals the checked Subgroup, generators included.
+def test_symmetric_image_keeps_the_generators_of_its_group():
+    # On every permutation group verify converts: the image is the closure of
+    # every element's image, and keeps the images of P's generators.
     groups = list(_s5_sample_subgroups())
     groups += [image for _, image, _ in _cayley_images()]
     for P in groups:
         desc = GroupDescriptor(1, 1, P.degree)
         image = as_symmetric_subgroup(P)
-        checked = Subgroup(desc, frozenset(from_permutation(desc, g) for g in P))
-        assert image == checked and image.generators == checked.generators
+        assert image == closure(desc, [from_permutation(desc, g) for g in P])
+        assert image.generators == tuple(from_permutation(desc, g) for g in P.generators)

@@ -261,7 +261,7 @@ def test_closure_small_cases():
 
 
 def test_closure_output_is_a_valid_subgroup():
-    # closure skips Subgroup's check; the public constructor must agree
+    # closing all of G's elements as generators gives G back
     desc = D(6, 3, 3)
     t, c = from_permutation(desc, (1, 0, 2)), diagonal(desc, (1, 2, 0))
     G = closure(desc, [t, c, t, identity(desc), c])
@@ -275,8 +275,12 @@ def test_closure_guard_and_empty_generators():
     gens = standard_generators(desc)
     with pytest.raises(GuardExceeded):
         closure(desc, gens, max_size=5)
-    with pytest.raises(ValueError):
-        closure(desc, [])
+    assert closure(desc, []).elements == {identity(desc)}
+    assert closure(desc, []).generators == ()
+    with pytest.raises(GuardExceeded):  # the trivial group counts its identity
+        closure(desc, [], max_size=0)
+    with pytest.raises(MismatchError):
+        closure(desc, [*gens, identity(D(1, 1, 3))])
 
 
 def _subgroup_scan_closures():
@@ -320,6 +324,24 @@ def test_center_examples():
     assert len(center(D(1, 1, 3))) == 1
     assert diagonal(D(2, 1, 2), (1, 1)) in center(D(2, 1, 2))
     assert len(center(D(3, 3, 3))) == 3
+
+
+def test_center_closes_a_few_generators_not_every_element(monkeypatch):
+    # G(1000,1,1) is all central: closing each of its 1,000 elements as a
+    # generator would cost the sum of their orders, about 560,000 products
+    desc = D(1000, 1, 1)
+    products = 0
+    mul = MonomialElement.__mul__
+
+    def counting(u, v):
+        nonlocal products
+        products += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(MonomialElement, "__mul__", counting)
+    Z = center(desc)
+    assert len(Z) == 1000 and len(Z.generators) == 1
+    assert products <= 5 * len(Z)
 
 
 def test_center_size_formula_on_grid():
@@ -400,10 +422,9 @@ def test_pad_fixes_new_strands():
         pad(w, 2)
 
 
-def test_subgroup_rejects_unclosed_sets():
+def test_subgroup_closes_unclosed_sets():
     desc = D(1, 1, 3)
     t = from_permutation(desc, (1, 0, 2))
-    with pytest.raises(ValueError):
-        Subgroup(desc, frozenset({identity(desc), t, from_permutation(desc, (1, 2, 0))}))
-    with pytest.raises(ValueError):
-        Subgroup(desc, frozenset({t}))  # identity missing
+    G = Subgroup(desc, [identity(desc), t, from_permutation(desc, (1, 2, 0))])
+    assert G.elements == frozenset(enumerate_elements(desc))
+    assert Subgroup(desc, [t]).elements == {identity(desc), t}  # identity added

@@ -36,16 +36,3 @@ def test_mulclose_symmetric_group():
     with pytest.raises(GuardExceeded):  # the generators themselves count
         perms.mulclose([perms.identity(4)], max_size=0)
 
-
-def test_greedy_generators():
-    s4 = sorted(perms.mulclose([perms.from_cycle(4, (0, 1)), perms.from_cycle(4, (0, 1, 2, 3))]))
-    gens = perms.greedy_generators(s4, perms.identity(4))
-    assert perms.mulclose(gens) == frozenset(s4)
-    assert len(gens) < len(s4)
-    with pytest.raises(ValueError):
-        perms.greedy_generators(s4[1:], perms.identity(4))  # identity missing
-    with pytest.raises(ValueError):
-        perms.greedy_generators(s4[:-1], perms.identity(4))  # not closed
-    with pytest.raises(ValueError):
-        # the span of the 3-cycle has the size of the set but leaves it
-        perms.greedy_generators([(0, 1, 2), (1, 2, 0), (2, 1, 0)], (0, 1, 2))

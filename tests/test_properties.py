@@ -33,7 +33,14 @@ from braidlift.arrangement import (
     scalar_on_normal,
     stabilizes,
 )
-from braidlift.classify import bieberbach_bruteforce, free_action_general
+from braidlift.classify import (
+    FrobeniusSpec,
+    PermutationGroup,
+    bieberbach_bruteforce,
+    cayley_embedding,
+    free_action_general,
+    frobenius_coset_action,
+)
 from braidlift.cli import parse_grid
 from braidlift.errors import Budget, GuardExceeded, NoIntegralSolution, ParseError
 from braidlift.intlinalg import rank
@@ -109,6 +116,8 @@ def closed_by_all_pairs(els) -> bool:
 @PROPERTY_SETTINGS
 @given(st.data())
 def test_subgroup_accepts_exactly_the_closed_sets(data):
+    # closing a set gives the set back exactly when it is a group; a closure
+    # past len(els) elements is refused by the guard, and differs from els
     G = data.draw(subgroups())
     els = set(G.elements)
     if data.draw(st.booleans()):
@@ -116,11 +125,10 @@ def test_subgroup_accepts_exactly_the_closed_sets(data):
     else:
         els.add(elements(data.draw, G.descriptor))
     try:
-        Subgroup(G.descriptor, frozenset(els))
-        accepted = True
-    except ValueError:
-        accepted = False
-    assert accepted == closed_by_all_pairs(els)
+        kept = closure(G.descriptor, els, max_size=len(els)).elements == els
+    except GuardExceeded:
+        kept = False
+    assert kept == closed_by_all_pairs(els)
 
 
 def reference_mulclose(gens, max_size=None, mul=None):
@@ -145,57 +153,28 @@ def reference_mulclose(gens, max_size=None, mul=None):
     return frozenset(els)
 
 
-def reference_greedy_generators(elements, identity, mul=None):
-    """Greedy generators, re-closing the whole span from scratch for each pick."""
-    members = frozenset(elements)
-    if identity not in members:
-        raise ValueError("identity missing: not a group")
-    gens = []
-    span = frozenset({identity})
-    for g in elements:
-        if len(span) == len(members):
-            break
-        if g in span:
-            continue
-        gens.append(g)
-        try:
-            span = reference_mulclose(gens, len(members), mul)
-        except GuardExceeded:
-            span = None
-        if span is None or not span <= members:
-            raise ValueError(f"products of {g} escape the set: not a group")
-    return tuple(gens)
-
-
 @st.composite
-def generator_lists(draw):
-    """(gens, mul, identity, element strategy): 1-4 generators, duplicates
-    and the identity allowed, either permutations of degree <= 7 (``mul``
-    None: ``compose``) or elements of a G(de, e, r) of at most 1500 elements."""
+def generator_lists(draw, min_gens=1, max_degree=7):
+    """(gens, mul, identity): ``min_gens`` to 4 generators, duplicates and
+    the identity allowed, either permutations of degree <= ``max_degree``
+    (``mul`` None: ``compose``) or elements of a G(de, e, r) of at most
+    1500 elements."""
     if draw(st.booleans()):
-        n = draw(st.integers(0, 7))
+        n = draw(st.integers(0, max_degree))
         one, mul, pool = perms.identity(n), None, st.permutations(range(n)).map(tuple)
     else:
         desc = draw(descriptors().filter(lambda desc: desc.order() <= ENUMERATION_CAP))
         one, mul = identity(desc), operator.mul
         pool = st.composite(elements)(desc)
-    gens = draw(st.lists(pool, min_size=1, max_size=4))
+    gens = draw(st.lists(pool, min_size=min_gens, max_size=4))
     repeats = draw(st.lists(st.sampled_from([*gens, one]), max_size=4 - len(gens)))
-    return draw(st.permutations(gens + repeats)), mul, one, pool
-
-
-def greedy_outcome(greedy, *args):
-    """The generators ``greedy`` picks, or the text of its ValueError."""
-    try:
-        return greedy(*args)
-    except ValueError as exc:
-        return "ValueError", str(exc)
+    return draw(st.permutations(gens + repeats)), mul, one
 
 
 @PROPERTY_SETTINGS
 @given(generator_lists(), st.data())
 def test_mulclose_equals_the_breadth_first_reference(case, data):
-    gens, mul, one, pool = case
+    gens, mul, _ = case
     group = reference_mulclose(gens, None, mul)
     assert perms.mulclose(gens, None, mul) == group
     n = len(group)
@@ -205,12 +184,43 @@ def test_mulclose_equals_the_breadth_first_reference(case, data):
             perms.mulclose(gens, cap, mul)
     else:
         assert perms.mulclose(gens, cap, mul) == group
-    # the greedy generators of the group, and of the group less or plus one element
-    dropped = data.draw(st.sampled_from(sorted(group)))
-    for els in (group, group - {dropped}, group | {data.draw(pool)}):
-        els = sorted(els)
-        assert (greedy_outcome(perms.greedy_generators, els, one, mul)
-                == greedy_outcome(reference_greedy_generators, els, one, mul))
+
+
+@PROPERTY_SETTINGS
+@given(generator_lists(min_gens=0, max_degree=6))
+def test_groups_are_the_closures_of_their_generators(case):
+    gens, mul, one = case
+    if mul is None:
+        G = PermutationGroup(len(one), gens)
+    else:
+        G = closure(one.descriptor, gens)
+    assert G.elements == reference_mulclose(gens, None, mul) | {one}
+    assert G.generators == tuple(g for k, g in enumerate(gens) if g not in gens[:k])
+
+
+def reference_cayley_image(G):
+    """The left translations by all |G| elements of G, on its sorted elements."""
+    elements = G.sorted_elements
+    index = {g: k for k, g in enumerate(elements)}
+    mul = perms.compose if isinstance(G, PermutationGroup) else operator.mul
+    return frozenset(tuple(index[mul(g, x)] for x in elements) for g in elements)
+
+
+#: The groups criterion 9 embeds: Z/5, Z/7, Z/3 x Z/3 and Z/7 : Z/3.
+CAYLEY_INPUTS = (
+    PermutationGroup(5, [perms.from_cycle(5, tuple(range(5)))]),
+    PermutationGroup(7, [perms.from_cycle(7, tuple(range(7)))]),
+    PermutationGroup(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))]),
+    frobenius_coset_action(FrobeniusSpec.find(7, 3))[0],
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(subgroups(), st.sampled_from(CAYLEY_INPUTS)))
+def test_cayley_embedding_equals_the_all_translations_image(G):
+    image = cayley_embedding(G)
+    assert image.degree == len(G)
+    assert image.elements == reference_cayley_image(G)
 
 
 @PROPERTY_SETTINGS
@@ -709,8 +719,9 @@ def test_act_is_a_left_action(data):
 
 
 def validated(G):
-    """G rebuilt through the public constructor, which picks greedy generators."""
-    return Subgroup(G.descriptor, G.elements)
+    """G rebuilt from all its elements as generators: the same group, with
+    other generators and so another orbit forest."""
+    return Subgroup(G.descriptor, G.sorted_elements)
 
 
 @PROPERTY_SETTINGS
