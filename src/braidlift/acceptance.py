@@ -17,7 +17,6 @@ from . import permutations as perms
 from .classify import (
     FrobeniusSpec,
     PermutationGroup,
-    as_symmetric_subgroup,
     cayley_embedding,
     frobenius_coset_action,
     has_free_cycle_type,
@@ -163,24 +162,20 @@ def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
 
     Most spans close to an earlier group; each group is kept once, as its
-    first span generates it.
+    first span generates it (``Subgroup`` equality).
     """
     rng = Random(0x5EED)
     three_cycles = [g for g in perms.all_permutations(5) if perms.order(g) == 3]
     spans = [[g] for g in perms.all_permutations(5)]
     spans += [[rng.choice(three_cycles), rng.choice(three_cycles)] for _ in range(50)]
-    groups: dict[frozenset, PermutationGroup] = {}
-    for gens in spans:
-        P = PermutationGroup(5, gens)
-        groups.setdefault(P.elements, P)
-    return tuple(groups.values())
+    return tuple(dict.fromkeys(PermutationGroup(5, gens) for gens in spans))
 
 
 def criterion_6() -> CriterionResult:
     """Free action on 2-subsets of {1..5} is equivalent to free cycle type."""
     for P in _s5_sample_subgroups():
         free = free_action_symmetric(P)
-        typed = all(has_free_cycle_type(perms.cycle_type(g)) for g in P)
+        typed = all(has_free_cycle_type(perms.cycle_type(g.sigma)) for g in P)
         if free != typed:
             return CriterionResult(6, "free action equivalence in S_5", False,
                                    f"order-{len(P)} subgroup: free={free}, type={typed}")
@@ -229,27 +224,27 @@ def criterion_8() -> CriterionResult:
 
 
 @lru_cache(maxsize=1)
-def _cayley_images() -> tuple[tuple[str, PermutationGroup, Subgroup], ...]:
-    """Each image with its Subgroup, made once: criteria 9-11 share one forest."""
+def _cayley_images() -> tuple[tuple[str, PermutationGroup], ...]:
+    """Each named image, made once: criteria 9-11 share one forest."""
     z5 = PermutationGroup(5, [perms.from_cycle(5, tuple(range(5)))])
     z7 = PermutationGroup(7, [perms.from_cycle(7, tuple(range(7)))])
     z3z3 = PermutationGroup(6, [perms.from_cycle(6, (0, 1, 2)), perms.from_cycle(6, (3, 4, 5))])
-    return tuple((name, image, as_symmetric_subgroup(image)) for name, image in (
+    return (
         ("Z/5", cayley_embedding(z5)),
         ("Z/7", cayley_embedding(z7)),
         ("Z/3 x Z/3", cayley_embedding(z3z3)),
         ("Z/7 : Z/3", cayley_embedding(_frobenius_action(7, 3)[0])),
-    ))
+    )
 
 
 def criterion_9() -> CriterionResult:
     """Left-translation images land in the free cycle types and lift."""
     start = time.perf_counter()
-    for name, image, subgroup in _cayley_images():
-        if not all(has_free_cycle_type(perms.cycle_type(g)) for g in image):
+    for name, image in _cayley_images():
+        if not all(has_free_cycle_type(perms.cycle_type(g.sigma)) for g in image):
             return CriterionResult(9, "Cayley embeddings lift", False,
                                    f"{name}: image leaves the free cycle types")
-        if not subgroup_lifts(subgroup).lifts:
+        if not subgroup_lifts(image).lifts:
             return CriterionResult(9, "Cayley embeddings lift", False,
                                    f"{name}: image of degree {image.degree} fails to lift")
     elapsed = time.perf_counter() - start
@@ -266,7 +261,7 @@ def criterion_10() -> CriterionResult:
     settings = [
         ("<(1,2,3)> in S_3", closure(d3, [from_permutation(d3, perms.from_cycle(3, (0, 1, 2)))])),
         ("<(1,2,3,4,5)> in S_5", closure(d5, [from_permutation(d5, perms.from_cycle(5, tuple(range(5))))])),
-        ("Cayley Z/7:Z/3 in S_21", _cayley_images()[3][2]),
+        ("Cayley Z/7:Z/3 in S_21", _cayley_images()[3][1]),
     ]
     report = []
     for name, G in settings:
@@ -277,13 +272,13 @@ def criterion_10() -> CriterionResult:
 
 @lru_cache(maxsize=1)
 def _rank_test_subgroups() -> tuple[Subgroup, ...]:
-    """Every subgroup exercised by criteria 6 through 9, in monomial form,
-    each once (``Subgroup`` equality), in first-seen order."""
+    """Every subgroup exercised by criteria 6 through 9, permutation groups
+    included as they are, each once (``Subgroup`` equality), in first-seen order."""
     return tuple(dict.fromkeys([
-        *map(as_symmetric_subgroup, _s5_sample_subgroups()),
+        *_s5_sample_subgroups(),
         *_cyclic_subgroups(_D(2, 1, 3)), *_cyclic_subgroups(_D(4, 2, 2)),
         *(_frobenius_action(p, q)[0] for p, q in ((7, 3), (13, 3))),
-        *(subgroup for _, _, subgroup in _cayley_images()),
+        *(image for _, image in _cayley_images()),
     ]))
 
 

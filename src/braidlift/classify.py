@@ -10,10 +10,8 @@ checked, so no element's cycles are computed twice.
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
+from collections.abc import Iterable, Sequence
 
 from . import errors
 from . import permutations as perms
@@ -24,7 +22,6 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
-    _new,
     class_representatives,
     closure,
     from_permutation,
@@ -123,55 +120,35 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
     return all(c.length == k and c.product_exponent == 0 for c in cycles)
 
 
-class PermutationGroup:
-    """The group of permutations of {0..degree-1} generated by ``generators``.
+class PermutationGroup(Subgroup):
+    """The subgroup of G(1, 1, degree) = S_degree generated by permutations.
 
-    Keeps the distinct generators, in the order given, as ``generators`` and
-    closes them on construction (``permutations.mulclose``) under the guard.
-    No generators give the trivial group.
-    Groups compare and hash by (degree, elements).
+    Each generator, a permutation of {0..degree-1}, enters as its
+    zero-exponent image (``from_permutation``, which raises ValueError on
+    anything else), and the images are closed as a ``Subgroup`` under the
+    guard.  So the elements are ``MonomialElement``s, and a permutation
+    group equals the ``Subgroup`` with the same elements.  Degree 0 raises
+    ValueError, as G(1, 1, 0) does.
     """
 
     def __init__(self, degree: int, generators: Iterable[Sequence[int]]) -> None:
-        self.degree = degree
-        self.generators = tuple(dict.fromkeys(map(tuple, generators)))
-        self.__post_init__()
+        desc = GroupDescriptor(1, 1, degree)
+        super().__init__(desc, [from_permutation(desc, p) for p in generators])
 
-    def __post_init__(self) -> None:
-        for p in self.generators:
-            if len(p) != self.degree or not perms.is_permutation(p):
-                raise ValueError(f"{p} is not a permutation of 0..{self.degree - 1}")
-        gens = self.generators or [perms.identity(self.degree)]
-        self.elements = perms.mulclose(gens, errors.ENUMERATION_GUARD)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PermutationGroup):
-            return NotImplemented
-        return (self.degree, self.elements) == (other.degree, other.elements)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
-
-    @cached_property
-    def sorted_elements(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.elements))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.sorted_elements)
+    @property
+    def degree(self) -> int:
+        return self.descriptor.r
 
 
 def free_action_symmetric(G: PermutationGroup) -> bool:
     """Whether no nonidentity element of G preserves any 2-subset {i, j}."""
     ident = perms.identity(G.degree)
     for g in G:
-        if g == ident:
+        if (sigma := g.sigma) == ident:
             continue
         for i in range(G.degree):
             for j in range(i + 1, G.degree):
-                if (g[i] == i and g[j] == j) or (g[i] == j and g[j] == i):
+                if (sigma[i] == i and sigma[j] == j) or (sigma[i] == j and sigma[j] == i):
                     return False
     return True
 
@@ -274,7 +251,7 @@ def frobenius_coset_action(spec: FrobeniusSpec) -> tuple[Subgroup, frozenset[tup
     return group, frozenset(types)
 
 
-def cayley_embedding(G: PermutationGroup | Subgroup) -> PermutationGroup:
+def cayley_embedding(G: Subgroup) -> PermutationGroup:
     """The left-translation action of G on its own sorted element list.
 
     The group generated by the translations by ``G.generators``; it is
@@ -286,15 +263,13 @@ def cayley_embedding(G: PermutationGroup | Subgroup) -> PermutationGroup:
     Budget().spend(n * n, f"the {n} x {n} left translations of a Cayley embedding")
     elements = G.sorted_elements
     index = {g: k for k, g in enumerate(elements)}
-    mul = perms.compose if isinstance(G, PermutationGroup) else operator.mul
-    image = PermutationGroup(n, [tuple(index[mul(g, x)] for x in elements) for g in G.generators])
+    image = PermutationGroup(n, [[index[g * x] for x in elements] for g in G.generators])
     if len(image) != n:
         raise InvariantViolation("left translation action is not faithful")
     return image
 
 
-def as_symmetric_subgroup(G: PermutationGroup) -> Subgroup:
-    """Realize a permutation group inside G(1, 1, n) with zero exponents:
-    the closure of its generators' images."""
-    desc, zero = GroupDescriptor(1, 1, G.degree), (0,) * G.degree
-    return closure(desc, [_new(MonomialElement, (desc, g, zero)) for g in G.generators])
+def as_symmetric_subgroup(G: PermutationGroup) -> PermutationGroup:
+    """G itself, a subgroup of G(1, 1, n) already.  No library code calls it;
+    the name stays because ``bench/trace_child.py`` binds it."""
+    return G

@@ -10,20 +10,16 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 
 
-def rank(rows: Iterable[Mapping[int, int] | Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix given as sparse or dense rows.
+def rank(rows: Iterable[Mapping[int, int]]) -> int:
+    """Rank over Q of an integer matrix given as sparse {column: coefficient} rows.
 
     Incremental fraction-free echelon: each row is reduced against the
     basis row of its least column by integer cross-multiplication (scaling
-    a row never changes the rank), in place.  Rows are kept as
-    {column: coefficient} dicts with no zero entries, which keeps the
-    common sparse inputs cheap.
+    a row never changes the rank), in place on a copy without zero entries.
     """
     basis: dict[int, dict[int, int]] = {}
     for raw in rows:
-        # dict first: the Mapping ABC check alone costs more than a short row.
-        mapping = isinstance(raw, dict) or isinstance(raw, Mapping)
-        row = {k: v for k, v in (raw.items() if mapping else enumerate(raw)) if v}
+        row = {k: v for k, v in raw.items() if v}
         while row:
             lead = min(row)
             other = basis.get(lead)

@@ -21,7 +21,6 @@ with "S(n)" as an alias for G(1,1,n) = the symmetric group; elements read
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
@@ -363,7 +362,7 @@ class Subgroup:
         if max_size is None:
             max_size = errors.ENUMERATION_GUARD
         gens = self.generators or [identity(self.descriptor)]
-        self.elements = perms.mulclose(gens, max_size, operator.mul)
+        self.elements = perms.mulclose(gens, max_size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):

@@ -1,8 +1,9 @@
-"""Plain permutation helpers on tuples of 0-based images.
+"""Plain permutation helpers on tuples of 0-based images, and group closure.
 
 A permutation of {0, ..., n-1} is a tuple p with p[i] the image of i.
 Composition follows the left-action convention used everywhere in this
-package: compose(p, q) applies q first, then p.
+package: compose(p, q) applies q first, then p.  ``mulclose`` closes
+elements that have ``*`` and ``order()`` (``MonomialElement``), not tuples.
 """
 
 from __future__ import annotations
@@ -91,17 +92,17 @@ def _guard(size: int, max_size: int | None) -> None:
         raise GuardExceeded(f"closure exceeds {max_size} elements")
 
 
-def _powers(g, mul, max_size: int | None) -> list:
+def _powers(g, max_size: int | None) -> list:
     """g, g^2, ..., g^ord(g) = 1 in ord(g) products, guarded before each is kept."""
     powers, p = [g], g
     _guard(1, max_size)
-    while (p := mul(p, g)) != g:
+    while (p := p * g) != g:
         _guard(len(powers) + 1, max_size)
         powers.append(p)
     return powers
 
 
-def _extend(span: set, used: list, s, mul, max_size: int | None) -> None:
+def _extend(span: set, used: list, s, max_size: int | None) -> None:
     """Grow ``span`` = H = <used> in place to <used, s>; s joins ``used``.
 
     Dimino's step (G. Butler, LNCS 559, 1991): s, then t r for t in ``used``
@@ -110,28 +111,28 @@ def _extend(span: set, used: list, s, mul, max_size: int | None) -> None:
     """
     H, reps = list(span), []
     used.append(s)
-    for y in chain([s], (mul(t, r) for r in reps for t in used)):
+    for y in chain([s], (t * r for r in reps for t in used)):
         if y not in span:
             _guard(len(span) + len(H), max_size)
-            span.update([mul(y, h) for h in H])
+            span.update([y * h for h in H])
             reps.append(y)
 
 
-def mulclose(gens: Iterable, max_size: int | None = None, mul=None) -> frozenset:
+def mulclose(gens: Iterable, max_size: int | None = None) -> frozenset:
     """The group generated by ``gens``, coset by coset (Dimino, ``_extend``).
 
-    ``mul`` defaults to ``compose``, looked up per call so a rebinding is
-    seen; monomial elements pass ``operator.mul``.  Cosets extend H_1, the
-    longest of the k distinct generators' cyclic groups, in at most
-    sum(ord(g_i)) + |G| + k |G| / |H_1| products; no generators give the
-    empty set.  Raises GuardExceeded before a power or coset passes ``max_size``.
+    The generators have ``*`` and ``order()`` (``MonomialElement``).  Cosets
+    extend H_1, the powers of the first generator of greatest order, the only
+    power list built: at most |H_1| + |G| + k |G| / |H_1| products for k
+    distinct generators; no generators give the empty set.  Raises
+    GuardExceeded before a power or coset passes ``max_size``.
     """
-    mul = mul or compose
     gens = list(dict.fromkeys(gens))
-    longest = max((_powers(g, mul, max_size) for g in gens), key=len, default=[])
-    span, used = set(longest), longest[:1]
+    if not gens:
+        return frozenset()
+    first = max(gens, key=lambda g: g.order())
+    span, used = set(_powers(first, max_size)), [first]
     for s in gens:
         if s not in span:
-            _extend(span, used, s, mul, max_size)
+            _extend(span, used, s, max_size)
     return frozenset(span)
-

@@ -207,7 +207,7 @@ def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
 def test_free_action_equivalence_on_s4_cyclic_subgroups():
     for g in perms.all_permutations(4):
         P = PermutationGroup(4, [g])
-        assert free_action_symmetric(P) == all(free_type(h) for h in P)
+        assert free_action_symmetric(P) == all(free_type(h.sigma) for h in P)
 
 
 def test_frobenius_spec_validation():
@@ -226,8 +226,8 @@ def test_cayley_embedding_cyclic():
     z3 = PermutationGroup(3, [perms.from_cycle(3, (0, 1, 2))])
     image = cayley_embedding(z3)
     assert image.degree == 3 and len(image) == 3
-    assert any(perms.cycle_type(g) == (3,) for g in image)
-    assert subgroup_lifts(as_symmetric_subgroup(image)).lifts
+    assert any(perms.cycle_type(g.sigma) == (3,) for g in image)
+    assert subgroup_lifts(image).lifts
 
 
 def test_cayley_embedding_refuses_an_unfaithful_image():
@@ -268,7 +268,7 @@ def test_cayley_embedding_charges_its_translations_first(monkeypatch):
 def test_cayley_embedding_frobenius():
     image = cayley_embedding(frobenius_coset_action(FrobeniusSpec(7, 3, 2))[0])
     assert image.degree == 21 and len(image) == 21
-    assert all(free_type(g) for g in image)
+    assert all(free_type(g.sigma) for g in image)
 
 
 def test_permutation_group_validation():
@@ -276,19 +276,22 @@ def test_permutation_group_validation():
         PermutationGroup(3, [perms.identity(3), (0, 0, 1)])  # not a permutation
     with pytest.raises(ValueError):
         PermutationGroup(3, [perms.identity(4)])  # wrong degree
+    with pytest.raises(ValueError):
+        PermutationGroup(0, [])  # G(1,1,0) does not exist
     # an unclosed set of generators is closed: {(1 2), (1 2 3)} gives S_3
+    desc = GroupDescriptor(1, 1, 3)
     P = PermutationGroup(3, [perms.from_cycle(3, (0, 1)), perms.from_cycle(3, (0, 1, 2))])
-    assert P.elements == frozenset(perms.all_permutations(3))
-    assert PermutationGroup(3, []).elements == {perms.identity(3)}
+    assert P.elements == {from_permutation(desc, g) for g in perms.all_permutations(3)}
+    assert PermutationGroup(3, []).elements == {identity(desc)}
 
 
 def test_symmetric_image_keeps_the_generators_of_its_group():
-    # On every permutation group verify converts: the image is the closure of
-    # every element's image, and keeps the images of P's generators.
+    # On every permutation group verify builds: the group is its own image in
+    # G(1,1,n), the closure of all its elements, all with zero exponents.
     groups = list(_s5_sample_subgroups())
-    groups += [image for _, image, _ in _cayley_images()]
+    groups += [image for _, image in _cayley_images()]
     for P in groups:
         desc = GroupDescriptor(1, 1, P.degree)
-        image = as_symmetric_subgroup(P)
-        assert image == closure(desc, [from_permutation(desc, g) for g in P])
-        assert image.generators == tuple(from_permutation(desc, g) for g in P.generators)
+        assert as_symmetric_subgroup(P) is P
+        assert P == closure(desc, list(P))
+        assert all(g.descriptor == desc and not any(g.exponents) for g in P)

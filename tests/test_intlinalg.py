@@ -8,12 +8,17 @@ def check(rows, rhs, x):
         assert sum(a * v for a, v in zip(row, x)) == b
 
 
+def dense_rank(rows):
+    """``rank`` takes sparse rows: a dense row becomes {column: entry}."""
+    return rank([dict(enumerate(row)) for row in rows])
+
+
 def test_rank_basics():
     assert rank([]) == 0
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[1, 0], [0, 1]]) == 2
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[2, 4, 6], [3, 6, 9], [1, 0, 0]]) == 2
+    assert dense_rank([[0, 0], [0, 0]]) == 0
+    assert dense_rank([[1, 0], [0, 1]]) == 2
+    assert dense_rank([[1, 2], [2, 4]]) == 1
+    assert dense_rank([[2, 4, 6], [3, 6, 9], [1, 0, 0]]) == 2
 
 
 def test_rank_sparse_difference_rows():

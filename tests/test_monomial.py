@@ -300,24 +300,43 @@ def _subgroup_scan_closures():
     ]
 
 
+def counted_products(monkeypatch) -> list[int]:
+    """A one-entry list that counts every ``MonomialElement`` product from here on."""
+    count, mul = [0], MonomialElement.__mul__
+
+    def counting(u, v):
+        count[0] += 1
+        return mul(u, v)
+
+    monkeypatch.setattr(MonomialElement, "__mul__", counting)
+    return count
+
+
 @pytest.mark.parametrize("case, cap", zip(_subgroup_scan_closures(), (1000, 600, 200, 350)),
                          ids=("S(6)", "G(6,3,3)", "S(31) affine", "frobenius 61 5"))
-def test_closure_costs_about_one_product_per_element(case, cap):
+def test_closure_costs_about_one_product_per_element(case, cap, monkeypatch):
     # breadth-first products cost |G| k: 1,440 / 1,728 / 310 / 610 here
     desc, gens = case
-    products = 0
-
-    def mul(u, v):
-        nonlocal products
-        products += 1
-        return u * v
-
-    elements = perms.mulclose(gens, None, mul)
-    assert elements == closure(desc, gens).elements
+    expected = closure(desc, gens).elements
+    products = counted_products(monkeypatch)
+    elements = perms.mulclose(gens)
+    assert elements == expected
     orders = [g.order() for g in dict.fromkeys(gens)]
     n = len(elements)
-    assert products <= cap
-    assert products <= sum(orders) + n + len(orders) * n // max(orders)
+    assert products[0] <= cap
+    # only H_1, the powers of the generator of greatest order, is built whole
+    assert products[0] <= max(orders) + n + len(orders) * n // max(orders)
+
+
+def test_closing_every_element_costs_at_most_two_products_per_element(monkeypatch):
+    # G(2000,1,1) is cyclic: H_1 is the whole group, and no other generator's
+    # powers are built (their orders alone would sum to about 2.2 million)
+    desc = D(2000, 1, 1)
+    every = list(enumerate_elements(desc))
+    products = counted_products(monkeypatch)
+    G = closure(desc, every)
+    assert len(G) == 2000 and len(G.generators) == 2000
+    assert products[0] <= 2 * len(G)
 
 
 def test_center_examples():
@@ -330,18 +349,10 @@ def test_center_closes_a_few_generators_not_every_element(monkeypatch):
     # G(1000,1,1) is all central: closing each of its 1,000 elements as a
     # generator would cost the sum of their orders, about 560,000 products
     desc = D(1000, 1, 1)
-    products = 0
-    mul = MonomialElement.__mul__
-
-    def counting(u, v):
-        nonlocal products
-        products += 1
-        return mul(u, v)
-
-    monkeypatch.setattr(MonomialElement, "__mul__", counting)
+    products = counted_products(monkeypatch)
     Z = center(desc)
     assert len(Z) == 1000 and len(Z.generators) == 1
-    assert products <= 5 * len(Z)
+    assert products[0] <= 5 * len(Z)
 
 
 def test_center_size_formula_on_grid():

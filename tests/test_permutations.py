@@ -2,6 +2,7 @@ import pytest
 
 from braidlift import permutations as perms
 from braidlift.errors import GuardExceeded
+from braidlift.monomial import GroupDescriptor, from_permutation, identity
 
 
 def test_identity_and_compose():
@@ -29,10 +30,12 @@ def test_from_cycle_roundtrip():
 
 
 def test_mulclose_symmetric_group():
-    gens = [perms.from_cycle(4, (0, 1)), perms.from_cycle(4, (0, 1, 2, 3))]
+    # mulclose closes elements with * and order(): S(4) as monomial elements
+    desc = GroupDescriptor(1, 1, 4)
+    gens = [from_permutation(desc, perms.from_cycle(4, c)) for c in ((0, 1), (0, 1, 2, 3))]
     assert len(perms.mulclose(gens)) == 24
     with pytest.raises(GuardExceeded):
         perms.mulclose(gens, max_size=10)
     with pytest.raises(GuardExceeded):  # the generators themselves count
-        perms.mulclose([perms.identity(4)], max_size=0)
+        perms.mulclose([identity(desc)], max_size=0)
 

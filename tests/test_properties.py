@@ -131,9 +131,8 @@ def test_subgroup_accepts_exactly_the_closed_sets(data):
     assert kept == closed_by_all_pairs(els)
 
 
-def reference_mulclose(gens, max_size=None, mul=None):
+def reference_mulclose(gens, max_size=None, mul=operator.mul):
     """Breadth-first closure: every element times every generator, |G| k products."""
-    mul = mul or perms.compose
     gens = list(gens)
     els = set(gens)
     if max_size is not None and len(els) > max_size:
@@ -155,55 +154,66 @@ def reference_mulclose(gens, max_size=None, mul=None):
 
 @st.composite
 def generator_lists(draw, min_gens=1, max_degree=7):
-    """(gens, mul, identity): ``min_gens`` to 4 generators, duplicates and
-    the identity allowed, either permutations of degree <= ``max_degree``
-    (``mul`` None: ``compose``) or elements of a G(de, e, r) of at most
-    1500 elements."""
+    """(gens, identity): ``min_gens`` to 4 generators, duplicates and the
+    identity allowed, either zero-exponent permutations of degree 1 to
+    ``max_degree`` or elements of a G(de, e, r) of at most 1500 elements."""
     if draw(st.booleans()):
-        n = draw(st.integers(0, max_degree))
-        one, mul, pool = perms.identity(n), None, st.permutations(range(n)).map(tuple)
+        desc = GroupDescriptor(1, 1, draw(st.integers(1, max_degree)))
+        pool = st.permutations(range(desc.r)).map(lambda p: from_permutation(desc, p))
     else:
         desc = draw(descriptors().filter(lambda desc: desc.order() <= ENUMERATION_CAP))
-        one, mul = identity(desc), operator.mul
         pool = st.composite(elements)(desc)
+    one = identity(desc)
     gens = draw(st.lists(pool, min_size=min_gens, max_size=4))
     repeats = draw(st.lists(st.sampled_from([*gens, one]), max_size=4 - len(gens)))
-    return draw(st.permutations(gens + repeats)), mul, one
+    return draw(st.permutations(gens + repeats)), one
 
 
 @PROPERTY_SETTINGS
 @given(generator_lists(), st.data())
 def test_mulclose_equals_the_breadth_first_reference(case, data):
-    gens, mul, _ = case
-    group = reference_mulclose(gens, None, mul)
-    assert perms.mulclose(gens, None, mul) == group
+    gens, _ = case
+    group = reference_mulclose(gens)
+    assert perms.mulclose(gens) == group
     n = len(group)
     cap = data.draw(st.one_of(st.integers(0, 2 * n), st.integers(max(n - 2, 0), n + 2)))
     if n > cap:
         with pytest.raises(GuardExceeded, match=f"^closure exceeds {cap} elements$"):
-            perms.mulclose(gens, cap, mul)
+            perms.mulclose(gens, cap)
     else:
-        assert perms.mulclose(gens, cap, mul) == group
+        assert perms.mulclose(gens, cap) == group
 
 
 @PROPERTY_SETTINGS
 @given(generator_lists(min_gens=0, max_degree=6))
 def test_groups_are_the_closures_of_their_generators(case):
-    gens, mul, one = case
-    if mul is None:
-        G = PermutationGroup(len(one), gens)
-    else:
-        G = closure(one.descriptor, gens)
-    assert G.elements == reference_mulclose(gens, None, mul) | {one}
+    gens, one = case
+    G = closure(one.descriptor, gens)
+    assert G.elements == reference_mulclose(gens) | {one}
     assert G.generators == tuple(g for k, g in enumerate(gens) if g not in gens[:k])
+    if one.descriptor.de == 1:  # G(1,1,n): the same group from the permutations
+        P = PermutationGroup(one.descriptor.r, [g.sigma for g in gens])
+        assert P == G and P.generators == G.generators
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)).map(tuple), max_size=4))))
+def test_permutation_groups_are_closures_in_the_symmetric_group(case):
+    # the permutation route of closing tuples by ``compose`` is the reference
+    n, ps = case
+    desc = GroupDescriptor(1, 1, n)
+    P = PermutationGroup(n, ps)
+    assert P == closure(desc, [from_permutation(desc, p) for p in ps])
+    assert P.degree == n
+    assert {g.sigma for g in P} == reference_mulclose(ps, None, perms.compose) | {perms.identity(n)}
 
 
 def reference_cayley_image(G):
     """The left translations by all |G| elements of G, on its sorted elements."""
     elements = G.sorted_elements
     index = {g: k for k, g in enumerate(elements)}
-    mul = perms.compose if isinstance(G, PermutationGroup) else operator.mul
-    return frozenset(tuple(index[mul(g, x)] for x in elements) for g in elements)
+    return frozenset(tuple(index[g * x] for x in elements) for g in elements)
 
 
 #: The groups criterion 9 embeds: Z/5, Z/7, Z/3 x Z/3 and Z/7 : Z/3.
@@ -220,7 +230,7 @@ CAYLEY_INPUTS = (
 def test_cayley_embedding_equals_the_all_translations_image(G):
     image = cayley_embedding(G)
     assert image.degree == len(G)
-    assert image.elements == reference_cayley_image(G)
+    assert {g.sigma for g in image} == reference_cayley_image(G)
 
 
 @PROPERTY_SETTINGS
@@ -386,9 +396,10 @@ def integer_matrices(draw):
 @PROPERTY_SETTINGS
 @given(integer_matrices())
 def test_rank_equals_the_rebuilding_reference(rows):
-    before = repr(rows)
-    assert rank(rows) == reference_rank(rows)
-    assert repr(rows) == before  # the rows reduced in place are copies
+    sparse = [row if isinstance(row, dict) else dict(enumerate(row)) for row in rows]
+    before = repr(sparse)
+    assert rank(sparse) == reference_rank(rows)
+    assert repr(sparse) == before  # the rows reduced in place are copies
 
 
 def rebuilt(w):
