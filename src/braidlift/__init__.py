@@ -37,7 +37,7 @@ _EXPORTS = {
         "subgroup_lifts",
     ),
     "monomial": (
-        "CycleData", "GroupDescriptor", "MonomialElement", "Subgroup",
+        "GroupDescriptor", "MonomialElement", "Subgroup",
         "center", "center_order", "class_representatives", "closure", "diagonal",
         "enumerate_elements", "format_element", "from_permutation", "identity", "pad",
         "parse_element", "standard_generators",

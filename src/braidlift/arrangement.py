@@ -49,7 +49,7 @@ from operator import eq
 from types import MappingProxyType
 
 from .errors import Budget, MismatchError
-from .monomial import GroupDescriptor, MonomialElement, Subgroup, identity
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, center_order, identity
 from .permutations import compose
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
@@ -319,13 +319,13 @@ def acts_faithfully_on_arrangement(G: Subgroup) -> bool:
 
     The kernel of the ambient group's action on it is the centre (Lehrer-Taylor,
     ch. 2), so no g != 1 in G may be central: a scalar, sigma = id with equal
-    exponents, or any element of the abelian G(1, 1, 2) and G(2, 2, 2)
-    (``center_order``).  O(r) per element.
+    exponents, or any element when the ambient group is abelian, its centre
+    as large as itself (``center_order``).  O(r) per element.
     """
     desc = G.descriptor
     if not hyperplane_count(desc):
         raise ValueError(f"{desc} has an empty arrangement")
-    if desc.r == 2 and desc.d == 1 and desc.e <= 2:
+    if not desc.order_exceeds(center_order(desc)):
         return len(G) == 1
     unmoved = tuple(range(desc.r))
     return not any(g.sigma == unmoved and (a := g.exponents)[0] and a.count(a[0]) == desc.r

@@ -13,10 +13,9 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from . import errors
 from . import permutations as perms
 from .arrangement import hyperplane_count, orbit_count
-from .errors import Budget, GuardExceeded, InvariantViolation
+from .errors import Budget, InvariantViolation
 from .lifting import oracle_verdicts
 from .monomial import (
     GroupDescriptor,
@@ -64,13 +63,10 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = N
 
     Each element's verdict walk (``oracle_verdicts``) charges ``budget``,
     when one is given, |A| steps for each power it scans, up to w's first
-    violating power.  Raises
-    GuardExceeded when |G| > ENUMERATION_GUARD, which also bounds the class
-    walk: it builds at most 3|G| partial and whole multisets
-    (``class_representatives``).
+    violating power.  The class walk raises GuardExceeded when
+    |G| > ENUMERATION_GUARD, which also bounds it: it builds at most 3|G|
+    partial and whole multisets (``class_representatives``).
     """
-    if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
-        raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
     prime: dict[int, bool] = {}  # each distinct order is tested once
     for w in class_representatives(descriptor):
         if (n := w.order()) not in prime:
@@ -113,11 +109,9 @@ def has_free_monomial_type(w: MonomialElement) -> bool:
     True iff all cycles of sigma share one odd length k and every cycle
     exponent sum is 0 mod de.  The identity qualifies with k = 1.
     """
-    cycles = w.cycles()
-    k = cycles[0].length
-    if k % 2 == 0:
-        return False
-    return all(c.length == k and c.product_exponent == 0 for c in cycles)
+    de, sums = w.descriptor.de, perms.cycle_sums(w.sigma, w.exponents)
+    k = sums[0][0]
+    return k % 2 == 1 and all(L == k and p % de == 0 for L, p in sums)
 
 
 class PermutationGroup(Subgroup):

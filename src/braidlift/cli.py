@@ -77,19 +77,11 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _print_report(report: LiftReport, as_json: bool) -> None:
-    if as_json:
-        _print_json(report.to_json())
-        return
+def _print_report(report: LiftReport) -> None:
     verdict = "lifts" if report.lifts else "does not lift"
     line = f"{report.subject}: {verdict} [{report.method}]"
     if report.witness is not None:
-        w = report.witness.to_json()
-        parts = [f"hyperplane {w['hyperplane']}"]
-        if "power" in w:
-            parts.append(f"power {w['power']}")
-        if "element" in w:
-            parts.append(f"element {w['element']}")
+        parts = (f"{k} {v}" for k, v in report.witness.to_json().items())
         line += f" witness: {', '.join(parts)}"
     print(line)
 
@@ -113,7 +105,7 @@ def cmd_check_element(args: SimpleNamespace) -> int:
         _print_json(docs[0] if len(docs) == 1 else docs)
     else:
         for r in reports:
-            _print_report(r, as_json=False)
+            _print_report(r)
     return EXIT_OK if reports[0].lifts else EXIT_NO_LIFT
 
 
@@ -140,7 +132,7 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
     else:
         print(f"subgroup of {desc}: order {summary['order']}, "
               f"{summary['orbits']} hyperplane orbits, faithful: {faithful}")
-        _print_report(report, as_json=False)
+        _print_report(report)
     return EXIT_OK if report.lifts else EXIT_NO_LIFT
 
 
@@ -168,19 +160,16 @@ def _classify_row(desc: GroupDescriptor, budget: Budget | None = None) -> dict:
     }
 
 
-_COLUMNS = ("descriptor", "bieberbach_formula", "bieberbach_bruteforce",
-            "odd_lift_property", "arrangement_size", "center_size")
-
-
 def _print_rows(rows: list[dict], as_json: bool) -> None:
     if as_json:
         _print_json(rows)
         return
-    cells = [{c: "skipped" if r[c] is None else str(r[c]) for c in _COLUMNS} for r in rows]
-    widths = {c: max(len(c), *(len(r[c]) for r in cells)) for c in _COLUMNS}
-    print("  ".join(c.ljust(widths[c]) for c in _COLUMNS))
+    columns = list(rows[0])  # _classify_row's keys, in order
+    cells = [{c: "skipped" if r[c] is None else str(r[c]) for c in columns} for r in rows]
+    widths = {c: max(len(c), *(len(r[c]) for r in cells)) for c in columns}
+    print("  ".join(c.ljust(widths[c]) for c in columns))
     for r in cells:
-        print("  ".join(r[c].ljust(widths[c]) for c in _COLUMNS))
+        print("  ".join(r[c].ljust(widths[c]) for c in columns))
 
 
 def cmd_classify(args: SimpleNamespace) -> int:

@@ -10,7 +10,8 @@ special to the monomial groups.
 
 The oracle and the fast test are kept strictly independent: the oracle only
 ever looks at stabilizers and normal scalars, the fast test only at cycle
-data.  Their agreement on whole groups is part of the verification suite.
+data, the (length, exponent sum) pairs of ``permutations.cycle_sums``.
+Their agreement on whole groups is part of the verification suite.
 The oracle reads stabilizers off the permutation each power induces on the
 hyperplane indices, decoded by arithmetic, and builds no arrangement tuple.
 The normal-line scalar itself is not written here: both scans read it from
@@ -49,7 +50,7 @@ from .arrangement import (
 )
 from .errors import Budget, InvariantViolation
 from .monomial import MonomialElement, Subgroup, format_element
-from .permutations import compose
+from .permutations import compose, cycle_sums
 
 
 class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
@@ -161,21 +162,13 @@ def element_lifts_fast(w: MonomialElement) -> bool:
     has p = 0 mod de, so does every fixed point when d >= 2 (its coordinate
     hyperplane exists), and for any two fixed points i != j the order of
     zeta^{a_i - a_j} is a multiple of the orders of zeta^{a_i} and
-    zeta^{a_j}.  One pass over sigma, stopping at the first failing cycle.
+    zeta^{a_j}.  Stops at the first failing pair (L, p) of ``cycle_sums``.
     """
     desc = w.descriptor
     if desc.r == 1:
         return w.is_identity
-    d, de, sigma, a = desc.d, desc.de, w.sigma, w.exponents
-    seen = [False] * desc.r
-    fixed = []
-    for start in range(desc.r):
-        if seen[start]:
-            continue
-        length, p, k = 0, 0, start
-        while not seen[k]:
-            seen[k] = True
-            length, p, k = length + 1, p + a[k], sigma[k]
+    d, de, fixed = desc.d, desc.de, []
+    for length, p in cycle_sums(w.sigma, w.exponents):
         p %= de
         if length * _root_order(p, de) % 2 == 0 or (p and (length > 1 or d >= 2)):
             return False

@@ -109,16 +109,6 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
         return f"G({self.de},{self.e},{self.r})"
 
 
-class CycleData(namedtuple("CycleData", "support product_exponent")):
-    """One cycle of the underlying permutation, with its exponent sum."""
-
-    __slots__ = ()
-
-    @property
-    def length(self) -> int:
-        return len(self.support)
-
-
 class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents")):
     """A monomial matrix w(e_i) = zeta_de^{exponents[i]} e_{sigma[i]}.
 
@@ -181,30 +171,15 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
             n >>= 1
         return result
 
-    def cycles(self) -> tuple[CycleData, ...]:
-        """Cycles of sigma (fixed points included) with exponent sums mod de."""
-        de = self.descriptor.de
-        return tuple(
-            CycleData(support, sum(self.exponents[i] for i in support) % de)
-            for support in perms.cycles(self.sigma)
-        )
-
     def order(self) -> int:
         """Least n >= 1 with w^n = id.
 
-        On the span of a cycle of length L with exponent sum p, w^L acts as
-        the scalar zeta^p, so that block has order L * ord(zeta^p).
+        On the span of a cycle of length L with exponent sum p (``cycle_sums``),
+        w^L acts as the scalar zeta^p, so that block has order L * ord(zeta^p).
         """
-        de, sigma, a = self.descriptor.de, self.sigma, self.exponents
-        seen, blocks = [False] * len(sigma), []
-        for start in range(len(sigma)):  # one pass, no tuple per cycle
-            length, p, k = 0, 0, start
-            while not seen[k]:
-                seen[k] = True
-                length, p, k = length + 1, p + a[k], sigma[k]
-            if length:
-                blocks.append(length * (de // math.gcd(p, de)))
-        return math.lcm(*blocks)
+        de = self.descriptor.de
+        return math.lcm(*(L * (de // math.gcd(p, de))
+                          for L, p in perms.cycle_sums(self.sigma, self.exponents)))
 
     def __str__(self) -> str:
         return format_element(self)
@@ -322,8 +297,11 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
     multiset is built, so the partial multisets it builds all have total
     length s < r.  Those of length s are classes of G(de, 1, s), at most
     de^s s! of them, and the sum over s < r is at most
-    2 de^(r-1) (r-1)! = 2|G| / (d r).
+    2 de^(r-1) (r-1)! = 2|G| / (d r).  Raises GuardExceeded, before the
+    first class, when |G| > ENUMERATION_GUARD.
     """
+    if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
+        raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
     r, e, de = descriptor.r, descriptor.e, descriptor.de
     for multiset in _cycle_multisets(r, de, e, 0, (r, 0)):
         sigma, exps, start = [], [0] * r, 0

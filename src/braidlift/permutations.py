@@ -4,6 +4,9 @@ A permutation of {0, ..., n-1} is a tuple p with p[i] the image of i.
 Composition follows the left-action convention used everywhere in this
 package: compose(p, q) applies q first, then p.  ``mulclose`` closes
 elements that have ``*`` and ``order()`` (``MonomialElement``), not tuples.
+
+``cycle_sums`` is the one cycle walk, read for cycle types, monomial orders
+and the fast lifting criterion; ``cycles`` is the tests' reference for it.
 """
 
 from __future__ import annotations
@@ -58,17 +61,23 @@ def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
-    """Cycle lengths in decreasing order, fixed points included; one pass, no tuple per cycle."""
-    seen, lengths = [False] * len(p), []
+def cycle_sums(p: Sequence[int], a: Sequence[int]) -> list[tuple[int, int]]:
+    """(length, sum of a over the cycle) for each cycle of p, fixed points
+    included, by least element; one pass, no tuple per cycle."""
+    seen, out = [False] * len(p), []
     for start in range(len(p)):
-        length, k = 0, start
+        length, s, k = 0, 0, start
         while not seen[k]:
             seen[k] = True
-            length, k = length + 1, p[k]
+            length, s, k = length + 1, s + a[k], p[k]
         if length:
-            lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
+            out.append((length, s))
+    return out
+
+
+def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+    """Cycle lengths in decreasing order, fixed points included."""
+    return tuple(sorted((L for L, _ in cycle_sums(p, p)), reverse=True))  # sums unused
 
 
 def order(p: Sequence[int]) -> int:

@@ -49,6 +49,17 @@ def test_check_element_refusal_with_witness(capsys):
     assert doc["witness"]["hyperplane"] in {format_hyperplane(H) for H in hyperplanes(desc)}
 
 
+def test_check_element_text_witness(capsys):
+    code, out, _ = invoke(
+        capsys,
+        "check-element", "--group", "S(4)",
+        "--element", "perm=[2,1,3,4];exp=[0,0,0,0]", "--method", "oracle",
+    )
+    assert code == 3
+    assert out == ("perm=[2,1,3,4];exp=[0,0,0,0]: does not lift [oracle] "
+                   "witness: hyperplane H[1,2;0], power 1\n")
+
+
 def test_check_element_oracle_guard(capsys):
     # A 2001-cycle in S(2001): 2001 powers x 2,001,000 hyperplanes for the
     # oracle, refused before its scan; the fast criterion needs no guard.

@@ -150,19 +150,24 @@ def test_inverse_and_power_laws():
 
 # --- cycles and order -------------------------------------------------------
 
+def cycle_pairs(w):
+    """(length, exponent sum mod de) of each cycle of w, off ``perms.cycles``."""
+    return [(len(c), sum(w.exponents[i] for i in c) % w.descriptor.de)
+            for c in perms.cycles(w.sigma)]
+
+
 def test_cycles_of_diagonal():
     w = diagonal(D(3, 3, 3), (1, 2, 0))
-    cys = w.cycles()
-    assert [c.support for c in cys] == [(0,), (1,), (2,)]
-    assert [c.product_exponent for c in cys] == [1, 2, 0]
-    assert all(c.length == 1 for c in cys)
+    assert perms.cycles(w.sigma) == [(0,), (1,), (2,)]
+    assert cycle_pairs(w) == [(1, 1), (1, 2), (1, 0)]
+    assert perms.cycle_sums(w.sigma, w.exponents) == [(1, 1), (1, 2), (1, 0)]
 
 
 def test_cycles_identity_and_three_cycle():
-    assert [c.product_exponent for c in identity(D(1, 1, 4)).cycles()] == [0, 0, 0, 0]
+    assert cycle_pairs(identity(D(1, 1, 4))) == [(1, 0)] * 4
     w = from_permutation(D(1, 1, 3), (1, 2, 0))
-    (c,) = w.cycles()
-    assert c.support == (0, 1, 2) and c.length == 3 and c.product_exponent == 0
+    assert perms.cycles(w.sigma) == [(0, 1, 2)]
+    assert perms.cycle_sums(w.sigma, w.exponents) == [(3, 0)]
 
 
 def test_cycles_partition_and_reconstruct():
@@ -170,13 +175,13 @@ def test_cycles_partition_and_reconstruct():
     for desc in (D(6, 3, 3), D(2, 2, 4)):
         for _ in range(40):
             w = random_element(rng, desc)
-            cys = w.cycles()
-            indices = sorted(i for c in cys for i in c.support)
-            assert indices == list(range(desc.r))
+            cys = perms.cycles(w.sigma)
+            assert sorted(i for c in cys for i in c) == list(range(desc.r))
+            sums = perms.cycle_sums(w.sigma, w.exponents)
+            assert [(L, p % desc.de) for L, p in sums] == cycle_pairs(w)
             for c in cys:
-                assert sum(w.exponents[i] for i in c.support) % desc.de == c.product_exponent
-                for pos, i in enumerate(c.support):
-                    assert w.sigma[i] == c.support[(pos + 1) % c.length]
+                for pos, i in enumerate(c):
+                    assert w.sigma[i] == c[(pos + 1) % len(c)]
 
 
 def test_order_examples():
@@ -213,6 +218,9 @@ def test_enumeration_guard():
     # (10^8)! is never computed: the bounded product passes the guard at 10.
     with pytest.raises(GuardExceeded):
         next(enumerate_elements(GroupDescriptor(1, 1, 10**8)))
+    # The class walk refuses S(10) by its 3,628,800 elements, not its 42 classes.
+    with pytest.raises(GuardExceeded):
+        next(class_representatives(D(1, 1, 10)))
 
 
 def test_class_walk_is_bounded_by_the_group_order(monkeypatch):

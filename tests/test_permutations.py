@@ -18,10 +18,12 @@ def test_cycles_and_order():
     p = perms.from_cycle(5, (0, 1, 2))
     assert perms.cycles(p) == [(0, 1, 2), (3,), (4,)]
     assert perms.cycle_type(p) == (3, 1, 1)
+    assert perms.cycle_sums(p, range(5)) == [(3, 3), (1, 3), (1, 4)]
     assert perms.order(p) == 3
     assert perms.order(perms.identity(4)) == 1
     # the empty permutation: no cycles, and order 1
     assert perms.cycles(()) == [] and perms.cycle_type(()) == () and perms.order(()) == 1
+    assert perms.cycle_sums((), ()) == []
 
 
 def test_from_cycle_roundtrip():

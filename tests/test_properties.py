@@ -435,7 +435,9 @@ def test_prime_order_bieberbach_scan_equals_full_scan(desc):
 def cycle_class(w):
     """The multiset of (cycle length, cycle exponent sum) that names w's
     conjugacy class in G(de, 1, r)."""
-    return tuple(sorted((c.length, c.product_exponent) for c in w.cycles()))
+    de = w.descriptor.de
+    return tuple(sorted((len(c), sum(w.exponents[i] for i in c) % de)
+                        for c in perms.cycles(w.sigma)))
 
 
 @ELEMENT_SETTINGS
@@ -592,6 +594,7 @@ def test_cycle_passes_equal_their_cycles_definitions(w):
     assert perms.order(sigma) == math.lcm(*map(len, cycles))
     assert w.order() == math.lcm(*(len(c) * (de // math.gcd(sum(a[i] for i in c), de))
                                    for c in cycles))
+    assert perms.cycle_sums(sigma, a) == [(len(c), sum(a[i] for i in c)) for c in cycles]
 
 
 @PROPERTY_SETTINGS
@@ -664,8 +667,8 @@ def test_index_normal_scalar_equals_the_hyperplane_reference(d_is_one, data):
 
 
 def reference_element_lifts_fast(w):
-    """The fast criterion's case analysis on w.cycles(), as it read before it
-    became one pass over sigma."""
+    """The fast criterion's case analysis on the cycles of ``perms.cycles``,
+    not on the walk ``cycle_sums`` that it reads."""
     desc = w.descriptor
     if desc.r == 1:
         return w.is_identity
@@ -673,12 +676,12 @@ def reference_element_lifts_fast(w):
     def root_order(exponent):
         return desc.de // math.gcd(exponent, desc.de)
 
-    cycles = w.cycles()
-    if any(c.length * root_order(c.product_exponent) % 2 == 0 for c in cycles):
+    cycles = [(len(c), sum(w.exponents[i] for i in c) % desc.de) for c in perms.cycles(w.sigma)]
+    if any(L * root_order(p) % 2 == 0 for L, p in cycles):
         return False
-    if any(c.product_exponent for c in cycles if c.length > 1 or desc.d >= 2):
+    if any(p for L, p in cycles if L > 1 or desc.d >= 2):
         return False
-    a = [c.product_exponent for c in cycles if c.length == 1]
+    a = [p for L, p in cycles if L == 1]
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             m = root_order(a[i] - a[j])
