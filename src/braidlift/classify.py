@@ -192,10 +192,13 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
 
     @staticmethod
     def _check_orders(p: int, q: int) -> None:
-        # q first: it is O(1), while the primality test is O(sqrt p).
+        # The O(1) tests first, p's bound before q's, which reads p - 1; the
+        # primality test is O(sqrt p) and, past p < 3, leaves only odd primes.
+        if p < 3:
+            raise ValueError(f"p = {p} must be an odd prime")
         if q % 2 == 0 or q <= 1 or (p - 1) % q:
             raise ValueError(f"q = {q} must be an odd divisor > 1 of p - 1 = {p - 1}")
-        if not _is_prime(p) or p % 2 == 0:
+        if not _is_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
 
     @classmethod

@@ -7,6 +7,7 @@ exceeded, 5 internal invariant violation (two provably-equal routes disagreed).
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections.abc import Sequence
 from itertools import product
@@ -403,7 +404,14 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """The console entry point. Integer tuples and frozensets hold no
+    reference cycles, so the cyclic collector stays off for the command, and
+    the heap is frozen so that the collections at interpreter exit skip the
+    live modules. `run` leaves the collector to its caller."""
+    gc.disable()
+    code = run(sys.argv[1:])
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -277,6 +277,14 @@ def test_frobenius_guard_exceeded(capsys):
     assert code == 4 and out == "" and "guard" in err
 
 
+@pytest.mark.parametrize("p", ["-7", "2"])
+def test_frobenius_blames_p_below_3(capsys, p):
+    # p - 1 is -8 or 1, which q = 3 does not divide: p is tested first
+    code, out, err = invoke(capsys, "frobenius", "--p", p, "--q", "3")
+    assert code == 2 and out == ""
+    assert f"p = {p} must be an odd prime" in err and "q =" not in err, err
+
+
 def test_cocycle_roundtrips(capsys):
     code, out, _ = invoke(
         capsys,

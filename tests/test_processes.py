@@ -1,5 +1,6 @@
-"""braidlift in a fresh interpreter: the CLI's import footprint, and the
-benchmark's trace harness (bench/trace_child.py) against the plain CLI.
+"""braidlift in a fresh interpreter: the CLI's import footprint, the cyclic
+garbage its commands leave and the collector policy of its entry point, and
+the benchmark's trace harness (bench/trace_child.py) against the plain CLI.
 
 The harness wraps package functions and methods by name from outside, so a
 refactor that drops or renames one of them fails here, not only in a traced
@@ -7,6 +8,7 @@ benchmark run.
 """
 
 import ast
+import gc
 import json
 import os
 import re
@@ -15,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from braidlift.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -72,6 +76,85 @@ def test_cli_import_loads_no_dataclasses_typing_or_inspect(argv):
         return  # help prints no result, so there is no --json output to add
     added = modules_after((*argv, "--json")) - plain
     assert "json" in added and {m.lstrip("_").split(".")[0] for m in added} <= JSON_IMPORTS, added
+
+
+def garbage_after(argv):
+    """The exit code of run(argv) in a fresh interpreter, and the objects that
+    gc.collect() then finds, with every module imported beforehand and the
+    collector off while the command runs."""
+    probe = python(
+        "-c",
+        "import gc, importlib, json, pkgutil, random, braidlift\n"
+        "for info in pkgutil.iter_modules(braidlift.__path__):\n"
+        "    importlib.import_module('braidlift.' + info.name)\n"
+        "from braidlift.cli import run\n"
+        "gc.collect(); gc.disable()\n"
+        f"code = run({list(argv)!r})\n"
+        "print(code, gc.collect())",
+    )
+    assert probe.returncode == 0, probe.stderr
+    return tuple(map(int, probe.stdout.splitlines()[-1].split()))
+
+
+# The values are integer tuples and frozensets with no reference cycles, so
+# reference counting frees them all: cli.main runs with the collector off.
+@pytest.mark.parametrize("argv, code", [
+    (("classify", "--group", "G(2,1,3)"), 0),
+    (("survey", "--grid", "d<=2,e<=2,r<=3"), 0),
+    (("check-element", "--group", "S(5)", "--element", "perm=[2,3,1,4,5];exp=[0,0,0,0,0]",
+      "--method", "both"), 0),
+    # a transposition fixes a hyperplane it acts on by -1: the refusal path
+    (("check-element", "--group", "S(4)", "--element", "perm=[2,1,3,4];exp=[0,0,0,0]"), 3),
+    (("check-subgroup", "--group", "S(5)", "--generators",
+      "perm=[2,3,4,5,1];exp=[0,0,0,0,0];perm=[2,1,3,4,5];exp=[0,0,0,0,0]"), 3),
+    (("frobenius", "--p", "7", "--q", "3"), 0),
+    (("cocycle", "--group", "S(5)", "--generators", "perm=[2,3,4,5,1];exp=[0,0,0,0,0]",
+      "--random", "3", "--seed", "1"), 0),
+    (("verify",), 0),
+    (("frobenius", "--p", "-7", "--q", "3"), 2),
+    (("frobenius", "--p", "1009", "--q", "3"), 4),
+])
+def test_commands_leave_no_cyclic_garbage(argv, code):
+    assert garbage_after(argv) == (code, 0)
+
+
+def test_json_garbage_does_not_grow_with_the_input():
+    # the stdlib encoder's mutually recursive closures, a fixed count per dump
+    small, large = (garbage_after(("classify", "--group", g, "--json")) for g in ("S(3)", "S(8)"))
+    assert small[0] == large[0] == 0 and small[1] == large[1], (small, large)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_to_its_caller(capsys, enabled):
+    frozen = gc.get_freeze_count()
+    try:
+        if not enabled:
+            gc.disable()
+        assert run(["classify", "--group", "S(4)"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("classify", "--group", "S(4)"), 0),
+    (("classify", "--group", "S(0)"), 2),
+    (("check-element", "--group", "S(4)", "--element", "perm=[2,1,3,4];exp=[0,0,0,0]"), 3),
+    (("frobenius", "--p", "1009", "--q", "3"), 4),
+])
+def test_main_runs_with_the_collector_off_and_exits_frozen(argv, code):
+    probe = python(
+        "-c",
+        "import gc, sys; from braidlift.cli import main\n"
+        "before = gc.isenabled(), gc.get_freeze_count()\n"
+        f"sys.argv = ['braidlift', *{list(argv)!r}]\n"
+        "try:\n"
+        "    main()\n"
+        "except SystemExit as exc:\n"
+        "    print(*before, exc.code, gc.isenabled(), gc.get_freeze_count() > 0)",
+    )
+    assert probe.stdout.splitlines()[-1] == f"True 0 {code} False True", probe.stderr
 
 
 def mask_elapsed(stdout):
