@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and "lifts" for the check commands), 2 parse or
 usage error, 3 the element or subgroup does not lift, 4 enumeration guard
-exceeded, 5 internal invariant violation (two provably-equal routes disagreed).
+exceeded, 5 internal invariant violation (two provably-equal routes disagreed),
+and from ``main`` only 141, the output pipe was closed (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_PARSE = 2
 EXIT_NO_LIFT = 3
 EXIT_GUARD = 4
 EXIT_INVARIANT = 5
+EXIT_BROKEN_PIPE = 141
 
 
 def parse_grid(text: str) -> tuple[int, int, int]:
@@ -405,13 +407,20 @@ def run(argv: Sequence[str]) -> int:
 
 def main() -> None:
     """The console entry point. Integer tuples and frozensets hold no
-    reference cycles, so the cyclic collector stays off for the command, and
-    the heap is frozen so that the collections at interpreter exit skip the
-    live modules. `run` leaves the collector to its caller."""
+    reference cycles, so the cyclic collector stays off for the command. With
+    the output flushed, ``os._exit`` ends the process without the interpreter's
+    teardown; a closed output pipe exits EXIT_BROKEN_PIPE, writing nothing
+    more. `run` leaves the collector and the process to its caller."""
+    import os  # runpy has loaded it already under -m
+
     gc.disable()
-    code = run(sys.argv[1:])
-    gc.freeze()
-    sys.exit(code)
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    os._exit(code)
 
 
 if __name__ == "__main__":

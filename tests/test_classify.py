@@ -231,11 +231,19 @@ def test_cayley_embedding_cyclic():
 
 
 def test_cayley_embedding_refuses_an_unfaithful_image():
-    # translations by too few generators close to a smaller group than G
+    # translations by too few generators close to a smaller group than G: a
+    # stand-in with Z/3's elements and no generators, leaving Z/3 itself intact
     z3 = PermutationGroup(3, [perms.from_cycle(3, (0, 1, 2))])
-    z3.generators = ()
+
+    class NoGenerators:
+        sorted_elements = z3.sorted_elements
+        generators = ()
+
+        def __len__(self):
+            return len(z3)
+
     with pytest.raises(InvariantViolation, match="not faithful"):
-        cayley_embedding(z3)
+        cayley_embedding(NoGenerators())
 
 
 def test_cayley_embedding_trivial_and_monomial_input():

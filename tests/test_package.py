@@ -93,3 +93,42 @@ def test_unread_private_names_are_found():
 def test_private_names_are_read():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+#: Calls that end the host process, or leave work to run when it ends.
+PROCESS_EXITS = frozenset({"os._exit", "sys.exit", "gc.freeze", "atexit.register"})
+
+
+def process_exits(source: str) -> list[tuple[str, str]]:
+    """(top-level name, call) for each use of a PROCESS_EXITS name, in order.
+
+    A use is ``module.name`` or ``from module import name``; at module level
+    the top-level name is "".
+    """
+    found = []
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                used = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.ImportFrom):
+                used = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                used = []
+            found += [(owner, name) for name in used if name in PROCESS_EXITS]
+    return found
+
+
+def test_process_exits_are_found():
+    source = ("import atexit, gc, sys\nfrom os import _exit\natexit.register(print)\n"
+              "def f():\n    gc.freeze()\n    sys.exit(gc.collect())\n")
+    assert process_exits(source) == [
+        ("", "os._exit"), ("", "atexit.register"), ("f", "gc.freeze"), ("f", "sys.exit")]
+
+
+def test_only_cli_main_ends_the_process():
+    # Importing or calling the library never ends its host process or leaves
+    # work to run at its exit.
+    found = [(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
+             for use in process_exits(path.read_text())]
+    assert found == [("cli", "main", "os._exit")]

@@ -1,6 +1,7 @@
 """braidlift in a fresh interpreter: the CLI's import footprint, the cyclic
-garbage its commands leave and the collector policy of its entry point, and
-the benchmark's trace harness (bench/trace_child.py) against the plain CLI.
+garbage its commands leave, the collector policy and exit path of its entry
+point, and the benchmark's trace harness (bench/trace_child.py) against the
+plain CLI.
 
 The harness wraps package functions and methods by name from outside, so a
 refactor that drops or renames one of them fails here, not only in a traced
@@ -143,18 +144,46 @@ def test_run_leaves_the_collector_to_its_caller(capsys, enabled):
     (("check-element", "--group", "S(4)", "--element", "perm=[2,1,3,4];exp=[0,0,0,0]"), 3),
     (("frobenius", "--p", "1009", "--q", "3"), 4),
 ])
-def test_main_runs_with_the_collector_off_and_exits_frozen(argv, code):
+def test_main_runs_with_the_collector_off_and_ends_at_os_exit(argv, code):
     probe = python(
         "-c",
-        "import gc, sys; from braidlift.cli import main\n"
-        "before = gc.isenabled(), gc.get_freeze_count()\n"
+        "import gc, os, sys; from braidlift.cli import main\n"
+        "before, real_exit = gc.isenabled(), os._exit\n"
+        "def _exit(code):\n"
+        "    print(before, gc.isenabled(), gc.get_freeze_count(), code, flush=True)\n"
+        "    real_exit(code)\n"
+        "os._exit = _exit\n"
         f"sys.argv = ['braidlift', *{list(argv)!r}]\n"
-        "try:\n"
-        "    main()\n"
-        "except SystemExit as exc:\n"
-        "    print(*before, exc.code, gc.isenabled(), gc.get_freeze_count() > 0)",
+        "main()\n"
+        "print('main returned')",
     )
-    assert probe.stdout.splitlines()[-1] == f"True 0 {code} False True", probe.stderr
+    assert probe.stdout.splitlines()[-1] == f"True False 0 {code}", probe.stderr
+    assert probe.returncode == code
+
+
+@pytest.mark.parametrize("argv, stream", [
+    # 12 KB, more than the 8 KiB buffer: the command's own print fails
+    (("survey", "--grid", "d<=4,e<=4,r<=4", "--json"), "stdout"),
+    # a line or two, held in the buffer until main flushes it
+    (("classify", "--group", "S(4)"), "stdout"),
+    (("check-element", "--group", "S(4)", "--element", "perm=[2,1,3,4];exp=[0,0,0,0]"), "stdout"),
+    # the parse error's line on stderr
+    (("classify", "--group", "S(0)"), "stderr"),
+])
+def test_a_closed_output_pipe_exits_141_without_a_traceback(argv, stream):
+    read, write = os.pipe()
+    os.close(read)
+    # Output is buffered, as for an installed CLI.
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-S", "-m", "braidlift.cli", *argv], cwd=ROOT, env=env, **streams)
+    finally:
+        os.close(write)
+    # nothing on the stream left open either: no traceback, no "Exception ignored"
+    captured = proc.stderr if stream == "stdout" else proc.stdout
+    assert (proc.returncode, captured) == (141, b"")
 
 
 def mask_elapsed(stdout):
