@@ -30,10 +30,10 @@ only whether an element is central.  ``orbits`` is the one search
 along the generators' permutations: a spanning forest with each index
 labelled by its orbit's least index, kept on the subgroup, which the
 lifting scan, the orbit counts and the cocycle solver of ``lattice`` all
-read.  ``element_permutations`` is the table g -> pi_g of every element's
-permutation, read only by the cocycle code of ``lattice``, which uses
-every entry.  ``hyperplanes`` builds the arrangement for the tests and
-caches nothing.
+read.  ``element_permutations``, the table g -> pi_g of every element's
+permutation, is a reference that no command builds, for the coboundaries
+of ``lattice`` and the tests.  ``hyperplanes`` builds the arrangement for
+the tests and caches nothing.
 
 Witnesses name a hyperplane as "H[i,j;t]" for Swap and "H[i]" for Coord (1-based).
 """
@@ -42,19 +42,16 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import compress
 from operator import eq
-from types import MappingProxyType
 
 from .errors import Budget, MismatchError
-from .monomial import GroupDescriptor, MonomialElement, Subgroup, center_order, identity
-from .permutations import compose
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, center_order
 
-#: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Subgroup
-#: tables call it on generators only: ``verify`` fills 129 entries, so it does
-#: not evict, while a long session stays bounded.
+#: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Commands
+#: call it on generators only: ``verify`` fills 129 entries, so it does not
+#: evict, while a long session stays bounded.
 HYPERPLANE_CACHE_SIZE = 4096
 
 
@@ -194,33 +191,18 @@ def hyperplane_permutation(g: MonomialElement) -> tuple[int, ...]:
     return _index_permutation(g)
 
 
-def element_permutations(G: Subgroup) -> Mapping[MonomialElement, tuple[int, ...]]:
-    """The read-only table g -> pi_g of G's permutations of hyperplane indices.
+def element_permutations(G: Subgroup) -> dict[MonomialElement, tuple[int, ...]]:
+    """The table g -> pi_g of G's permutations of hyperplane indices.
 
-    For the cocycle code, which reads every entry; the whole-subgroup tests
-    here and in ``lifting`` and ``classify`` need none of it.  Built once per
-    subgroup and kept on it, like ``sorted_elements``, by a
-    breadth-first walk from the identity over ``G.generators``: only the
-    generators' permutations are numbered directly, and every other one follows
-    from the left-action law, pi_{s*h}[k] = pi_s[pi_h[k]].  Keys are in walk
-    order.  Charges |G| * |A| to a ``Budget`` before the walk.
+    A reference for ``lattice.coboundary``, ``lattice.trivialize_cocycle``
+    and the tests; no command builds it.  Each pi_g is numbered directly
+    (``_index_permutation``), in sorted order, so the table does not rest
+    on the generators whose checks it is compared with.  Charges
+    |G| * |A| to a ``Budget`` first.
     """
-    if table := vars(G).get("_hyperplane_permutations"):
-        return table
     width = hyperplane_count(G.descriptor)
     Budget().spend(len(G) * width, f"{len(G)} elements x {width} hyperplanes")
-    steps = [(s, hyperplane_permutation(s)) for s in G.generators]
-    # The identity's images, as in ``orbits``: a generator's ints, sorted.
-    queue = [(identity(G.descriptor), tuple(sorted(steps[0][1]) if steps else range(width)))]
-    table = dict(queue)
-    for h, pi_h in queue:
-        for s, pi_s in steps:
-            g = s * h
-            if g not in table:
-                table[g] = pi_g = compose(pi_s, pi_h)
-                queue.append((g, pi_g))
-    vars(G)["_hyperplane_permutations"] = table = MappingProxyType(table)
-    return table
+    return {g: _index_permutation(g) for g in G.sorted_elements}
 
 
 def stabilizes(w: MonomialElement, H: Hyperplane) -> bool:
@@ -281,8 +263,8 @@ def orbits(G: Subgroup) -> Orbits:
 
     From each index not yet reached, in ascending order: O(|A| * k) steps for
     k generators.  In a finite group every inverse is a power, so these
-    edges reach the whole orbit.  Kept on G, like ``element_permutations``'s
-    table, so G is searched once; no tuple per orbit is built.
+    edges reach the whole orbit.  Kept on G, like ``sorted_elements``, so G
+    is searched once; no tuple per orbit is built.
     """
     if (forest := vars(G).get("_orbits")) is not None:
         return forest

@@ -262,8 +262,7 @@ def cmd_cocycle(args: SimpleNamespace) -> int:
     desc = GroupDescriptor.parse(args.group)
     G = _guarded_closure(desc, _parse_generators(desc, args.generators))
     # Every trip draws and solves one entry per hyperplane, and costs a step
-    # even on an empty arrangement; the closure guard already bounds the one
-    # check of the solver's orbit labels on all of G.
+    # even on an empty arrangement; the checks read the generators, not G.
     width = hyperplane_count(desc)
     Budget().spend(args.random * max(1, width), f"{args.random} round trips x {width} hyperplanes")
     # A failed solve raises NoIntegralSolution (exit 5), so every trip succeeds.

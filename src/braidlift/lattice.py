@@ -4,8 +4,10 @@ Z[A] is the free abelian group on the hyperplanes of G(de, e, r), with the
 group permuting coordinates; vectors are integer tuples in the canonical
 hyperplane order.  For a subgroup G this module solves 1-cocycle equations
 c(g) = x - g.x over the integers, as a difference system on the spanning
-forest of ``arrangement.orbits``, each answer checked on all of G, and
-computes the rank of the fixed lattice.  Every cocycle is a coboundary (the
+forest of ``arrangement.orbits``, and computes the rank of the fixed
+lattice.  The round trips check each answer on all of G through its
+generators; ``coboundary`` and ``trivialize_cocycle``, their reference,
+read every element's permutation.  Every cocycle is a coboundary (the
 vanishing of the first cohomology of a permutation module), so the solver
 treats a failure as a falsified theorem, not as a data error.
 """
@@ -121,12 +123,15 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     targets and at the sources of the forest's edges k -> j, reads c(s)[j] =
     u[j] - u[k] (the shift cancels), and solves as trivialize_cocycle would.
 
-    Every answer is checked on all of G.  With y = x - x0, x - g.x = c(g)
-    exactly when y[pi_g[k]] == y[k] for every k.  Once per call, the
-    labelling of each hyperplane by its root is checked against every pi_g,
-    and a moved label raises InvariantViolation.  Then every g fixes y
-    exactly when y[root[k]] == y[k], one gather per trip.  A failed trip
-    raises NoIntegralSolution naming the first g in the table that moves y.
+    Every answer is checked on all of G through its generators: what each
+    generator fixes, the group they generate fixes.  With y = x - x0,
+    x - g.x = c(g) exactly when y[pi_g[k]] == y[k] for every k.  Once per
+    call, the labelling of each hyperplane by its root is checked against
+    each generator's permutation, and a moved label raises
+    InvariantViolation.  Then G fixes y exactly when y[root[k]] == y[k], one
+    gather per trip.  A failed trip raises NoIntegralSolution naming the
+    first generator that moves y, or InvariantViolation if none does: the
+    labels join orbits.  G's elements are never read.
     None when ``trips`` is 0.
     """
     if not trips:
@@ -136,10 +141,10 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     # than two hyperplanes there are no edges and every pi_g fixes any y.
     gathers = len(forest.root) > 1
     if gathers:
-        table = element_permutations(G)
-        for g, pi in table.items():
-            if itemgetter(*pi)(forest.root) != forest.root:
-                raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {g}")
+        steps = [(s, itemgetter(*hyperplane_permutation(s))) for s in G.generators]
+        for s, gather in steps:
+            if gather(forest.root) != forest.root:
+                raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {s}")
         at_root = itemgetter(*forest.root)
     targets, sources, first = forest.target, forest.source, None
     for _ in range(trips):
@@ -148,8 +153,10 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
         # z = u - x = 9 - y is fixed by the same g as y, with entries in
         # [0, 18] when x is right: small ints that Python does not allocate.
         if gathers and at_root(z := tuple(map(sub, u, x))) != z:
-            g = next(g for g, pi in table.items() if itemgetter(*pi)(z) != z)
-            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {g}")
+            s = next((s for s, gather in steps if gather(z) != z), None)
+            if s is None:
+                raise InvariantViolation(f"the orbit labels of {G.descriptor} join orbits")
+            raise NoIntegralSolution(f"no integral solution: the coboundary equation fails at {s}")
         if first is None:
             first = x
     return first

@@ -2,10 +2,11 @@
 
 import random
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 
-from braidlift import arrangement, errors
+from braidlift import arrangement, errors, lattice
 from braidlift.acceptance import GRID
 from braidlift.arrangement import (
     Coord,
@@ -24,7 +25,7 @@ from braidlift.arrangement import (
     stabilizes,
 )
 from braidlift.errors import GuardExceeded, MismatchError
-from braidlift.lattice import coboundary
+from braidlift.lattice import coboundary, coboundary_roundtrips
 from braidlift.lifting import subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
@@ -192,8 +193,7 @@ def test_permutation_table_checks_its_guard_first(monkeypatch):
     with pytest.raises(GuardExceeded):
         coboundary((0,) * 6, G)
     monkeypatch.setattr(errors, "ENUMERATION_GUARD", 144)
-    table = element_permutations(G)
-    assert len(table) == 24 and element_permutations(G) is table
+    assert len(element_permutations(G)) == 24
 
 
 def affine_closure(p, m):
@@ -203,7 +203,12 @@ def affine_closure(p, m):
                           from_permutation(desc, [m * x % p for x in range(p)])])
 
 
-def test_whole_subgroup_tests_build_no_permutation_table():
+def test_whole_subgroup_tests_build_no_permutation_table(monkeypatch):
+    def no_table(G):
+        raise AssertionError("built the table of every element's permutation")
+
+    monkeypatch.setattr(arrangement, "element_permutations", no_table)
+    monkeypatch.setattr(lattice, "element_permutations", no_table)
     # Z/31 : Z/5 has 155 elements and 3 orbits on 465 hyperplanes, Z/7 : Z/3
     # 21 elements and one orbit on 21; both lift and act freely.
     for p, m, n_orbits in ((31, 2, 3), (7, 2, 1)):
@@ -211,7 +216,11 @@ def test_whole_subgroup_tests_build_no_permutation_table():
         assert orbit_count(G) == n_orbits
         assert subgroup_lifts(G).lifts
         assert acts_faithfully_on_arrangement(G)
-        assert "_hyperplane_permutations" not in vars(G)
+        # The round trips read the generators and their forest only: a
+        # stand-in with neither elements nor a length gets the same answer.
+        generators_only = SimpleNamespace(descriptor=G.descriptor, generators=G.generators)
+        solution = coboundary_roundtrips(G, 5, random.Random(0))
+        assert coboundary_roundtrips(generators_only, 5, random.Random(0)) == solution
 
 
 def test_hyperplane_text_roundtrip():

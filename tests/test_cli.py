@@ -407,6 +407,26 @@ def test_moved_orbit_labels_map_to_invariant_exit_code(capsys, monkeypatch):
         assert "orbit labels" in err and "Traceback" not in err
 
 
+def test_joined_orbit_labels_map_to_invariant_exit_code(capsys, monkeypatch):
+    from braidlift import arrangement, lattice
+
+    def one_label(G):
+        forest = arrangement.orbits(G)
+        return forest._replace(root=(0,) * len(forest.root))
+
+    # The forest's edges, with one label for every orbit: no generator moves
+    # the labels, and a solved trip is fixed by G but not constant on them.
+    monkeypatch.setattr(lattice, "orbits", one_label)
+    for argv in (
+        ["cocycle", "--group", "S(4)", "--generators", "perm=[2,1,3,4];exp=[0,0,0,0]",
+         "--random", "3"],
+        ["verify"],  # criterion 10: a 5-cycle of S(5), two orbits
+    ):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 5, argv
+        assert "orbit labels" in err and "join orbits" in err and "Traceback" not in err
+
+
 def test_check_element_method_mismatch_maps_to_invariant_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(lifting, "element_lifts_fast", lambda w: not w.is_identity)
     code, out, err = invoke(capsys, "check-element", "--group", "S(3)",

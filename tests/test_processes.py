@@ -206,13 +206,16 @@ def mask_elapsed(stdout):
     ("check-element", "--group", "S(5)", "--element", "perm=[2,3,1,4,5];exp=[0,0,0,0,0]",
      "--method", "both"),
 ])
-def test_trace_harness_matches_the_plain_cli(tmp_path, argv):
+def test_trace_harness_matches_the_plain_cli(tmp_path, capsys, argv):
     trace_path = tmp_path / "trace.json"
-    plain = python("-m", "braidlift.cli", *argv)
+    code = run(list(argv))
+    plain = capsys.readouterr().out
     traced = python(str(ROOT / "bench" / "trace_child.py"), str(trace_path), *argv)
-    assert traced.returncode == plain.returncode, traced.stderr
-    assert mask_elapsed(traced.stdout) == mask_elapsed(plain.stdout)
+    assert traced.returncode == code, traced.stderr
+    assert mask_elapsed(traced.stdout) == mask_elapsed(plain)
     trace = json.loads(trace_path.read_text())
+    # every command runs under the cli.run span, its parent -1
+    assert any(span[1:3] == [-1, "cli.run"] for span in trace["spans"])
     calls, _total, _self = trace["leaves"]["monomial.mul"]
     assert calls > 0
     assert "monomial.element_init" in trace["counts"]

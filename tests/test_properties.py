@@ -263,6 +263,26 @@ def test_roundtrips_equal_single_trips_in_sequence(G, trips, seed):
     assert rng.getstate() == singles.getstate()
 
 
+@PROPERTY_SETTINGS
+@given(subgroups(), st.data())
+def test_a_labelling_fixed_by_the_generators_is_fixed_by_all_of_g(G, data):
+    # The round trips check labels and solutions on the generators alone.
+    # Orbit labels merged at random stay fixed by G; a hyperplane split off
+    # its orbit's label is moved, unless its orbit is that one hyperplane.
+    root = orbits(G).root
+    width = len(root)
+    merged = data.draw(st.lists(st.integers(0, 2), min_size=width, max_size=width))
+    split = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    labels = tuple((merged[r], k if cut else -1) for k, (r, cut) in enumerate(zip(root, split)))
+
+    def fixes(pi):
+        return tuple(labels[j] for j in pi) == labels
+
+    by_generators = all(fixes(hyperplane_permutation(s)) for s in G.generators)
+    assert by_generators == all(map(fixes, element_permutations(G).values()))
+    assert by_generators or any(split)
+
+
 def reference_solve(edges, width):
     """x with x[pi_s(k)] = x[k] + c(s)[pi_s(k)] per edge (pi_s, c(s)), by depth-first search."""
     x = [None] * width
