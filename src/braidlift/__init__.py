@@ -21,8 +21,8 @@ _EXPORTS = {
     "classify": (
         "EXCEPTIONAL_BIEBERBACH", "FrobeniusSpec", "PermutationGroup", "as_symmetric_subgroup",
         "bieberbach_bruteforce", "cayley_embedding", "free_action_general",
-        "free_action_symmetric", "frobenius_coset_action", "has_free_cycle_type",
-        "has_free_monomial_type", "has_odd_lift_property", "is_bieberbach_series",
+        "frobenius_coset_action", "has_free_cycle_type", "has_free_monomial_type",
+        "has_odd_lift_property", "is_bieberbach_series",
     ),
     "errors": (
         "ENUMERATION_GUARD", "BraidLiftError", "GuardExceeded", "InvariantViolation",

@@ -22,7 +22,6 @@ from .classify import (
     has_free_cycle_type,
     has_free_monomial_type,
     free_action_general,
-    free_action_symmetric,
     is_bieberbach_series,
 )
 from .lattice import coboundary_roundtrips, fixed_lattice_rank
@@ -172,9 +171,9 @@ def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
 
 
 def criterion_6() -> CriterionResult:
-    """Free action on 2-subsets of {1..5} is equivalent to free cycle type."""
+    """Free action on 2-subsets of {1..5} (S_5's hyperplanes) is equivalent to free cycle type."""
     for P in _s5_sample_subgroups():
-        free = free_action_symmetric(P)
+        free = free_action_general(P)
         typed = all(has_free_cycle_type(perms.cycle_type(g.sigma)) for g in P)
         if free != typed:
             return CriterionResult(6, "free action equivalence in S_5", False,
@@ -258,9 +257,9 @@ def criterion_10() -> CriterionResult:
     rng = Random(0xC0C1)
     d3 = _D(1, 1, 3)
     d5 = _D(1, 1, 5)
-    settings = [
-        ("<(1,2,3)> in S_3", closure(d3, [from_permutation(d3, perms.from_cycle(3, (0, 1, 2)))])),
-        ("<(1,2,3,4,5)> in S_5", closure(d5, [from_permutation(d5, perms.from_cycle(5, tuple(range(5))))])),
+    settings = [  # the trips read generators and forests: the cyclic groups stay unclosed
+        ("<(1,2,3)> in S_3", Subgroup(d3, [from_permutation(d3, perms.from_cycle(3, (0, 1, 2)))])),
+        ("<(1,2,3,4,5)> in S_5", Subgroup(d5, [from_permutation(d5, perms.from_cycle(5, tuple(range(5))))])),
         ("Cayley Z/7:Z/3 in S_21", _cayley_images()[3][1]),
     ]
     report = []

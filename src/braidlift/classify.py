@@ -119,8 +119,8 @@ class PermutationGroup(Subgroup):
 
     Each generator, a permutation of {0..degree-1}, enters as its
     zero-exponent image (``from_permutation``, which raises ValueError on
-    anything else), and the images are closed as a ``Subgroup`` under the
-    guard.  So the elements are ``MonomialElement``s, and a permutation
+    anything else), and the images generate a ``Subgroup``, closed under the
+    guard on first read.  So the elements are ``MonomialElement``s, and a permutation
     group equals the ``Subgroup`` with the same elements.  Degree 0 raises
     ValueError, as G(1, 1, 0) does.
     """
@@ -132,19 +132,6 @@ class PermutationGroup(Subgroup):
     @property
     def degree(self) -> int:
         return self.descriptor.r
-
-
-def free_action_symmetric(G: PermutationGroup) -> bool:
-    """Whether no nonidentity element of G preserves any 2-subset {i, j}."""
-    ident = perms.identity(G.degree)
-    for g in G:
-        if (sigma := g.sigma) == ident:
-            continue
-        for i in range(G.degree):
-            for j in range(i + 1, G.degree):
-                if (sigma[i] == i and sigma[j] == j) or (sigma[i] == j and sigma[j] == i):
-                    return False
-    return True
 
 
 def free_action_general(G: Subgroup) -> bool:

@@ -60,18 +60,18 @@ def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
     return gens
 
 
-def _guarded_closure(descriptor: GroupDescriptor, gens: list):
-    """The closure of gens, refused once its elements x hyperplanes pass the guard.
+def _capped_subgroup(descriptor: GroupDescriptor, gens: list):
+    """The unclosed subgroup of gens, capped so that reading its elements
+    raises GuardExceeded once its elements x hyperplanes pass the guard.
 
-    Both commands then may do work per element and hyperplane: the scan
-    that names a subgroup's witness, or the coboundary vectors of the
-    cocycle round trips.
+    ``check-subgroup`` reads its order before its scan; ``cocycle`` only for
+    its ``order`` field, after the round trips, which read the generators.
     """
     from .arrangement import hyperplane_count
-    from .monomial import closure
+    from .monomial import Subgroup
 
     width = max(1, hyperplane_count(descriptor))
-    return closure(descriptor, gens, max_size=errors.ENUMERATION_GUARD // width)
+    return Subgroup(descriptor, gens, max_size=errors.ENUMERATION_GUARD // width)
 
 
 def _print_json(doc) -> None:
@@ -118,7 +118,7 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
     from .monomial import GroupDescriptor
 
     desc = GroupDescriptor.parse(args.group)
-    G = _guarded_closure(desc, _parse_generators(desc, args.generators))
+    G = _capped_subgroup(desc, _parse_generators(desc, args.generators))
     report = subgroup_lifts(G)
     try:
         faithful = acts_faithfully_on_arrangement(G)
@@ -260,9 +260,10 @@ def cmd_cocycle(args: SimpleNamespace) -> int:
     from .monomial import GroupDescriptor
 
     desc = GroupDescriptor.parse(args.group)
-    G = _guarded_closure(desc, _parse_generators(desc, args.generators))
+    G = _capped_subgroup(desc, _parse_generators(desc, args.generators))
     # Every trip draws and solves one entry per hyperplane, and costs a step
-    # even on an empty arrangement; the checks read the generators, not G.
+    # even on an empty arrangement.  The trips read G's generators and forest;
+    # len(G) below first closes G, so past the cap nothing is printed (exit 4).
     width = hyperplane_count(desc)
     Budget().spend(args.random * max(1, width), f"{args.random} round trips x {width} hyperplanes")
     # A failed solve raises NoIntegralSolution (exit 5), so every trip succeeds.

@@ -9,6 +9,8 @@ Membership in G(de, e, r) is the constraint sum(a_i) = 0 mod e.  Roots of
 unity are stored as integer exponents and every operation is exact; nothing
 here ever touches floating point.
 
+A ``Subgroup`` is its generators: it closes them on first read of its elements.
+
 Composition follows the left-action convention: (u * v) applies v first,
 then u, so (u * v)(x) = u(v(x)) for x in C^r.  All derived formulas in this
 package are written against this convention.
@@ -316,10 +318,10 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
 class Subgroup:
     """The finite subgroup of G(de, e, r) generated by ``generators``.
 
-    Keeps the distinct generators, in the order given, as ``generators`` and
-    closes them on construction, coset by coset (``permutations.mulclose``),
-    into at most ``max_size`` elements, by default the guard as it stands at
-    the call.  No generators give the trivial group.
+    Keeps the distinct generators, in the order given, and ``max_size``, by
+    default the guard at construction.  ``elements`` closes the generators,
+    coset by coset (``permutations.mulclose``), into at most ``max_size``
+    elements on first read.  No generators give the trivial group.
     Subgroups compare and hash by (descriptor, elements).
     """
 
@@ -337,10 +339,11 @@ class Subgroup:
         for g in self.generators:
             if g.descriptor != self.descriptor:
                 raise MismatchError(f"generator {g} does not live in {self.descriptor}")
-        if max_size is None:
-            max_size = errors.ENUMERATION_GUARD
-        gens = self.generators or [identity(self.descriptor)]
-        self.elements = perms.mulclose(gens, max_size)
+        self.max_size = errors.ENUMERATION_GUARD if max_size is None else max_size
+
+    @cached_property
+    def elements(self) -> frozenset[MonomialElement]:
+        return perms.mulclose(self.generators or [identity(self.descriptor)], self.max_size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subgroup):
@@ -369,8 +372,10 @@ def closure(
     generators: Iterable[MonomialElement],
     max_size: int | None = None,
 ) -> Subgroup:
-    """Smallest subgroup containing the generators: ``Subgroup(...)``, by name."""
-    return Subgroup(descriptor, generators, max_size)
+    """Smallest subgroup containing the generators, closed at once: ``Subgroup(...)``."""
+    group = Subgroup(descriptor, generators, max_size)
+    group.elements  # closes the generators now
+    return group
 
 
 def center_order(descriptor: GroupDescriptor) -> int:

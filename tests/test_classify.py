@@ -18,7 +18,6 @@ from braidlift.classify import (
     bieberbach_bruteforce,
     cayley_embedding,
     free_action_general,
-    free_action_symmetric,
     frobenius_coset_action,
     has_free_cycle_type,
     has_free_monomial_type,
@@ -123,10 +122,12 @@ def test_free_cycle_type_examples():
 
 
 def test_free_action_symmetric_examples():
+    # In S_5 the hyperplanes are the 2-subsets, so free_action_general decides
+    # free action on them.
     five = PermutationGroup(5, [perms.from_cycle(5, tuple(range(5)))])
-    assert free_action_symmetric(five)
-    assert not free_action_symmetric(PermutationGroup(5, [perms.from_cycle(5, (0, 1))]))
-    assert free_action_symmetric(PermutationGroup(5, []))
+    assert free_action_general(five)
+    assert not free_action_general(PermutationGroup(5, [perms.from_cycle(5, (0, 1))]))
+    assert free_action_general(PermutationGroup(5, []))
 
 
 def test_free_monomial_type_examples():
@@ -207,7 +208,7 @@ def test_frobenius_construction_rejects_a_wrong_cycle_type(monkeypatch):
 def test_free_action_equivalence_on_s4_cyclic_subgroups():
     for g in perms.all_permutations(4):
         P = PermutationGroup(4, [g])
-        assert free_action_symmetric(P) == all(free_type(h.sigma) for h in P)
+        assert free_action_general(P) == all(free_type(h.sigma) for h in P)
 
 
 def test_frobenius_spec_validation():

@@ -324,10 +324,18 @@ def test_closure_guard_exceeded(capsys, monkeypatch):
 
 def test_closure_guard_counts_hyperplanes(capsys):
     # All of S(8) is 40,320 elements x 28 hyperplanes, above the 10**6 guard.
+    # So is the Sylow 3-subgroup of S(27), 3^13 elements x 351 hyperplanes:
+    # cocycle runs its round trips on the generators, then reads the order.
     s8 = "perm=[2,3,4,5,6,7,8,1];exp=[0,0,0,0,0,0,0,0];perm=[2,1,3,4,5,6,7,8];exp=[0,0,0,0,0,0,0,0]"
-    for command in ("check-subgroup", "cocycle"):
-        code, out, err = invoke(capsys, command, "--group", "S(8)", "--generators", s8)
-        assert code == 4 and out == "" and "exceeds 35714 elements" in err, command
+    sylow = ";".join(
+        "perm=[" + ",".join(str((x + 3**k) % 3**(k + 1) + 1 if x < 3**(k + 1) else x + 1)
+                            for x in range(27)) + "];exp=[" + ",".join("0" * 27) + "]"
+        for k in range(3))
+    for group, gens, cap in (("S(8)", s8, 35714), ("S(27)", sylow, 2849)):
+        for command in ("check-subgroup", "cocycle"):
+            code, out, err = invoke(capsys, command, "--group", group, "--generators", gens)
+            assert code == 4 and out == "", (group, command)
+            assert err == f"guard exceeded: closure exceeds {cap} elements\n", (group, command)
 
 
 def test_verify_runs_all_criteria(capsys):

@@ -13,10 +13,13 @@ import pytest
 
 import braidlift.monomial as monomial
 
+from braidlift import errors
 from braidlift import permutations as perms
 from braidlift.acceptance import GRID
+from braidlift.arrangement import orbit_count
 from braidlift.classify import FrobeniusSpec
 from braidlift.errors import GuardExceeded, MismatchError, ParseError
+from braidlift.lattice import coboundary_roundtrips
 from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
@@ -289,6 +292,39 @@ def test_closure_guard_and_empty_generators():
         closure(desc, [], max_size=0)
     with pytest.raises(MismatchError):
         closure(desc, [*gens, identity(D(1, 1, 3))])
+
+
+def test_subgroup_closes_on_first_read_under_the_cap_of_its_construction(monkeypatch):
+    desc = D(1, 1, 4)
+    gens = standard_generators(desc)
+    G = Subgroup(desc, gens, max_size=5)  # S_4 has 24 elements
+    assert "elements" not in vars(G)
+    with pytest.raises(GuardExceeded):
+        len(G)
+    # The default cap is the guard at construction, not at the first read.
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 5)
+    capped = Subgroup(desc, gens)
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 10**6)
+    with pytest.raises(GuardExceeded):
+        len(capped)
+    assert len(Subgroup(desc, gens)) == 24
+
+
+def test_generator_routes_run_on_an_unclosed_subgroup(monkeypatch):
+    # The Sylow 3-subgroup of S_27, generated by (1 2 3), (1 4 7)(2 5 8)(3 6 9)
+    # and (1 10 19)(2 11 20)...(9 18 27), has 3^13 elements, past the guard.
+    # The orbit forest and the cocycle round trips read only the generators.
+    products = counted_products(monkeypatch)
+    desc = D(1, 1, 27)
+    G = Subgroup(desc, [
+        from_permutation(desc, [(x + 3**k) % 3**(k + 1) if x < 3**(k + 1) else x
+                                for x in range(27)])
+        for k in range(3)
+    ])
+    assert orbit_count(G) == 3
+    assert coboundary_roundtrips(G, 5, random.Random(0)) is not None
+    assert products[0] == 0
+    assert "elements" not in vars(G)
 
 
 def _subgroup_scan_closures():

@@ -60,26 +60,44 @@ def names_read(node: ast.AST) -> set[str]:
     return read
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private top-level names that no module reads, as ``module.name``.
+def top_level_names(node: ast.stmt) -> set[str]:
+    """The names a top-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
 
-    A function, class or assignment at the top of a module defines a private
-    name when the name starts with exactly one underscore.  It counts as read
-    when some module reads it (``names_read``) outside its own definition.
+
+def unread_names(sources: dict[str, str], kept, readers: tuple[str, ...] = ()) -> list[str]:
+    """The top-level names that ``kept`` selects and no module reads, as
+    ``module.name``.
+
+    A name counts as read when some module reads it (``names_read``) outside
+    its own definition, or when one of the ``readers`` sources reads it.
     """
     defined, read = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = {node.name}
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = {t.id for t in targets if isinstance(t, ast.Name)}
-            else:
-                names = set()
-            defined += [(module, n) for n in sorted(names) if n[:1] == "_" and n[:2] != "__"]
+            names = top_level_names(node)
+            defined += [(module, n) for n in sorted(names) if kept(n)]
             read |= names_read(node) - names
+    for source in readers:
+        read |= names_read(ast.parse(source))
     return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private top-level names, starting with exactly one underscore,
+    that no module reads (``unread_names``)."""
+    return unread_names(sources, lambda name: name[:1] == "_" and name[:2] != "__")
+
+
+def unread_public_names(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
+    """The public top-level names, with no leading underscore, that neither
+    a module nor one of the ``readers`` reads (``unread_names``)."""
+    return unread_names(sources, lambda name: name[:1] != "_", readers)
 
 
 def test_unread_private_names_are_found():
@@ -93,6 +111,29 @@ def test_unread_private_names_are_found():
 def test_private_names_are_read():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def test_unread_public_names_are_found():
+    sources = {"a": "def used(): pass\ndef traced(): pass\nX = 1\n_y = X\n",
+               "b": "from a import used\n"}
+    assert unread_public_names(sources, ("import a\na.traced\n",)) == []
+    assert unread_public_names(sources, ()) == ["a.traced"]
+
+
+#: The public names that neither the package nor the benchmark's tracer
+#: reads, each kept on purpose.
+UNREAD_PUBLIC_NAMES = {
+    "classify.EXCEPTIONAL_BIEBERBACH": "the paper's list of torsion-free exceptional groups",
+    "arrangement.hyperplanes": "the tests' reference for the numbering of the hyperplanes",
+    "permutations.cycles": "the tests' reference for the cycle data of one walk",
+}
+
+
+def test_public_names_are_read():
+    # bench/trace_child.py wraps functions by name, so what it reads is used.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    tracer = (Path(__file__).resolve().parents[1] / "bench" / "trace_child.py").read_text()
+    assert sorted(unread_public_names(sources, (tracer,))) == sorted(UNREAD_PUBLIC_NAMES)
 
 
 #: Calls that end the host process, or leave work to run when it ends.

@@ -761,11 +761,15 @@ def validated(G):
 @PROPERTY_SETTINGS
 @given(subgroups())
 def test_walk_yields_each_element_once_with_its_permutation(G):
+    # Each entry is held to the definition, k -> index(act(g, H_k)), read
+    # through an index dict on hyperplanes(), not to the arithmetic numbering.
+    planes = hyperplanes(G.descriptor)
+    index = {P: k for k, P in enumerate(planes)}
     for H in (G, validated(G)):
         table = element_permutations(H)
         assert table.keys() == H.elements
         for g, pi in table.items():
-            assert pi == hyperplane_permutation(g)
+            assert pi == tuple(index[act(g, P)] for P in planes)
 
 
 def reference_subgroup_lifts(G):
