@@ -14,7 +14,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "arrangement": (
-        "Coord", "Hyperplane", "ScalarRoot", "Swap", "act",
+        "Coord", "Hyperplane", "Swap", "act",
         "acts_faithfully_on_arrangement", "format_hyperplane", "hyperplanes", "orbit_count",
         "orbits", "scalar_on_normal", "stabilizes",
     ),

@@ -12,9 +12,10 @@ and then the Coord planes by i.  Lattice vectors, JSON reports and witnesses
 all use this ordering, so results are reproducible bit for bit.
 
 For w stabilizing H the scalar by which w acts on the normal line H^perp
-lives in the group of 2de-th roots of unity: the line for ``Swap(i, j, t)``
-is spanned by e_i - zeta^{-t} e_j, and when w exchanges i and j the scalar
-picks up a sign, which is the exponent-de element of U_{2de}.
+lives in the group of 2de-th roots of unity, and ``scalar_on_normal`` returns
+it as a plain exponent x mod 2de of zeta_{2de}^x: the line for
+``Swap(i, j, t)`` is spanned by e_i - zeta^{-t} e_j, and when w exchanges i
+and j the scalar picks up a sign, which is x = de.
 
 ``hyperplane_permutation`` turns the action of one element into a
 permutation of canonical indices, numbered by arithmetic on the canonical
@@ -210,39 +211,21 @@ def stabilizes(w: MonomialElement, H: Hyperplane) -> bool:
     return act(w, H) == H
 
 
-class ScalarRoot(namedtuple("ScalarRoot", "exponent modulus")):
-    """A root of unity zeta_{2de}^exponent.
-
-    Elements of U_de embed with even exponents; the sign -1 sits at
-    exponent de.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, exponent: int, modulus: int) -> ScalarRoot:
-        return tuple.__new__(cls, (exponent % modulus, modulus))
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def __pow__(self, n: int) -> "ScalarRoot":
-        return ScalarRoot(self.exponent * n, self.modulus)
-
-
-def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> ScalarRoot:
-    """The eigenvalue of w on the line H^perp, for w stabilizing H.
+def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> int:
+    """The eigenvalue of w on the line H^perp, for w stabilizing H, as the
+    exponent x mod 2de of zeta_{2de}^x: 0 is the trivial scalar, de the sign.
 
     Coord(i): the diagonal entry zeta^{a_i}.  Swap(i, j, t) with i, j fixed:
     stabilization forces a_i = a_j and the scalar is zeta^{a_i}.  Swap with
     i, j exchanged: on e_i - zeta^{-t} e_j the matrix acts by -zeta^{t + a_i}.
+    Raises ValueError when w does not stabilize H.
     """
     if not stabilizes(w, H):
         raise ValueError(f"{w} does not stabilize {format_hyperplane(H)}")
     de, a_i = w.descriptor.de, w.exponents[H.i]
     if isinstance(H, Coord) or w.sigma[H.i] == H.i:
-        return ScalarRoot(2 * a_i, 2 * de)
-    return ScalarRoot(de + 2 * (H.t + a_i), 2 * de)
+        return 2 * a_i
+    return (de + 2 * (H.t + a_i)) % (2 * de)
 
 
 class Orbits(namedtuple("Orbits", "root target source step")):

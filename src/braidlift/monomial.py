@@ -116,7 +116,7 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
 
     A tuple (descriptor, sigma, exponents): equality, hashing and order are
     those of the tuple.  The constructor reduces the exponents mod de and
-    validates; products, inverses and enumeration skip both (``_new``).
+    validates; products and enumeration skip both (``_new``).
     """
 
     __slots__ = ()
@@ -152,26 +152,6 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
             return _new(MonomialElement, (desc, sigma, mine))
         exps = tuple([(a + mine[j]) % de for a, j in zip(other.exponents, other.sigma)])
         return _new(MonomialElement, (desc, sigma, exps))
-
-    def inverse(self) -> "MonomialElement":
-        de = self.descriptor.de
-        sigma = perms.invert(self.sigma)
-        exps = [0] * self.descriptor.r
-        for i in range(self.descriptor.r):
-            exps[self.sigma[i]] = (-self.exponents[i]) % de
-        return _new(MonomialElement, (self.descriptor, sigma, tuple(exps)))
-
-    def __pow__(self, n: int) -> "MonomialElement":
-        base = self
-        if n < 0:
-            base, n = self.inverse(), -n
-        result = identity(self.descriptor)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def order(self) -> int:
         """Least n >= 1 with w^n = id.
@@ -363,9 +343,6 @@ class Subgroup:
     def __iter__(self) -> Iterator[MonomialElement]:
         return iter(self.sorted_elements)
 
-    def __contains__(self, w: MonomialElement) -> bool:
-        return w in self.elements
-
 
 def closure(
     descriptor: GroupDescriptor,
@@ -401,7 +378,7 @@ def center(descriptor: GroupDescriptor) -> Subgroup:
     """
     gens, Z = standard_generators(descriptor), closure(descriptor, [])
     for w in enumerate_elements(descriptor):
-        if all(w * g == g * w for g in gens) and w not in Z:
+        if all(w * g == g * w for g in gens) and w not in Z.elements:
             Z = closure(descriptor, [*Z.generators, w])
     return Z
 

@@ -33,13 +33,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
 
 
-def invert(p: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     """Disjoint cycles including fixed points.
 

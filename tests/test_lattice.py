@@ -25,6 +25,8 @@ from braidlift.monomial import (
     identity,
 )
 
+from groups import inverse
+
 D = GroupDescriptor.from_deer
 S3 = D(1, 1, 3)
 S5 = D(1, 1, 5)
@@ -126,7 +128,7 @@ def test_trivialize_agrees_with_dense_global_solver():
             x = trivialize_cocycle(c, G)
             rows, rhs = [], []
             for g in G:
-                pi_inv = hyperplane_permutation(g.inverse())
+                pi_inv = hyperplane_permutation(inverse(g))
                 for h in range(n):
                     row = [0] * n
                     row[h] += 1

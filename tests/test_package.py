@@ -1,5 +1,5 @@
 """The package itself: its lazy export table, the imports of its modules and
-tests, and the private names its modules define."""
+tests, and the names and methods its modules define."""
 
 import ast
 from pathlib import Path
@@ -71,32 +71,46 @@ def top_level_names(node: ast.stmt) -> set[str]:
 
 
 def unread_names(sources: dict[str, str], kept, readers: tuple[str, ...] = ()) -> list[str]:
-    """The top-level names that ``kept`` selects and no module reads, as
-    ``module.name``.
+    """The top-level names, and the methods and properties of top-level
+    classes, that ``kept`` selects and no module reads, as ``module.name``
+    and ``module.Class.name``.
 
     A name counts as read when some module reads it (``names_read``) outside
-    its own definition, or when one of the ``readers`` sources reads it.
+    its own definition, or when one of the ``readers`` sources reads it.  A
+    method is read wherever its name is read, on any object.  Operator
+    dunders such as ``__pow__`` are called by syntax, not by name, so this
+    check cannot see whether anything uses them.
     """
     defined, read = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             names = top_level_names(node)
             defined += [(module, n) for n in sorted(names) if kept(n)]
-            read |= names_read(node) - names
+            if not isinstance(node, ast.ClassDef):
+                read |= names_read(node) - names
+                continue
+            # A class is read in pieces, so that a method read only inside
+            # its own body stays unread; the class's own name stays unread
+            # inside all of them.
+            for part in (*node.bases, *node.keywords, *node.decorator_list, *node.body):
+                if isinstance(part, ast.FunctionDef) and kept(part.name):
+                    defined.append((module, f"{node.name}.{part.name}"))
+                read |= names_read(part) - names - top_level_names(part)
     for source in readers:
         read |= names_read(ast.parse(source))
-    return [f"{module}.{name}" for module, name in defined if name not in read]
+    return [f"{module}.{name}" for module, name in defined
+            if name.rpartition(".")[2] not in read]
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """The private top-level names, starting with exactly one underscore,
-    that no module reads (``unread_names``)."""
+    """The private top-level names and methods, starting with exactly one
+    underscore, that no module reads (``unread_names``)."""
     return unread_names(sources, lambda name: name[:1] == "_" and name[:2] != "__")
 
 
 def unread_public_names(sources: dict[str, str], readers: tuple[str, ...]) -> list[str]:
-    """The public top-level names, with no leading underscore, that neither
-    a module nor one of the ``readers`` reads (``unread_names``)."""
+    """The public top-level names and methods, with no leading underscore,
+    that neither a module nor one of the ``readers`` reads (``unread_names``)."""
     return unread_names(sources, lambda name: name[:1] != "_", readers)
 
 
@@ -120,8 +134,17 @@ def test_unread_public_names_are_found():
     assert unread_public_names(sources, ()) == ["a.traced"]
 
 
-#: The public names that neither the package nor the benchmark's tracer
-#: reads, each kept on purpose.
+def test_unread_methods_are_found():
+    source = ("class C(dict):\n"
+              "    @property\n    def one(self): return self.one\n"
+              "    def two(self): return C()\n    def __pow__(self, n): pass\n"
+              "class D:\n    def three(self): return self.two()\n")
+    assert unread_public_names({"a": source}, ()) == ["a.C", "a.C.one", "a.D", "a.D.three"]
+    assert unread_public_names({"a": source}, ("x.three\n",)) == ["a.C", "a.C.one", "a.D"]
+
+
+#: The public names, methods included, that neither the package nor the
+#: benchmark's tracer reads, each kept on purpose.
 UNREAD_PUBLIC_NAMES = {
     "classify.EXCEPTIONAL_BIEBERBACH": "the paper's list of torsion-free exceptional groups",
     "arrangement.hyperplanes": "the tests' reference for the numbering of the hyperplanes",
