@@ -21,9 +21,9 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
-    class_representatives,
     closure,
     from_permutation,
+    prime_order_classes,
 )
 
 #: Shephard-Todd names of the exceptional irreducible groups whose
@@ -54,26 +54,25 @@ def bieberbach_bruteforce(descriptor: GroupDescriptor, budget: Budget | None = N
     w^(n/p) has order p; an element of prime order is never the identity.
 
     Only one element per G(de, 1, r)-conjugacy class is handed to the
-    oracle (``class_representatives``).  G(de, 1, r) normalizes G(de, e, r)
-    and, being monomial, permutes its arrangement: swap hyperplanes go to
-    swap hyperplanes and coordinate hyperplanes (present iff d >= 2) to
-    coordinate hyperplanes.  If u lies in N_H and acts on H^perp by the
+    oracle.  G(de, 1, r) normalizes G(de, e, r) and, being monomial,
+    permutes its arrangement, swap and coordinate hyperplanes (present iff
+    d >= 2) among themselves.  If u lies in N_H and acts on H^perp by the
     scalar s, then t u t^-1 lies in N_tH and acts on (tH)^perp by the same
     s.  So w lifts iff t w t^-1 lifts, and conjugates share their order.
+    And only one class per orbit of the units k mod de: psi_k, a -> k a on
+    every exponent, applies zeta -> zeta^k to each entry, an automorphism
+    that keeps orders, sends Swap(i, j, t) to Swap(i, j, kt) and Coord(i) to
+    itself, and raises each normal-line scalar to its k-th power, which is
+    1 iff the scalar is.  So w lifts iff psi_k(w) lifts.
 
-    Each element's verdict walk (``oracle_verdicts``) charges ``budget``,
-    when one is given, |A| steps for each power it scans, up to w's first
-    violating power.  The class walk raises GuardExceeded when
-    |G| > ENUMERATION_GUARD, which also bounds it: it builds at most 3|G|
-    partial and whole multisets (``class_representatives``).
+    The class walk (``prime_order_classes``) and each verdict walk
+    (``oracle_verdicts``: |A| steps per power scanned, up to the first
+    violating one) are charged to ``budget``, or a fresh ``Budget``, before
+    they run; a spent budget raises GuardExceeded.
     """
-    prime: dict[int, bool] = {}  # each distinct order is tested once
-    for w in class_representatives(descriptor):
-        if (n := w.order()) not in prime:
-            prime[n] = _is_prime(n)
-        if prime[n] and oracle_verdicts((w,), budget)[w]:
-            return False
-    return True
+    budget = Budget() if budget is None else budget
+    walk = prime_order_classes(descriptor, budget)
+    return not any(oracle_verdicts((w,), budget)[w] for w in walk)
 
 
 def has_odd_lift_property(descriptor: GroupDescriptor) -> bool:

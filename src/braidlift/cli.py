@@ -142,17 +142,20 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
 def _classify_row(desc: GroupDescriptor, budget: Budget | None = None) -> dict:
     """One classification row; every column but the brute force is a closed form.
 
-    Above the enumeration guard the brute-force column is None, printed as
-    "skipped", and the row is still reported.  The brute force charges its
-    oracle walks to ``budget``, if one is given, and a spent budget raises.
+    The brute force charges its walks to ``budget``, which raises once spent.
+    Without one the row gets its own, and when that runs out the column is
+    None, printed as "skipped", and the row is still reported.
     """
     from .arrangement import hyperplane_count
     from .classify import bieberbach_bruteforce, has_odd_lift_property, is_bieberbach_series
     from .monomial import center_order
 
-    bruteforce = None
-    if not desc.order_exceeds(errors.ENUMERATION_GUARD):
-        bruteforce = bieberbach_bruteforce(desc, budget=budget)
+    try:
+        bruteforce = bieberbach_bruteforce(desc, budget)  # a fresh Budget for None
+    except GuardExceeded:
+        if budget is not None:
+            raise
+        bruteforce = None
     return {
         "descriptor": str(desc),
         "bieberbach_formula": is_bieberbach_series(desc),
@@ -189,25 +192,12 @@ def cmd_survey(args: SimpleNamespace) -> int:
     dmax, emax, rmax = parse_grid(args.grid)
     if min(dmax, emax, rmax) < 1:
         raise ParseError(f"grid bounds {args.grid!r} must all be at least 1")
-    # Each row's brute-force column walks one representative per conjugacy
-    # class, building at most 3|G| multisets of cycles on the way
-    # (monomial.class_representatives), so the sum of the orders still
-    # bounds the walks.  Every order is at least 1: the row count is checked
-    # first, and the sum stops at the first row that crosses the guard.
+    # The rows share one budget for their class walks and oracle scans, and
+    # are built one at a time, so a spent budget stops the grid (exit 4).
     Budget().spend(dmax * emax * rmax, f"the {dmax * emax * rmax} rows of grid {args.grid!r}")
-    grid, work = [], 0
-    for d, e, r in product(range(1, dmax + 1), range(1, emax + 1), range(1, rmax + 1)):
-        desc = GroupDescriptor(d, e, r)
-        if desc.order_exceeds(errors.ENUMERATION_GUARD - work):
-            raise GuardExceeded(
-                f"grid {args.grid!r} enumerates more than "
-                f"{errors.ENUMERATION_GUARD} elements by {desc}"
-            )
-        work += desc.order()
-        grid.append(desc)
-    # The rows share one budget of oracle steps: |A| for each power a verdict walk scans.
     budget = Budget()
-    _print_rows([_classify_row(desc, budget) for desc in grid], args.json)
+    grid = product(range(1, dmax + 1), range(1, emax + 1), range(1, rmax + 1))
+    _print_rows([_classify_row(GroupDescriptor(*der), budget) for der in grid], args.json)
     return EXIT_OK
 
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, combinations_with_replacement, repeat, takewhile
 from itertools import product as _cartesian
 
 from . import errors
 from . import permutations as perms
-from .errors import GuardExceeded, MismatchError, ParseError
+from .errors import Budget, GuardExceeded, MismatchError, ParseError
 
 
 def _fields(text: str, head: str, tail: str, sep: str) -> list[str] | None:
@@ -269,30 +270,90 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
     cycle exponent sum c mod de).  The exponent sum is a homomorphism to
     Z/de, so the classes meeting G(de, e, r) lie inside it and are the
     multisets with sum(c) = 0 mod e.  Each representative puts its cycles on
-    consecutive coordinates, longest first, with exponent c on the cycle's
-    first coordinate and 0 elsewhere.  Longest first puts the permutation
-    classes ahead of the many diagonal ones, so a scan that stops at the
-    first lifting element stops early.
+    consecutive coordinates, longest first (``_class_element``).
 
-    The walk builds at most 3|G| multisets, |G| = |G(de, e, r)|.  It yields
-    at most |G| classes, and the last cycle's colour is fixed mod e as the
-    multiset is built, so the partial multisets it builds all have total
-    length s < r.  Those of length s are classes of G(de, 1, s), at most
-    de^s s! of them, and the sum over s < r is at most
-    2 de^(r-1) (r-1)! = 2|G| / (d r).  Raises GuardExceeded, before the
-    first class, when |G| > ENUMERATION_GUARD.
+    The walk builds at most 3|G| multisets: at most |G| classes, and, as the
+    last cycle's colour is fixed mod e, partial multisets of length s < r,
+    at most de^s s! each, 2|G| / (d r) in all.  Raises GuardExceeded, before
+    the first class, when |G| > ENUMERATION_GUARD.
     """
     if descriptor.order_exceeds(errors.ENUMERATION_GUARD):
         raise GuardExceeded(f"{descriptor} has more than {errors.ENUMERATION_GUARD} elements")
     r, e, de = descriptor.r, descriptor.e, descriptor.de
     for multiset in _cycle_multisets(r, de, e, 0, (r, 0)):
-        sigma, exps, start = [], [0] * r, 0
-        for L, c in multiset:
-            sigma.extend(range(start + 1, start + L))
-            sigma.append(start)
-            exps[start] = c
-            start += L
-        yield _new(MonomialElement, (descriptor, tuple(sigma), tuple(exps)))
+        yield _class_element(descriptor, multiset)
+
+
+def _class_element(descriptor: GroupDescriptor, multiset: Iterable) -> MonomialElement:
+    """The element with the cycles (L, c) on consecutive coordinates, c on each one's first."""
+    sigma, exps, start = [], [0] * descriptor.r, 0
+    for L, c in multiset:
+        sigma.extend(range(start + 1, start + L))
+        sigma.append(start)
+        exps[start] = c
+        start += L
+    return _new(MonomialElement, (descriptor, tuple(sigma), tuple(exps)))
+
+
+def _primes(n: int, r: int, spend) -> Iterator[int]:
+    """The primes up to r and those dividing n, odd ones ascending, then 2, by
+    trial division; each division is charged one step, ``spend(1)``, first."""
+    even, n = n % 2 == 0, n // (n & -n)  # n's odd part, at once
+    found, q = [], 3
+    while q <= r or q * q <= n:
+        # q divides what is left of n only if q is prime
+        spend(1)
+        if n % q == 0 or q <= r and all(
+                spend(1) or q % p for p in takewhile(lambda p: p * p <= q, found)):
+            found.append(q)
+            yield q
+            while n % q == 0:
+                spend(1)
+                n //= q
+        q += 2
+    if n > 1:
+        yield n
+    if even or r >= 2:
+        yield 2
+
+
+def _colourings(n: int, p: int) -> Iterator[tuple[int, ...]]:
+    """The sorted n-tuples over Z/p whose least nonzero entry, if any, is 1, ascending."""
+    yield (0,) * n
+    for zeros in range(n - 1, -1, -1):
+        for rest in combinations_with_replacement(range(1, p), n - zeros - 1):
+            yield (0,) * zeros + (1,) + rest
+
+
+def prime_order_classes(descriptor: GroupDescriptor, budget: Budget) -> Iterator[MonomialElement]:
+    """Yield an element of G(de, e, r) of each prime order, one per class of
+    G(de, 1, r) and orbit of the units k mod de acting by a -> k a.
+
+    A cycle (L, c) has order L ord(zeta^c), so a class of prime order p is m
+    p-cycles of colour 0 and r - mp fixed points coloured j de/p, j in Z/p;
+    j != 0 needs p | de, or p | d when r = 1.  The colours sum to 0 mod e,
+    and the class is not the identity.  Of each orbit of (Z/p)^x on the
+    sorted tuples of j only the least is kept: its least nonzero j is 1, and
+    only scalings that send a value to 1 can make it smaller.  Odd primes
+    ascending, then 2; m descending; the tuples ascending.  ``budget`` is
+    charged before the work: a step per tuple built, kept or not, r per
+    element yielded and one per trial division.
+    """
+    spend = partial(budget.spend, what="the brute-force scans' oracle steps")
+    (d, e, r), de = descriptor, descriptor.de
+    base = d if r == 1 else de
+    for p in _primes(base, r, spend):
+        step, coloured = de // p, base % p == 0
+        for m in range(r // p, -1 if coloured else 0, -1):
+            n = r - m * p
+            for js in _colourings(n, p) if coloured else [(0,) * n]:
+                spend(1)
+                scalings = {pow(v, -1, p) for v in js if v > 1}
+                if (m or any(js)) and not sum(js) * step % e and all(
+                        js <= tuple(sorted(k * j % p for j in js)) for k in scalings):
+                    spend(r)
+                    multiset = chain(repeat((p, 0), m), ((1, j * step) for j in js))
+                    yield _class_element(descriptor, multiset)
 
 
 class Subgroup:

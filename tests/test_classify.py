@@ -1,5 +1,8 @@
 """Classification predicates against their brute-force counterparts."""
 
+import math
+from functools import lru_cache
+
 import pytest
 
 from braidlift import classify, errors
@@ -25,18 +28,20 @@ from braidlift.classify import (
     is_bieberbach_series,
 )
 from braidlift.errors import GuardExceeded, InvariantViolation
-from braidlift.lifting import element_lifts_oracle, subgroup_lifts
+from braidlift.lifting import element_lifts_oracle, oracle_verdicts, subgroup_lifts
 from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
+    class_representatives,
     closure,
     diagonal,
     enumerate_elements,
     from_permutation,
     identity,
+    prime_order_classes,
 )
 
-from groups import power
+from groups import cycle_class, power
 
 D = GroupDescriptor.from_deer
 
@@ -53,27 +58,93 @@ def test_bieberbach_bruteforce_examples():
     assert not bieberbach_bruteforce(D(3, 3, 2))
     assert bieberbach_bruteforce(D(1, 1, 2))
     assert not bieberbach_bruteforce(D(2, 1, 3))
-    # The guard compares |G| = 3,628,800, not the 42 classes the walk would visit.
+    # |G| = 3,628,800 is past the guard, but its first class, three 3-cycles, lifts.
+    assert not bieberbach_bruteforce(D(1, 1, 10))
+    # Its first class, 33,333,333 3-cycles, would be charged past the budget.
     with pytest.raises(GuardExceeded):
-        bieberbach_bruteforce(D(1, 1, 10))
+        bieberbach_bruteforce(D(99999999999, 1, 99999999))
 
 
-def test_bieberbach_bruteforce_tests_each_order_for_primality_once(monkeypatch):
-    tested = []
-    is_prime = classify._is_prime
-    monkeypatch.setattr(classify, "_is_prime", lambda n: tested.append(n) or is_prime(n))
-    # rank 1 is torsion-free, so all 97 classes of Z/97 are walked: orders 1 and 97
-    assert bieberbach_bruteforce(D(97, 1, 1))
-    assert sorted(tested) == [1, 97]
-    for desc in (D(6, 3, 4), D(1, 1, 6), D(4, 2, 3)):
-        tested.clear()
-        bieberbach_bruteforce(desc)
-        assert len(tested) == len(set(tested)), desc
+class RecordingBudget(errors.Budget):
+    """A budget that logs each charge and its message."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def spend(self, steps, what):
+        self.log.append((steps, what))
+        super().spend(steps, what)
+
+
+def test_bieberbach_walk_charges_before_each_step(monkeypatch):
+    # G(707,1,2), 707 = 7 x 101, |A| = 709.  The trial divisions: 3, 5 and
+    # 7 into 707, 7 into the 101 left, and 9 into 101, 11^2 > 101 ending the
+    # walk.  The tuples of fixed-point colours j in Z/p: (0,0), (0,1) and
+    # (1,j) for p = 7 and 101, 8 + 102 built; the transposition for p = 2.
+    # Kept: (0,1) and the (1,j) with j <= 1/j mod p, 5 + 52, and one for 2.
+    log = []
+    inner = classify.prime_order_classes
+
+    def logged(desc, budget):
+        for w in inner(desc, budget):
+            log.append(w)
+            yield w
+
+    monkeypatch.setattr(classify, "prime_order_classes", logged)
+    assert bieberbach_bruteforce(D(707, 1, 2), RecordingBudget(log))
+    charges = [entry for entry in log if type(entry) is tuple]
+    assert {what for _, what in charges} == {"the brute-force scans' oracle steps"}
+    classes = [k for k, entry in enumerate(log) if type(entry) is not tuple]
+    # every class is charged r = 2 just before it is yielded, then scanned
+    assert len(classes) == 58
+    assert all(log[k - 1] == (2, charges[0][1]) for k in classes)
+    steps = [n for n, _ in charges]
+    assert steps.count(1) == 5 + 8 + 102 + 1
+    # each class of prime order p violates at its first power, one scan of |A|
+    assert steps.count(709) == 58 and steps.count(2) == 58 and len(steps) == 116 + 116
 
 
 def test_bieberbach_formula_equals_bruteforce_on_grid():
     for desc in GRID:
         assert is_bieberbach_series(desc) == bieberbach_bruteforce(desc), desc
+
+
+#: Every G(de, e, r) inside the guard with de <= 30 and r <= 6: 430 groups.
+GALOIS_GROUPS = [
+    desc for de in range(1, 31) for e in range(1, de + 1) if de % e == 0 for r in range(1, 7)
+    if not (desc := D(de, e, r)).order_exceeds(errors.ENUMERATION_GUARD)
+]
+
+
+def is_prime(n):
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+@lru_cache(maxsize=None)
+def prime_order_representatives(desc):
+    """The prime-order elements among ``class_representatives``."""
+    return [w for w in class_representatives(desc) if is_prime(w.order())]
+
+
+def test_prime_order_classes_are_the_least_of_each_galois_orbit():
+    # Scaling every exponent by a unit k mod de maps classes to classes;
+    # the generator yields each orbit's least class, once.
+    for desc in GALOIS_GROUPS:
+        de = desc.de
+        units = [k for k in range(1, de + 1) if math.gcd(k, de) == 1]
+        classes = map(cycle_class, prime_order_representatives(desc))
+        least = {min(tuple(sorted((L, k * c % de) for L, c in cls)) for k in units)
+                 for cls in classes}
+        generated = [cycle_class(w) for w in prime_order_classes(desc, errors.Budget())]
+        assert len(generated) == len(set(generated)) and set(generated) == least, desc
+
+
+def test_bruteforce_column_equals_the_formula_and_the_order_filtered_walk():
+    for desc in GALOIS_GROUPS:
+        # the walk before the Galois reduction: every class, filtered by its order
+        walk = not any(oracle_verdicts((w,))[w] for w in prime_order_representatives(desc))
+        assert bieberbach_bruteforce(desc) == is_bieberbach_series(desc) == walk, desc
 
 
 def test_powers_of_lifting_elements_lift_on_grid():

@@ -149,26 +149,45 @@ def test_classify(capsys):
 
 
 def test_classify_guard_exceeded(capsys):
-    # Above the guard only the brute-force column is skipped; the closed forms
-    # are still reported.
+    # Past the guard the brute-force column walks only prime-order classes:
+    # S(10) and G(2,1,12) stop at their first, three 3-cycles and four.
     code, out, _ = invoke(capsys, "classify", "--group", "S(10)", "--json")
     assert code == 0
     assert json.loads(out) == [{
-        "descriptor": "G(1,1,10)", "bieberbach_formula": False, "bieberbach_bruteforce": None,
+        "descriptor": "G(1,1,10)", "bieberbach_formula": False, "bieberbach_bruteforce": False,
         "odd_lift_property": True, "arrangement_size": 45, "center_size": 1,
     }]
     code, out, _ = invoke(capsys, "classify", "--group", "G(2,1,12)")
     assert code == 0
-    assert out.splitlines()[1].split() == ["G(2,1,12)", "False", "skipped", "True", "144", "2"]
-    # 5000! has too many digits to print, and the arrangement is 12,497,500
-    # hyperplanes: neither is built.
+    assert out.splitlines()[1].split() == ["G(2,1,12)", "False", "False", "True", "144", "2"]
+    # Only a spent row budget skips the column; the closed forms are still
+    # reported.  S(5000)'s first class costs a scan of its 12,497,500
+    # hyperplanes, and 5000! has too many digits to print: neither is built.
+    start = time.perf_counter()
     code, out, _ = invoke(capsys, "classify", "--group", "S(5000)")
     assert code == 0 and "skipped" in out and "12497500" in out
-    # The guard compares the order by a product that stops past the bound,
-    # so the order of a huge group is never computed in full.
+    assert time.perf_counter() - start < 1
+    # The first class is charged its r coordinates before it is built, and
+    # the order is never computed in full.
     for group in ("S(1000000)", "G(2,1,3000000)", "G(99999999999,1,99999999)"):
+        start = time.perf_counter()
         code, out, _ = invoke(capsys, "classify", "--group", group)
         assert code == 0 and out.splitlines()[1].split()[2] == "skipped"
+        assert time.perf_counter() - start < 1
+
+
+def test_classify_walks_one_class_per_galois_orbit(capsys):
+    # Torsion-free, so every class is walked: G(707,1,2) has 5,178
+    # prime-order classes in 58 orbits of the units mod 707, and the cyclic
+    # G(1000000,1,1) has 999,999 nonidentity classes, of which five have
+    # prime order, in two orbits.
+    for group in ("G(707,1,2)", "G(1000000,1,1)"):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "classify", "--group", group, "--json")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert row["bieberbach_bruteforce"] is True is row["bieberbach_formula"]
+        assert time.perf_counter() - start < 3
 
 
 def test_classify_scans_only_prime_order_elements(capsys):
@@ -232,30 +251,43 @@ def test_survey_bad_grid(capsys):
 
 
 def test_survey_guard_exceeded(capsys):
-    # refused up front: 10**9 rows, and S(1) .. S(10) sum past 10**6 elements
+    # 10**9 rows are refused up front.  S(1) .. S(10**6) pass the row count,
+    # but the oracle scans the r(r-1)/2 hyperplanes three times for the
+    # first class of S(r), so the shared budget is spent by S(100) or so.
     for grid in ("d<=1000000000,e<=1,r<=1", "d<=1,e<=1,r<=1000000"):
         code, out, err = invoke(capsys, "survey", "--grid", grid)
         assert code == 4 and out == "" and "guard" in err
 
 
+def test_survey_past_the_element_sum(capsys):
+    # 40 rows adding up to more than 10**6 elements: G(2,1,10) alone has
+    # 3,715,891,200.
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=2,e<=2,r<=10", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 40
+    assert all(row["bieberbach_bruteforce"] == row["bieberbach_formula"] for row in rows)
+
+
 def test_survey_oracle_budget_exceeded(capsys):
-    # The groups G(d,1,r), d <= 100, r <= 2, pass the element guard (10,100
-    # elements), but the powers their verdict walks scan, |A| steps each,
-    # run past the shared budget of 10**6 steps.
+    # The groups G(d,1,r), d <= 300, r <= 2, are all torsion-free, so every
+    # class is walked, and the walks and oracle scans, about 1.7 * 10**6
+    # steps, run past the shared budget of 10**6 steps.
     start = time.perf_counter()
-    code, out, err = invoke(capsys, "survey", "--grid", "d<=100,e<=1,r<=2")
+    code, out, err = invoke(capsys, "survey", "--grid", "d<=300,e<=1,r<=2")
     assert code == 4 and out == ""
     assert "the brute-force scans' oracle steps exceed the guard" in err
     assert time.perf_counter() - start < 30
 
 
 def test_survey_oracle_budget_charges_only_the_powers_scanned(capsys):
-    # Charged order(w) x |A| per verdict walk, this grid ran out of budget,
-    # although each walk stops at w's first violating power.
-    code, out, _ = invoke(capsys, "survey", "--grid", "d<=60,e<=1,r<=2", "--json")
+    # Each verdict walk stops at w's first violating power, and this grid
+    # costs about 93,000 steps.  Charged order(w) x |A| per walk, its
+    # classes would cost 3.3 * 10**6 and run out of budget.
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=100,e<=1,r<=2", "--json")
     assert code == 0
     rows = json.loads(out)
-    assert len(rows) == 120
+    assert len(rows) == 200
     assert all(row["bieberbach_bruteforce"] == row["bieberbach_formula"] for row in rows)
 
 

@@ -149,6 +149,7 @@ UNREAD_PUBLIC_NAMES = {
     "classify.EXCEPTIONAL_BIEBERBACH": "the paper's list of torsion-free exceptional groups",
     "arrangement.hyperplanes": "the tests' reference for the numbering of the hyperplanes",
     "permutations.cycles": "the tests' reference for the cycle data of one walk",
+    "monomial.class_representatives": "the tests' reference for the prime-order class walk",
 }
 
 

@@ -26,6 +26,7 @@ from braidlift.arrangement import (
     act,
     acts_faithfully_on_arrangement,
     element_permutations,
+    hyperplane_count,
     hyperplane_permutation,
     hyperplanes,
     orbit_count,
@@ -74,7 +75,7 @@ from braidlift.monomial import (
     parse_element,
 )
 
-from groups import inverse, power
+from groups import cycle_class, inverse, power
 
 SUBGROUP_CAP = 60
 #: Largest group whose every element the enumeration property rebuilds.
@@ -454,14 +455,6 @@ def test_prime_order_bieberbach_scan_equals_full_scan(desc):
     assert bieberbach_bruteforce(desc) == full_scan
 
 
-def cycle_class(w):
-    """The multiset of (cycle length, cycle exponent sum) that names w's
-    conjugacy class in G(de, 1, r)."""
-    de = w.descriptor.de
-    return tuple(sorted((len(c), sum(w.exponents[i] for i in c) % de)
-                        for c in perms.cycles(w.sigma)))
-
-
 @ELEMENT_SETTINGS
 @given(descriptors(max_de=12).filter(lambda desc: desc.order() <= ENUMERATION_CAP))
 def test_class_representatives_meet_every_class_once(desc):
@@ -486,6 +479,49 @@ def test_oracle_verdict_is_invariant_under_full_monomial_conjugation(desc, data)
         c = t * MonomialElement(full, u.sigma, u.exponents) * inverse(t)
         conjugate = MonomialElement(desc, c.sigma, c.exponents)
         assert element_lifts_oracle(u).lifts == element_lifts_oracle(conjugate).lifts
+
+
+@st.composite
+def conjugated_subgroups(draw):
+    """A subgroup G of a group past the grid (de <= 60, r <= 12), of at most
+    SUBGROUP_CAP elements, and an element t of G(de, 1, r).
+
+    G is generated by one or two random elements, or, when those close past
+    the cap, by the first one, its odd part or a power of prime order.
+    """
+    desc = draw(descriptors(max_r=12, max_de=60).filter(lambda desc: desc not in GRID))
+    gens = [elements(draw, desc) for _ in range(draw(st.integers(1, 2)))]
+    w, n = gens[0], gens[0].order()
+    prime = next(p for p in range(2, n + 1) if n % p == 0) if n > 1 else 1
+    for choice in (gens, [w], [power(w, n & -n)], [power(w, n // prime)]):
+        try:
+            G = closure(desc, choice, max_size=SUBGROUP_CAP)
+            break
+        except GuardExceeded:
+            continue
+    return G, elements(draw, GroupDescriptor(desc.de, 1, desc.r))
+
+
+@PROPERTY_SETTINGS
+@given(conjugated_subgroups())
+def test_subgroup_verdict_is_invariant_under_full_monomial_conjugation(case):
+    # t sends a violating pair (g, H) of G to (t g t^-1, t(H)), a violating
+    # pair of t G t^-1 with the same scalar on the normal line.
+    G, t = case
+    desc, t_inv = G.descriptor, inverse(t)
+
+    def conjugate(g):
+        c = t * MonomialElement(t.descriptor, g.sigma, g.exponents) * t_inv
+        return MonomialElement(desc, c.sigma, c.exponents)
+
+    image = closure(desc, map(conjugate, G.generators), max_size=SUBGROUP_CAP)
+    report = subgroup_lifts(G)
+    assert subgroup_lifts(image).lifts == report.lifts
+    if not report.lifts:
+        g, H = report.witness.element, report.witness.hyperplane
+        u, tH = conjugate(g), act(t, H)
+        assert u in image.elements and act(u, tH) == tH
+        assert scalar_on_normal(u, tH) == scalar_on_normal(g, H) != 0
 
 
 @st.composite
@@ -514,6 +550,32 @@ def test_galois_conjugation_keeps_order_and_verdicts(pair):
     except GuardExceeded:
         reject()
     assert list(verdicts[0].values()) == list(verdicts[1].values())
+
+
+def galois_index(k, x, width, de):
+    """The index of psi_k(H_x): Swap(i, j, t) at x < width goes to
+    Swap(i, j, k t), in the same block of de, and Coord(i) stays."""
+    return x if x >= width else x - x % de + k * x % de
+
+
+@ELEMENT_SETTINGS
+@given(galois_pairs())
+def test_galois_conjugation_permutes_the_hyperplane_indices(pair):
+    # psi_k(w) sends psi_k(H) to psi_k(w(H)), so its index permutation is
+    # w's, relabelled by the index map of psi_k.
+    ws, k = pair
+    desc = ws[0].descriptor
+    r, de = desc.r, desc.de
+    width = de * r * (r - 1) // 2
+    for w in ws:
+        scaled = MonomialElement(desc, w.sigma, [k * a for a in w.exponents])
+        pi, pi_scaled = _index_permutation(w), _index_permutation(scaled)
+        assert all(pi_scaled[galois_index(k, x, width, de)] == galois_index(k, y, width, de)
+                   for x, y in enumerate(pi))
+    for x in range(hyperplane_count(desc)):
+        i, j, t = _index_coordinates(x, r, de)
+        y = galois_index(k, x, width, de)
+        assert _index_coordinates(y, r, de) == (i, j, None if t is None else k * t % de)
 
 
 def reference_element_lifts(w):
