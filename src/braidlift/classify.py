@@ -170,14 +170,9 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
 
     __slots__ = ()
 
-    def __new__(cls, p: int, q: int, m: int) -> FrobeniusSpec:
-        cls._check_orders(p, q)
-        if m % p == 0 or _multiplicative_order(m, p) != q:
-            raise ValueError(f"m = {m} must have multiplicative order {q} mod {p}")
-        return tuple.__new__(cls, (p, q, m))
-
-    @staticmethod
-    def _check_orders(p: int, q: int) -> None:
+    @classmethod
+    def find(cls, p: int, q: int) -> "FrobeniusSpec":
+        """The spec with the smallest admissible multiplier."""
         # The O(1) tests first, p's bound before q's, which reads p - 1; the
         # primality test is O(sqrt p) and, past p < 3, leaves only odd primes.
         if p < 3:
@@ -186,14 +181,9 @@ class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
             raise ValueError(f"q = {q} must be an odd divisor > 1 of p - 1 = {p - 1}")
         if not _is_prime(p):
             raise ValueError(f"p = {p} must be an odd prime")
-
-    @classmethod
-    def find(cls, p: int, q: int) -> "FrobeniusSpec":
-        """The spec with the smallest admissible multiplier."""
-        cls._check_orders(p, q)
         for m in range(2, p):
             if _multiplicative_order(m, p) == q:
-                return tuple.__new__(cls, (p, q, m))  # checked above, so not again by __new__
+                return cls(p, q, m)
         raise ValueError(f"no element of order {q} mod {p}")
 
 

@@ -17,14 +17,16 @@ hyperplane indices, decoded by arithmetic, and builds no arrangement tuple.
 The normal-line scalar itself is not written here: both scans read it from
 ``arrangement`` (``_normal_scalar``, and ``_least_violation`` on a
 permutation's fixed indices).
-One walk over the powers, the identity power on purpose too, yields every
-violation and charges the powers it scans.  It numbers pi_w by arithmetic
-and composes pi_{w^(l+1)} = pi_w o pi_{w^l} in C, until a power scanned
-before breaks the chain.
-``element_lifts_oracle`` reads all of it to name a witness, and reserves
-its full cost first.  ``oracle_verdicts`` only decides: it stops at the
-first violation, so only a "lifts" verdict rests on a scan of every pair,
-and it scans a power its elements share once.
+One power walk, w, w^2, ... up to the identity by products (``_powers``),
+and one scan of those powers, the identity on purpose too (``_violations``),
+which yields every violation and charges the powers it scans.  The scan
+numbers pi_w by arithmetic and composes pi_{w^(l+1)} = pi_w o pi_{w^l} in
+C, until a power scanned before breaks the chain.  No order is read.
+``element_lifts_oracle`` walks and charges every power before it numbers
+any, then scans them all to name a witness.  ``oracle_verdicts`` only
+decides: it draws each walk lazily and stops at the first violation, so
+only a "lifts" verdict rests on a scan of every pair, and it scans a power
+its elements share once.
 ``subgroup_lifts`` scans G at one hyperplane per orbit, the roots of the
 forest that ``arrangement.orbits`` keeps on G.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import compress
+from itertools import compress, islice
 from operator import eq
 
 from .arrangement import (
@@ -45,7 +47,6 @@ from .arrangement import (
     _normal_scalar,
     format_hyperplane,
     hyperplane_count,
-    hyperplane_permutation,
     orbits,
 )
 from .errors import Budget, InvariantViolation
@@ -86,50 +87,58 @@ class LiftReport(
         }
 
 
-def _violations(w: MonomialElement, seen: dict, budget: Budget | None = None) -> Iterator:
-    """(k, ell) for each violating power w^ell, k its least violating index.
-
-    Walks w^1, w^2, ... by multiplication up to the identity, which is
-    scanned too, and never computes w's order.  ``seen`` maps each power
-    scanned so far to its least violating index, or None.  Any other power is
-    charged |A| steps on ``budget``, when one is given, then scanned
-    (``_least_violation``) against its permutation: compose(pi_w, pi_{w^l})
-    if this walk scanned w and w^l, else numbered (``_index_permutation``).
-    """
-    desc = w.descriptor
-    r, de, width = desc.r, desc.de, hyperplane_count(desc)
-    u, ell, unmoved = w, 1, tuple(range(r))
-    pi_w = pi = None  # w's permutation; the previous power's, if this walk scanned it
+def _powers(w: MonomialElement) -> Iterator[MonomialElement]:
+    """w, w^2, ... up to the identity, by products; w's order is never read."""
+    u, unmoved = w, tuple(range(w.descriptor.r))
     while True:
+        yield u
+        if u.sigma == unmoved and not any(u.exponents):  # u.is_identity, without its tuple
+            return
+        u = u * w
+
+
+def _violations(powers: Iterable, seen: dict, budget: Budget | None = None) -> Iterator:
+    """(k, ell), k the least violating index, for each violating w^ell of ``powers``.
+
+    ``powers`` runs w, w^2, ...; ``seen`` maps each power scanned so far to
+    its least violating index, or None.  Any other power is charged |A| steps
+    on ``budget``, when one is given, then scanned (``_least_violation``)
+    against its permutation: compose(pi_w, pi_{w^l}) if this walk scanned w
+    and w^l, else numbered (``_index_permutation``).
+    """
+    pi_w = pi = None  # w's permutation; the previous power's, if this walk scanned it
+    for ell, u in enumerate(powers, 1):
         k = seen.get(u, -1)  # -1: not scanned yet; None: no violation
         if k == -1:
+            desc = u.descriptor
             if budget is not None:
-                budget.spend(width, "the brute-force scans' oracle steps")
+                budget.spend(hyperplane_count(desc), "the brute-force scans' oracle steps")
             pi = _index_permutation(u) if pi is None or pi_w is None else compose(pi_w, pi)
             pi_w = pi if ell == 1 else pi_w
-            k = seen[u] = _least_violation(pi, u.sigma, u.exponents, r, de)
+            k = seen[u] = _least_violation(pi, u.sigma, u.exponents, desc.r, desc.de)
         else:
             pi = None
         if k is not None:
             yield k, ell
-        if u.sigma == unmoved and not any(u.exponents):  # u.is_identity, without its tuple
-            return
-        u, ell = u * w, ell + 1
 
 
 def element_lifts_oracle(w: MonomialElement) -> LiftReport:
     """Structural test: every power of w in any N_H must lie in C_H.
 
-    Reserves order(w) powers x |A| hyperplanes on a fresh ``Budget`` before
-    the walk, then scans every power x hyperplane pair (``_violations``).
+    Walks w's powers (``_powers``), at most one past what a fresh ``Budget``
+    covers, and charges |A| steps per power walked before it numbers any,
+    then scans those powers, every power x hyperplane pair (``_violations``).
     Only a witness is built as a Hyperplane: the least violating hyperplane
     in canonical order, then the least power violating there.
     """
     desc = w.descriptor
-    n, width = w.order(), hyperplane_count(desc)
-    Budget().spend(n * width, f"{n} oracle powers x {width} hyperplanes = {n * width} steps")
+    width, budget = hyperplane_count(desc), Budget()
+    # One power past what the budget covers is enough to refuse the walk.
+    powers = list(islice(_powers(w), budget.left // max(width, 1) + 1))
+    n = len(powers)
+    budget.spend(n * width, f"{n} oracle powers x {width} hyperplanes = {n * width} steps")
     witness = None
-    if (least := min(_violations(w, {}), default=None)) is not None:
+    if (least := min(_violations(powers, {}), default=None)) is not None:
         witness = LiftWitness(_hyperplane_at(desc, least[0]), power=least[1])
     return LiftReport(format_element(w), witness is None, witness, "oracle")
 
@@ -139,13 +148,13 @@ def oracle_verdicts(
 ) -> dict[MonomialElement, bool]:
     """``element_lifts_oracle(w).lifts`` for each w, without the witness.
 
-    Each walk (``_violations``) stops at w's first violating power or after
-    the identity.  The walks share one ``seen``, so a power that several
-    elements share is scanned once per call, and only the powers scanned are
-    charged to ``budget``, when one is given.
+    Each walk (``_violations`` on ``_powers(w)``, drawn lazily) stops at w's
+    first violating power or after the identity.  The walks share one
+    ``seen``, so a power that several elements share is scanned once per call,
+    and only the powers scanned are charged to ``budget``, when one is given.
     """
     seen: dict[MonomialElement, int | None] = {}
-    return {w: next(_violations(w, seen, budget), None) is None for w in elements}
+    return {w: next(_violations(_powers(w), seen, budget), None) is None for w in elements}
 
 
 def _root_order(exponent: int, de: int) -> int:
@@ -191,8 +200,8 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     hyperplane, the k with root[k] == k in ``orbits``, and if no element
     violates there, G lifts.
     Otherwise a second scan names the witness: elements in sorted order, each
-    at the ascending fixed indices of its permutation (a generator's from the
-    cache ``orbits`` filled, the rest uncached), the first violating pair.
+    at the ascending fixed indices of its permutation, numbered uncached
+    (``_index_permutation``), the first violating pair.
     The first scan tests by ``_normal_scalar``, the second by
     ``_least_violation``; neither builds a Hyperplane but the witness, and
     both skip the identity, which fixes every normal line.
@@ -213,8 +222,7 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     for g in others:
-        pi = hyperplane_permutation(g) if g in G.generators else _index_permutation(g)
-        if (k := _least_violation(pi, g.sigma, g.exponents, r, de)) is not None:
+        if (k := _least_violation(_index_permutation(g), g.sigma, g.exponents, r, de)) is not None:
             witness = LiftWitness(_hyperplane_at(desc, k), element=g)
             return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")

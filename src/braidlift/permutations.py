@@ -3,7 +3,8 @@
 A permutation of {0, ..., n-1} is a tuple p with p[i] the image of i.
 Composition follows the left-action convention used everywhere in this
 package: compose(p, q) applies q first, then p.  ``mulclose`` closes
-elements that have ``*`` and ``order()`` (``MonomialElement``), not tuples.
+elements by ``*`` alone (``MonomialElement``), not tuples, and reads no
+cycle data.
 
 ``cycle_sums`` is the one cycle walk, read for cycle types, monomial orders
 and the fast lifting criterion; ``cycles`` is the tests' reference for it.
@@ -94,13 +95,13 @@ def _guard(size: int, max_size: int | None) -> None:
         raise GuardExceeded(f"closure exceeds {max_size} elements")
 
 
-def _powers(g, max_size: int | None) -> list:
+def _powers(g, max_size: int | None) -> set:
     """g, g^2, ..., g^ord(g) = 1 in ord(g) products, guarded before each is kept."""
-    powers, p = [g], g
+    powers, p = {g}, g
     _guard(1, max_size)
     while (p := p * g) != g:
         _guard(len(powers) + 1, max_size)
-        powers.append(p)
+        powers.add(p)
     return powers
 
 
@@ -123,17 +124,18 @@ def _extend(span: set, used: list, s, max_size: int | None) -> None:
 def mulclose(gens: Iterable, max_size: int | None = None) -> frozenset:
     """The group generated by ``gens``, coset by coset (Dimino, ``_extend``).
 
-    The generators have ``*`` and ``order()`` (``MonomialElement``).  Cosets
-    extend H_1, the powers of the first generator of greatest order, the only
-    power list built: at most |H_1| + |G| + k |G| / |H_1| products for k
-    distinct generators; no generators give the empty set.  Raises
-    GuardExceeded before a power or coset passes ``max_size``.
+    The generators need only ``*``.  Cosets extend H_1, the longest power
+    list, the first on a tie: each generator outside the longest list so far
+    builds its own, and replaces that one if longer.  If g lies in <h> then
+    ord g <= ord h, so H_1 is the powers of the first generator of greatest
+    order.  No generators give the empty set.  Raises GuardExceeded before a
+    power or coset passes ``max_size``.
     """
     gens = list(dict.fromkeys(gens))
-    if not gens:
-        return frozenset()
-    first = max(gens, key=lambda g: g.order())
-    span, used = set(_powers(first, max_size)), [first]
+    span, used = set(), []
+    for g in gens:
+        if g not in span and len(powers := _powers(g, max_size)) > len(span):
+            span, used = powers, [g]
     for s in gens:
         if s not in span:
             _extend(span, used, s, max_size)

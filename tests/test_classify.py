@@ -286,13 +286,14 @@ def test_free_action_equivalence_on_s4_cyclic_subgroups():
 
 def test_frobenius_spec_validation():
     with pytest.raises(ValueError):
-        FrobeniusSpec(9, 3, 2)  # p not prime
+        FrobeniusSpec.find(9, 3)  # p not prime
     with pytest.raises(ValueError):
-        FrobeniusSpec(7, 4, 2)  # q even
+        FrobeniusSpec.find(7, 4)  # q even
     with pytest.raises(ValueError):
-        FrobeniusSpec(7, 5, 2)  # q does not divide p - 1
-    with pytest.raises(ValueError):
-        FrobeniusSpec(7, 3, 3)  # ord(3 mod 7) = 6, not 3
+        FrobeniusSpec.find(7, 5)  # q does not divide p - 1
+    # ord(3 mod 7) = 6, not 3: the construction counts the elements
+    with pytest.raises(InvariantViolation, match="affine action of order 21 has 42 elements"):
+        frobenius_coset_action(FrobeniusSpec(7, 3, 3))
     assert FrobeniusSpec.find(13, 3).m == 3
 
 

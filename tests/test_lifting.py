@@ -217,7 +217,7 @@ def test_subgroup_witness_away_from_the_orbit_representative():
     }
 
 
-def test_subgroup_witness_scan_reads_generators_from_the_cache(monkeypatch):
+def test_subgroup_witness_scan_numbers_generators_uncached(monkeypatch):
     numbered = []
     index_permutation = arrangement._index_permutation
 
@@ -232,8 +232,10 @@ def test_subgroup_witness_scan_reads_generators_from_the_cache(monkeypatch):
     swap = from_permutation(s40, (1, 0, *range(2, 40)))
     report = subgroup_lifts(closure(s40, [swap]))
     assert not report.lifts and report.witness.element == swap
-    # numbered once, by orbits through the cache; the witness scan reads it there
-    assert numbered == [swap]
+    # numbered by orbits, through the cache, then by the witness scan, which
+    # reads no cache
+    assert numbered == [swap, swap]
+    assert arrangement.hyperplane_permutation.cache_info().hits == 0
 
 
 def test_subgroup_local_equivalence():

@@ -5,11 +5,13 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+import itertools
 import math
 import operator
 import re
 from functools import lru_cache
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -56,6 +58,7 @@ from braidlift.lifting import (
     LiftReport,
     LiftWitness,
     _least_violation,
+    _powers,
     _violations,
     element_lifts_fast,
     element_lifts_oracle,
@@ -185,6 +188,34 @@ def test_mulclose_equals_the_breadth_first_reference(case, data):
             perms.mulclose(gens, cap)
     else:
         assert perms.mulclose(gens, cap) == group
+
+
+@PROPERTY_SETTINGS
+@given(generator_lists())
+def test_mulclose_extends_the_powers_of_a_generator_of_greatest_order(case):
+    # H_1, the group the cosets extend, is the powers of the first distinct
+    # generator of greatest order, although mulclose never reads an order.
+    gens, _ = case
+    first = max(dict.fromkeys(gens), key=lambda g: g.order())
+    group, extended = reference_mulclose(gens), []
+    extend = perms._extend
+
+    def recording(span, used, s, max_size):
+        if not extended:
+            extended.append((frozenset(span), used[0]))
+        extend(span, used, s, max_size)
+
+    def no_order(w):
+        raise AssertionError(f"mulclose read the order of {w}")
+
+    with mock.patch.object(perms, "_extend", recording), \
+            mock.patch.object(MonomialElement, "order", no_order):
+        assert perms.mulclose(gens) == group
+    h1 = frozenset(reference_powers(first))
+    if extended:
+        assert extended[0] == (h1, first)
+    else:  # no coset was added: H_1 is the whole group
+        assert group == h1
 
 
 @PROPERTY_SETTINGS
@@ -660,18 +691,20 @@ def test_verdict_walk_equals_the_per_pair_reference(ws):
         assert verdicts[w] == reference_element_lifts(w).lifts, w
 
 
-def reference_violations(w, seen):
+def reference_violations(powers, seen):
     """``_violations``' walk with every power numbered by ``_index_permutation``."""
-    desc, u, ell = w.descriptor, w, 1
-    while True:
+    for ell, u in enumerate(powers, 1):
         if u not in seen:
+            desc = u.descriptor
             seen[u] = _least_violation(_index_permutation(u), u.sigma, u.exponents,
                                        desc.r, desc.de)
         if seen[u] is not None:
             yield seen[u], ell
-        if u.is_identity:
-            return
-        u, ell = u * w, ell + 1
+
+
+def reference_powers(w):
+    """w, w^2, ..., w^order(w) = 1, by products."""
+    return list(itertools.accumulate(itertools.repeat(w, w.order()), operator.mul))
 
 
 #: An element w of order 6 in G(3,1,3) whose first power violates.  Listed as
@@ -689,7 +722,8 @@ def test_composed_walk_yields_the_pairs_of_the_numbered_walk(ws):
     # already scanned before, after and in place of their own w.
     seen, reference_seen = {}, {}
     for i, w in enumerate(ws):
-        walk, reference = _violations(w, seen), reference_violations(w, reference_seen)
+        walk = _violations(_powers(w), seen)
+        reference = reference_violations(reference_powers(w), reference_seen)
         if i % 2:
             assert next(walk, None) == next(reference, None), w
         else:
