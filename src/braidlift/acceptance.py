@@ -6,12 +6,9 @@ tolerances: everything here is integer arithmetic).  The CLI ``verify``
 subcommand and tests/test_acceptance.py both run these.
 """
 
-from __future__ import annotations
-
 import time
-from collections import namedtuple
+from _random import Random
 from functools import lru_cache
-from random import Random
 
 from . import permutations as perms
 from .classify import (
@@ -30,6 +27,7 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
+    _record,
     closure,
     diagonal,
     enumerate_elements,
@@ -49,7 +47,7 @@ GRID: tuple[GroupDescriptor, ...] = (
 )
 
 
-class CriterionResult(namedtuple("CriterionResult", "number title passed detail")):
+class CriterionResult(_record("number title passed detail")):
     __slots__ = ()
 
     def line(self) -> str:
@@ -156,6 +154,14 @@ def criterion_5() -> CriterionResult:
                            f"{checked} permutations checked")
 
 
+def _choice(rng: Random, seq: list):
+    """``random.Random.choice(seq)``, draw for draw (its ``_randbelow``); seq not empty."""
+    k = len(seq).bit_length()
+    while (r := rng.getrandbits(k)) >= len(seq):
+        pass
+    return seq[r]
+
+
 @lru_cache(maxsize=1)
 def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
@@ -166,7 +172,7 @@ def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
     rng = Random(0x5EED)
     three_cycles = [g for g in perms.all_permutations(5) if perms.order(g) == 3]
     spans = [[g] for g in perms.all_permutations(5)]
-    spans += [[rng.choice(three_cycles), rng.choice(three_cycles)] for _ in range(50)]
+    spans += [[_choice(rng, three_cycles), _choice(rng, three_cycles)] for _ in range(50)]
     return tuple(dict.fromkeys(PermutationGroup(5, gens) for gens in spans))
 
 

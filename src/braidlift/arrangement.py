@@ -29,26 +29,23 @@ permutation, so both lifting scans of ``lifting`` rest on it and build no
 Hyperplane either; ``acts_faithfully_on_arrangement`` tests no plane at all,
 only whether an element is central.  ``orbits`` is the one search
 along the generators' permutations: a spanning forest with each index
-labelled by its orbit's least index, kept on the subgroup, which the
-lifting scan, the orbit counts and the cocycle solver of ``lattice`` all
-read.  ``element_permutations``, the table g -> pi_g of every element's
-permutation, is a reference that no command builds, for the coboundaries
-of ``lattice`` and the tests.  ``hyperplanes`` builds the arrangement for
-the tests and caches nothing.
+labelled by its orbit's least index, kept on the subgroup with those
+permutations, which the lifting scans, the orbit counts and the cocycle
+solver of ``lattice`` all read.  ``element_permutations``, the table
+g -> pi_g of every element's permutation, is a reference that no command
+builds, for the coboundaries of ``lattice`` and the tests.  ``hyperplanes``
+builds the arrangement for the tests and caches nothing.
 
 Witnesses name a hyperplane as "H[i,j;t]" for Swap and "H[i]" for Coord (1-based).
 """
 
-from __future__ import annotations
-
 import math
-from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from operator import eq
 
 from .errors import Budget, MismatchError
-from .monomial import GroupDescriptor, MonomialElement, Subgroup, center_order
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, _record, center_order
 
 #: Entries kept by the element-keyed ``hyperplane_permutation`` cache.  Commands
 #: call it on generators only: ``verify`` fills 129 entries, so it does not
@@ -56,13 +53,13 @@ from .monomial import GroupDescriptor, MonomialElement, Subgroup, center_order
 HYPERPLANE_CACHE_SIZE = 4096
 
 
-class Swap(namedtuple("Swap", "i j t")):
+class Swap(_record("i j t")):
     """The hyperplane z_i = zeta_de^t z_j, normalized so i < j."""
 
     __slots__ = ()
 
 
-class Coord(namedtuple("Coord", "i")):
+class Coord(_record("i")):
     """The coordinate hyperplane z_i = 0."""
 
     __slots__ = ()
@@ -228,14 +225,15 @@ def scalar_on_normal(w: MonomialElement, H: Hyperplane) -> int:
     return (de + 2 * (H.t + a_i)) % (2 * de)
 
 
-class Orbits(namedtuple("Orbits", "root target source step")):
+class Orbits(_record("root target source step permutations")):
     """G's orbits on the hyperplanes, as a spanning forest of its search.
 
     root[k] is the least index of k's orbit.  Edge e, in flat lists, joins
     source[e] to target[e] = pi_s(source[e]) for s the generator numbered
     step[e]; parents come first, and each index but the roots is a target
     once.  So the representatives are the k with root[k] == k, and there are
-    len(root) - len(target) orbits.
+    len(root) - len(target) orbits.  permutations[i] is pi_s for the
+    generator numbered i, read by the lifting and cocycle scans.
     """
 
     __slots__ = ()
@@ -269,7 +267,7 @@ def orbits(G: Subgroup) -> Orbits:
                     target.append(j)
                     source.append(k)
                     step.append(i)
-    vars(G)["_orbits"] = forest = Orbits(tuple(root), target, source, step)
+    vars(G)["_orbits"] = forest = Orbits(tuple(root), target, source, step, steps)
     return forest
 
 

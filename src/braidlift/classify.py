@@ -8,11 +8,6 @@ type, and ``frobenius_coset_action`` returns the types it measured and
 checked, so no element's cycles are computed twice.
 """
 
-from __future__ import annotations
-
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
-
 from . import permutations as perms
 from .arrangement import hyperplane_count, orbit_count
 from .errors import Budget, InvariantViolation
@@ -21,6 +16,7 @@ from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
+    _record,
     closure,
     from_permutation,
     prime_order_classes,
@@ -90,7 +86,7 @@ def has_odd_lift_property(descriptor: GroupDescriptor) -> bool:
     return r == 2 and d == 1 and e >= 3
 
 
-def has_free_cycle_type(lengths: Sequence[int]) -> bool:
+def has_free_cycle_type(lengths: "Sequence[int]") -> bool:
     """Whether a cycle type, fixed points included, forces free action on 2-subsets.
 
     True for the identity's type, and otherwise iff all nontrivial cycles share
@@ -124,7 +120,7 @@ class PermutationGroup(Subgroup):
     ValueError, as G(1, 1, 0) does.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Sequence[int]]) -> None:
+    def __init__(self, degree: int, generators: "Iterable[Sequence[int]]") -> None:
         desc = GroupDescriptor(1, 1, degree)
         super().__init__(desc, [from_permutation(desc, p) for p in generators])
 
@@ -165,7 +161,7 @@ def _multiplicative_order(m: int, p: int) -> int:
     return k
 
 
-class FrobeniusSpec(namedtuple("FrobeniusSpec", "p q m")):
+class FrobeniusSpec(_record("p q m")):
     """The affine Frobenius group Z/p x| Z/q with multiplier m of order q mod p."""
 
     __slots__ = ()

@@ -6,11 +6,8 @@ exceeded, 5 internal invariant violation (two provably-equal routes disagreed),
 and from ``main`` only 141, the output pipe was closed (128 + SIGPIPE).
 """
 
-from __future__ import annotations
-
 import gc
 import sys
-from collections.abc import Sequence
 from itertools import product
 from types import SimpleNamespace
 
@@ -41,7 +38,7 @@ def parse_grid(text: str) -> tuple[int, int, int]:
     raise ParseError(f"cannot parse grid bounds {text!r}; expected 'd<=D,e<=E,r<=R'")
 
 
-def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
+def _parse_generators(descriptor: "GroupDescriptor", text: str) -> list:
     """Split a semicolon-joined list of element strings.
 
     The element format itself contains one semicolon, so tokens are paired
@@ -60,7 +57,7 @@ def _parse_generators(descriptor: GroupDescriptor, text: str) -> list:
     return gens
 
 
-def _capped_subgroup(descriptor: GroupDescriptor, gens: list):
+def _capped_subgroup(descriptor: "GroupDescriptor", gens: list):
     """The unclosed subgroup of gens, capped so that reading its elements
     raises GuardExceeded once its elements x hyperplanes pass the guard.
 
@@ -80,7 +77,7 @@ def _print_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _print_report(report: LiftReport) -> None:
+def _print_report(report: "LiftReport") -> None:
     verdict = "lifts" if report.lifts else "does not lift"
     line = f"{report.subject}: {verdict} [{report.method}]"
     if report.witness is not None:
@@ -139,7 +136,7 @@ def cmd_check_subgroup(args: SimpleNamespace) -> int:
     return EXIT_OK if report.lifts else EXIT_NO_LIFT
 
 
-def _classify_row(desc: GroupDescriptor, budget: Budget | None = None) -> dict:
+def _classify_row(desc: "GroupDescriptor", budget: Budget | None = None) -> dict:
     """One classification row; every column but the brute force is a closed form.
 
     The brute force charges its walks to ``budget``, which raises once spent.
@@ -243,7 +240,7 @@ def cmd_frobenius(args: SimpleNamespace) -> int:
 def cmd_cocycle(args: SimpleNamespace) -> int:
     if args.random < 0:
         raise ParseError(f"--random must be non-negative, got {args.random}")
-    from random import Random
+    from _random import Random
 
     from .arrangement import hyperplane_count
     from .lattice import coboundary_roundtrips
@@ -334,7 +331,7 @@ def cmd_help(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
-def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+def parse_args(argv: "Sequence[str]") -> SimpleNamespace:
     """The options of a command line, with its handler as ``func``.
 
     Options are written ``--option value``; -h or --help anywhere selects
@@ -377,7 +374,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
     return SimpleNamespace(func=handler, **values)
 
 
-def run(argv: Sequence[str]) -> int:
+def run(argv: "Sequence[str]") -> int:
     try:
         args = parse_args(argv)
         return args.func(args)

@@ -4,13 +4,10 @@ Everything here works on Python integers, so there is no overflow and no
 rounding; pivoting orders are fixed so results are deterministic.
 """
 
-from __future__ import annotations
-
 import math
-from collections.abc import Iterable, Mapping, Sequence
 
 
-def rank(rows: Iterable[Mapping[int, int]]) -> int:
+def rank(rows: "Iterable[Mapping[int, int]]") -> int:
     """Rank over Q of an integer matrix given as sparse {column: coefficient} rows.
 
     Incremental fraction-free echelon: each row is reduced against the
@@ -41,7 +38,7 @@ def rank(rows: Iterable[Mapping[int, int]]) -> int:
 
 
 def solve(
-    rows: Sequence[Sequence[int]], rhs: Sequence[int], ncols: int | None = None
+    rows: "Sequence[Sequence[int]]", rhs: "Sequence[int]", ncols: int | None = None
 ) -> list[int] | None:
     """One integral solution x of A x = b, or None if none exists.
 

@@ -12,11 +12,7 @@ vanishing of the first cohomology of a permutation module), so the solver
 treats a failure as a falsified theorem, not as a data error.
 """
 
-from __future__ import annotations
-
-from collections.abc import Iterable
 from operator import itemgetter, sub
-from random import Random
 
 from . import intlinalg
 from .arrangement import (
@@ -24,7 +20,6 @@ from .arrangement import (
 )
 from .errors import InvariantViolation, NoIntegralSolution
 from .monomial import MonomialElement, Subgroup
-from .permutations import compose
 
 LatticeVector = tuple[int, ...]
 Cocycle = dict[MonomialElement, LatticeVector]
@@ -56,7 +51,7 @@ def small_generating_set(G: Subgroup) -> tuple[MonomialElement, ...]:
     return G.generators
 
 
-def _solve_on_generators(forest: Orbits, values: Iterable[int]) -> LatticeVector:
+def _solve_on_generators(forest: Orbits, values: "Iterable[int]") -> LatticeVector:
     """The x with x = 0 on the roots and x[j] = x[k] + c(s)[j] on each edge.
 
     ``values`` holds c(s)[j] for each forest edge k -> j = pi_s(k), in the
@@ -99,7 +94,7 @@ _TOP_FIVE_BITS = bytes(b >> 3 for b in range(256))
 _REJECTED = bytes(range(19 << 3, 256))
 
 
-def _draws(rng: Random, width: int) -> bytes:
+def _draws(rng: "_random.Random", width: int) -> bytes:
     """``width`` draws of rng.randint(-9, 9) plus 9, bit for bit, with the
     generator left in the same state.
 
@@ -115,7 +110,7 @@ def _draws(rng: Random, width: int) -> bytes:
     return kept
 
 
-def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector | None:
+def coboundary_roundtrips(G: Subgroup, trips: int, rng: "_random.Random") -> LatticeVector | None:
     """Solve ``trips`` random coboundaries of G; return the first solution.
 
     Each trip draws x0, one entry per hyperplane from the stream of
@@ -127,7 +122,7 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     generator fixes, the group they generate fixes.  With y = x - x0,
     x - g.x = c(g) exactly when y[pi_g[k]] == y[k] for every k.  Once per
     call, the labelling of each hyperplane by its root is checked against
-    each generator's permutation, and a moved label raises
+    each generator's permutation on the forest; a moved label raises
     InvariantViolation.  Then G fixes y exactly when y[root[k]] == y[k], one
     gather per trip.  A failed trip raises NoIntegralSolution naming the
     first generator that moves y, or InvariantViolation if none does: the
@@ -139,17 +134,19 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: Random) -> LatticeVector
     forest = orbits(G)
     # itemgetter needs an index and returns a bare value for one; with fewer
     # than two hyperplanes there are no edges and every pi_g fixes any y.
+    # The edge gathers take two indices more, which the solve's zip drops.
     gathers = len(forest.root) > 1
     if gathers:
-        steps = [(s, itemgetter(*hyperplane_permutation(s))) for s in G.generators]
+        steps = [(s, itemgetter(*pi)) for s, pi in zip(G.generators, forest.permutations)]
         for s, gather in steps:
             if gather(forest.root) != forest.root:
                 raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {s}")
         at_root = itemgetter(*forest.root)
-    targets, sources, first = forest.target, forest.source, None
+        at_target, at_source = itemgetter(*forest.target, 0, 0), itemgetter(*forest.source, 0, 0)
+    first = None
     for _ in range(trips):
         u = _draws(rng, len(forest.root))
-        x = _solve_on_generators(forest, map(sub, compose(u, targets), compose(u, sources)))
+        x = _solve_on_generators(forest, map(sub, at_target(u), at_source(u)) if gathers else ())
         # z = u - x = 9 - y is fixed by the same g as y, with entries in
         # [0, 18] when x is right: small ints that Python does not allocate.
         if gathers and at_root(z := tuple(map(sub, u, x))) != z:

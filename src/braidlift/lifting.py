@@ -31,11 +31,7 @@ its elements share once.
 forest that ``arrangement.orbits`` keeps on G.
 """
 
-from __future__ import annotations
-
 import math
-from collections import namedtuple
-from collections.abc import Iterable, Iterator
 from itertools import compress, islice
 from operator import eq
 
@@ -50,11 +46,11 @@ from .arrangement import (
     orbits,
 )
 from .errors import Budget, InvariantViolation
-from .monomial import MonomialElement, Subgroup, format_element
+from .monomial import MonomialElement, Subgroup, _record, format_element
 from .permutations import compose, cycle_sums
 
 
-class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults=(None, None))):
+class LiftWitness(_record("hyperplane power element", defaults=(None, None))):
     """A violation certificate: some power (or element) sits in N_H minus C_H.
 
     Fields: ``hyperplane``, and ``power`` (an int) or ``element``.
@@ -71,9 +67,7 @@ class LiftWitness(namedtuple("LiftWitness", "hyperplane power element", defaults
         return data
 
 
-class LiftReport(
-    namedtuple("LiftReport", "subject lifts witness method kind", defaults=("element",))
-):
+class LiftReport(_record("subject lifts witness method kind", defaults=("element",))):
     """Verdict of a lifting test, with a verifiable witness when it fails."""
 
     __slots__ = ()
@@ -87,7 +81,7 @@ class LiftReport(
         }
 
 
-def _powers(w: MonomialElement) -> Iterator[MonomialElement]:
+def _powers(w: MonomialElement) -> "Iterator[MonomialElement]":
     """w, w^2, ... up to the identity, by products; w's order is never read."""
     u, unmoved = w, tuple(range(w.descriptor.r))
     while True:
@@ -97,7 +91,7 @@ def _powers(w: MonomialElement) -> Iterator[MonomialElement]:
         u = u * w
 
 
-def _violations(powers: Iterable, seen: dict, budget: Budget | None = None) -> Iterator:
+def _violations(powers: "Iterable", seen: dict, budget: Budget | None = None) -> "Iterator":
     """(k, ell), k the least violating index, for each violating w^ell of ``powers``.
 
     ``powers`` runs w, w^2, ...; ``seen`` maps each power scanned so far to
@@ -144,7 +138,7 @@ def element_lifts_oracle(w: MonomialElement) -> LiftReport:
 
 
 def oracle_verdicts(
-    elements: Iterable[MonomialElement], budget: Budget | None = None
+    elements: "Iterable[MonomialElement]", budget: Budget | None = None
 ) -> dict[MonomialElement, bool]:
     """``element_lifts_oracle(w).lifts`` for each w, without the witness.
 
@@ -200,8 +194,8 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     hyperplane, the k with root[k] == k in ``orbits``, and if no element
     violates there, G lifts.
     Otherwise a second scan names the witness: elements in sorted order, each
-    at the ascending fixed indices of its permutation, numbered uncached
-    (``_index_permutation``), the first violating pair.
+    at the ascending fixed indices of its permutation, the forest's for a
+    generator, else numbered (``_index_permutation``): the first violating pair.
     The first scan tests by ``_normal_scalar``, the second by
     ``_least_violation``; neither builds a Hyperplane but the witness, and
     both skip the identity, which fixes every normal line.
@@ -211,7 +205,8 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     r, de = desc.r, desc.de
     subject = f"subgroup of {desc} with {len(G)} elements"
     others = G.sorted_elements[1:]  # the identity sorts first
-    root = orbits(G).root
+    forest = orbits(G)
+    root = forest.root
     indices = range(len(root))
     representatives = compress(indices, map(eq, root, indices))
     # Representatives are decoded one at a time: a list would hold a tuple per orbit.
@@ -221,8 +216,10 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
         for g in others
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
+    numbered = dict(zip(G.generators, forest.permutations))
     for g in others:
-        if (k := _least_violation(_index_permutation(g), g.sigma, g.exponents, r, de)) is not None:
+        pi = numbered.get(g) or _index_permutation(g)
+        if (k := _least_violation(pi, g.sigma, g.exponents, r, de)) is not None:
             witness = LiftWitness(_hyperplane_at(desc, k), element=g)
             return LiftReport(subject, False, witness, "oracle", kind="subgroup")
     raise InvariantViolation(f"{subject}: a violation at an orbit representative, none in full")

@@ -20,14 +20,11 @@ with "S(n)" as an alias for G(1,1,n) = the symmetric group; elements read
 "perm=[2,1,3];exp=[1,2,0]" with 1-based permutation images.
 """
 
-from __future__ import annotations
-
 import math
-from collections import namedtuple
-from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import chain, combinations_with_replacement, repeat, takewhile
 from itertools import product as _cartesian
+from operator import itemgetter
 
 from . import errors
 from . import permutations as perms
@@ -57,7 +54,38 @@ def _spelled_with(body: str, chars: str) -> bool:
 _new = tuple.__new__
 
 
-class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
+def _record(fields: str, defaults: tuple = ()) -> type:
+    """A tuple base class with a read-only property per name in ``fields``,
+    built by position or by name, the last len(defaults) names optional.
+
+    Equality, hashing and order are the tuple's, as with a namedtuple, but
+    no code is generated: subclasses add ``__slots__ = ()`` and methods.
+    """
+    names, missing = fields.split(), object()
+    fill = (missing,) * (len(names) - len(defaults)) + defaults
+
+    def __new__(cls, *args, **kwargs):
+        values = (*args, *map(kwargs.pop, names[len(args):], fill[len(args):]))
+        if kwargs or len(values) != len(names) or missing in values:
+            raise TypeError(f"{cls.__name__} takes the fields {fields!r}")
+        return _new(cls, values)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, names, self))})"
+
+    def _replace(self, **changes):
+        values = [*map(changes.pop, names, self)]
+        return type(self)(*values, **changes)  # which refuses any name left
+
+    def __getnewargs__(self):  # copy and pickle rebuild a value through __new__
+        return tuple(self)
+
+    methods = {f.__name__: f for f in (__new__, __repr__, _replace, __getnewargs__)}
+    getters = {name: property(itemgetter(k)) for k, name in enumerate(names)}
+    return type("record", (tuple,), {"__slots__": (), **methods, **getters})
+
+
+class GroupDescriptor(_record("d e r")):
     """The triple (d, e, r) naming G(de, e, r).
 
     Note the constructor takes d, not de.  Use ``from_deer`` or ``parse`` to
@@ -66,7 +94,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
 
     __slots__ = ()
 
-    def __new__(cls, d: int, e: int, r: int) -> GroupDescriptor:
+    def __new__(cls, d: int, e: int, r: int) -> "GroupDescriptor":
         if min(d, e, r) < 1:
             raise ValueError(f"d, e, r must be positive, got ({d},{e},{r})")
         return _new(cls, (d, e, r))
@@ -112,7 +140,7 @@ class GroupDescriptor(namedtuple("GroupDescriptor", "d e r")):
         return f"G({self.de},{self.e},{self.r})"
 
 
-class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents")):
+class MonomialElement(_record("descriptor sigma exponents")):
     """A monomial matrix w(e_i) = zeta_de^{exponents[i]} e_{sigma[i]}.
 
     A tuple (descriptor, sigma, exponents): equality, hashing and order are
@@ -123,8 +151,8 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
     __slots__ = ()
 
     def __new__(
-        cls, descriptor: GroupDescriptor, sigma: Sequence[int], exponents: Sequence[int]
-    ) -> MonomialElement:
+        cls, descriptor: GroupDescriptor, sigma: "Sequence[int]", exponents: "Sequence[int]"
+    ) -> "MonomialElement":
         de = descriptor.de
         w = _new(cls, (descriptor, tuple(sigma), tuple(a % de for a in exponents)))
         w.__post_init__()
@@ -144,14 +172,15 @@ class MonomialElement(namedtuple("MonomialElement", "descriptor sigma exponents"
         return self.sigma == perms.identity(self.descriptor.r) and not any(self.exponents)
 
     def __mul__(self, other: "MonomialElement") -> "MonomialElement":
-        desc = self.descriptor
-        if other.descriptor is not desc and other.descriptor != desc:
-            raise MismatchError(f"cannot compose elements of {desc} and {other.descriptor}")
-        de, mine = desc.de, self.exponents
-        sigma = perms.compose(self.sigma, other.sigma)
+        desc, p, mine = self
+        their_desc, q, theirs = other
+        if their_desc is not desc and their_desc != desc:
+            raise MismatchError(f"cannot compose elements of {desc} and {their_desc}")
+        d, e, _ = desc
+        de, sigma = d * e, perms.compose(p, q)
         if de == 1:  # every exponent is 0 mod 1, so the product keeps mine
             return _new(MonomialElement, (desc, sigma, mine))
-        exps = tuple([(a + mine[j]) % de for a, j in zip(other.exponents, other.sigma)])
+        exps = tuple([(a + mine[j]) % de for a, j in zip(theirs, q)])
         return _new(MonomialElement, (desc, sigma, exps))
 
     def order(self) -> int:
@@ -172,12 +201,12 @@ def identity(descriptor: GroupDescriptor) -> MonomialElement:
     return MonomialElement(descriptor, perms.identity(descriptor.r), (0,) * descriptor.r)
 
 
-def diagonal(descriptor: GroupDescriptor, exponents: Sequence[int]) -> MonomialElement:
+def diagonal(descriptor: GroupDescriptor, exponents: "Sequence[int]") -> MonomialElement:
     """The diagonal matrix diag(zeta^a_0, ..., zeta^a_{r-1})."""
     return MonomialElement(descriptor, perms.identity(descriptor.r), tuple(exponents))
 
 
-def from_permutation(descriptor: GroupDescriptor, sigma: Sequence[int]) -> MonomialElement:
+def from_permutation(descriptor: GroupDescriptor, sigma: "Sequence[int]") -> MonomialElement:
     """The permutation matrix of sigma (all exponents zero)."""
     return MonomialElement(descriptor, tuple(sigma), (0,) * descriptor.r)
 
@@ -221,7 +250,7 @@ def standard_generators(descriptor: GroupDescriptor) -> tuple[MonomialElement, .
     return tuple(gens)
 
 
-def enumerate_elements(descriptor: GroupDescriptor) -> Iterator[MonomialElement]:
+def enumerate_elements(descriptor: GroupDescriptor) -> "Iterator[MonomialElement]":
     """Yield every element of G(de, e, r) exactly once, in a fixed order.
 
     Iterates permutations lexicographically and, for each, all exponent
@@ -240,7 +269,7 @@ def enumerate_elements(descriptor: GroupDescriptor) -> Iterator[MonomialElement]
 
 def _cycle_multisets(
     r: int, de: int, e: int, total: int, bound: tuple[int, int]
-) -> Iterator[tuple]:
+) -> "Iterator[tuple]":
     """Tuples of pairs (L, c), colours c in range(de), with lengths summing to
     r and colours summing with ``total`` to 0 mod e: L descending, and c
     ascending within one L, from ``bound`` on.
@@ -262,7 +291,7 @@ def _cycle_multisets(
                 yield ((L, c),) + rest
 
 
-def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialElement]:
+def class_representatives(descriptor: GroupDescriptor) -> "Iterator[MonomialElement]":
     """Yield one element of G(de, e, r) per G(de, 1, r)-conjugacy class meeting it.
 
     G(de, 1, r) is the wreath product Z/de wr S_r, where two elements are
@@ -284,7 +313,7 @@ def class_representatives(descriptor: GroupDescriptor) -> Iterator[MonomialEleme
         yield _class_element(descriptor, multiset)
 
 
-def _class_element(descriptor: GroupDescriptor, multiset: Iterable) -> MonomialElement:
+def _class_element(descriptor: GroupDescriptor, multiset: "Iterable") -> MonomialElement:
     """The element with the cycles (L, c) on consecutive coordinates, c on each one's first."""
     sigma, exps, start = [], [0] * descriptor.r, 0
     for L, c in multiset:
@@ -295,7 +324,7 @@ def _class_element(descriptor: GroupDescriptor, multiset: Iterable) -> MonomialE
     return _new(MonomialElement, (descriptor, tuple(sigma), tuple(exps)))
 
 
-def _primes(n: int, r: int, spend) -> Iterator[int]:
+def _primes(n: int, r: int, spend) -> "Iterator[int]":
     """The primes up to r and those dividing n, odd ones ascending, then 2, by
     trial division; each division is charged one step, ``spend(1)``, first."""
     even, n = n % 2 == 0, n // (n & -n)  # n's odd part, at once
@@ -317,7 +346,7 @@ def _primes(n: int, r: int, spend) -> Iterator[int]:
         yield 2
 
 
-def _colourings(n: int, p: int) -> Iterator[tuple[int, ...]]:
+def _colourings(n: int, p: int) -> "Iterator[tuple[int, ...]]":
     """The sorted n-tuples over Z/p whose least nonzero entry, if any, is 1, ascending."""
     yield (0,) * n
     for zeros in range(n - 1, -1, -1):
@@ -325,7 +354,7 @@ def _colourings(n: int, p: int) -> Iterator[tuple[int, ...]]:
             yield (0,) * zeros + (1,) + rest
 
 
-def prime_order_classes(descriptor: GroupDescriptor, budget: Budget) -> Iterator[MonomialElement]:
+def prime_order_classes(descriptor: GroupDescriptor, budget: Budget) -> "Iterator[MonomialElement]":
     """Yield an element of G(de, e, r) of each prime order, one per class of
     G(de, 1, r) and orbit of the units k mod de acting by a -> k a.
 
@@ -369,7 +398,7 @@ class Subgroup:
     def __init__(
         self,
         descriptor: GroupDescriptor,
-        generators: Iterable[MonomialElement],
+        generators: "Iterable[MonomialElement]",
         max_size: int | None = None,
     ) -> None:
         self.descriptor = descriptor
@@ -401,13 +430,13 @@ class Subgroup:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self) -> Iterator[MonomialElement]:
+    def __iter__(self) -> "Iterator[MonomialElement]":
         return iter(self.sorted_elements)
 
 
 def closure(
     descriptor: GroupDescriptor,
-    generators: Iterable[MonomialElement],
+    generators: "Iterable[MonomialElement]",
     max_size: int | None = None,
 ) -> Subgroup:
     """Smallest subgroup containing the generators, closed at once: ``Subgroup(...)``."""

@@ -10,10 +10,7 @@ cycle data.
 and the fast lifting criterion; ``cycles`` is the tests' reference for it.
 """
 
-from __future__ import annotations
-
 import math
-from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from itertools import permutations as _all_perms
 from operator import itemgetter
@@ -25,16 +22,16 @@ def identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
-def is_permutation(p: Sequence[int]) -> bool:
+def is_permutation(p: "Sequence[int]") -> bool:
     return sorted(p) == list(range(len(p)))
 
 
-def compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+def compose(p: "Sequence[int]", q: "Sequence[int]") -> tuple[int, ...]:
     """p after q, gathered in C; itemgetter returns a bare value for one index."""
     return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
 
 
-def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
+def cycles(p: "Sequence[int]") -> list[tuple[int, ...]]:
     """Disjoint cycles including fixed points.
 
     Each cycle starts at its least element and cycles are listed by
@@ -55,7 +52,7 @@ def cycles(p: Sequence[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def cycle_sums(p: Sequence[int], a: Sequence[int]) -> list[tuple[int, int]]:
+def cycle_sums(p: "Sequence[int]", a: "Sequence[int]") -> list[tuple[int, int]]:
     """(length, sum of a over the cycle) for each cycle of p, fixed points
     included, by least element; one pass, no tuple per cycle."""
     seen, out = [False] * len(p), []
@@ -69,16 +66,16 @@ def cycle_sums(p: Sequence[int], a: Sequence[int]) -> list[tuple[int, int]]:
     return out
 
 
-def cycle_type(p: Sequence[int]) -> tuple[int, ...]:
+def cycle_type(p: "Sequence[int]") -> tuple[int, ...]:
     """Cycle lengths in decreasing order, fixed points included."""
     return tuple(sorted((L for L, _ in cycle_sums(p, p)), reverse=True))  # sums unused
 
 
-def order(p: Sequence[int]) -> int:
+def order(p: "Sequence[int]") -> int:
     return math.lcm(*cycle_type(p))  # lcm() is 1: the empty permutation
 
 
-def from_cycle(n: int, cycle: Sequence[int]) -> tuple[int, ...]:
+def from_cycle(n: int, cycle: "Sequence[int]") -> tuple[int, ...]:
     """The permutation of {0..n-1} given by one cycle, rest fixed."""
     out = list(range(n))
     for k, i in enumerate(cycle):
@@ -86,7 +83,7 @@ def from_cycle(n: int, cycle: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
+def all_permutations(n: int) -> "Iterator[tuple[int, ...]]":
     return iter(_all_perms(range(n)))
 
 
@@ -121,7 +118,7 @@ def _extend(span: set, used: list, s, max_size: int | None) -> None:
             reps.append(y)
 
 
-def mulclose(gens: Iterable, max_size: int | None = None) -> frozenset:
+def mulclose(gens: "Iterable", max_size: int | None = None) -> frozenset:
     """The group generated by ``gens``, coset by coset (Dimino, ``_extend``).
 
     The generators need only ``*``.  Cosets extend H_1, the longest power

@@ -138,9 +138,9 @@ def test_orbits_examples():
     s3 = D(1, 1, 3)
     G = closure(s3, [from_permutation(s3, (1, 2, 0))])
     # pi = (2, 0, 1): the search from 0 reaches 2, then 1 from 2
-    assert orbits(G) == ((0, 0, 0), [2, 1], [0, 2], [0, 0])
+    assert orbits(G) == ((0, 0, 0), [2, 1], [0, 2], [0, 0], [(2, 0, 1)])
     trivial = closure(s3, [identity(s3)])
-    assert orbits(trivial) == ((0, 1, 2), [], [], [])
+    assert orbits(trivial) == ((0, 1, 2), [], [], [], [(0, 1, 2)])
     assert (orbit_count(G), orbit_count(trivial)) == (1, 3)
     d332 = D(3, 3, 2)
     G = closure(d332, [diagonal(d332, (1, 2))])

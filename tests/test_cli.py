@@ -437,7 +437,8 @@ def test_moved_orbit_labels_map_to_invariant_exit_code(capsys, monkeypatch):
 
     def every_hyperplane_a_root(G):
         width = arrangement.hyperplane_count(G.descriptor)
-        return arrangement.Orbits(tuple(range(width)), [], [], [])
+        steps = arrangement.orbits(G).permutations
+        return arrangement.Orbits(tuple(range(width)), [], [], [], steps)
 
     # the cocycle code's binding of arrangement.orbits
     monkeypatch.setattr(lattice, "orbits", every_hyperplane_a_root)

@@ -6,7 +6,9 @@ of elements are applied letter by letter, which never uses the composition
 formula under test.
 """
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -15,11 +17,12 @@ import braidlift.monomial as monomial
 
 from braidlift import errors
 from braidlift import permutations as perms
-from braidlift.acceptance import GRID
-from braidlift.arrangement import orbit_count
+from braidlift.acceptance import GRID, CriterionResult
+from braidlift.arrangement import Coord, Swap, orbit_count, orbits
 from braidlift.classify import FrobeniusSpec
 from braidlift.errors import GuardExceeded, MismatchError, ParseError
 from braidlift.lattice import coboundary_roundtrips
+from braidlift.lifting import LiftReport, LiftWitness
 from braidlift.monomial import (
     GroupDescriptor,
     MonomialElement,
@@ -457,6 +460,28 @@ def test_element_text_roundtrip():
     assert parse_element(desc, str(w)) == w
     for v in enumerate_elements(desc):
         assert parse_element(desc, str(v)) == v
+
+
+def test_value_types_are_tuples_that_copy_and_pickle():
+    desc = D(3, 3, 2)
+    w = MonomialElement(desc, (1, 0), (1, 2))
+    values = [
+        desc, w, Swap(0, 1, 2), Coord(1), LiftWitness(Coord(0), power=2),
+        LiftReport("w", False, LiftWitness(Swap(0, 1, 0), element=w), "oracle", kind="subgroup"),
+        FrobeniusSpec(7, 3, 2), CriterionResult(1, "title", True, "detail"),
+        orbits(closure(desc, [w])),
+    ]
+    for v in values:
+        assert isinstance(v, tuple) and v == tuple(v)
+        for back in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert back == v and type(back) is type(v)
+    assert repr(Swap(0, 1, 2)) == "Swap(i=0, j=1, t=2)"
+    assert LiftReport("w", True, None, "fast") == ("w", True, None, "fast", "element")
+    assert Swap(0, 1, 2)._replace(t=0) == Swap(i=0, j=1, t=0) < Swap(0, 1, 2)
+    for bad in (lambda: Swap(0, 1), lambda: Swap(0, 1, 2, 3), lambda: Coord(i=0, j=1),
+                lambda: LiftWitness(power=1), lambda: Swap(0, 1, 2)._replace(k=0)):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_element_parse_errors():

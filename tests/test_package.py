@@ -160,6 +160,38 @@ def test_public_names_are_read():
     assert sorted(unread_public_names(sources, (tracer,))) == sorted(UNREAD_PUBLIC_NAMES)
 
 
+def start_up_costs(source: str) -> list[str]:
+    """The ``from __future__`` imports of a module, which load ``__future__``
+    in every process, and its ``namedtuple`` imports and calls, each a class
+    compiled from generated source, as source text.
+
+    The ``sys.modules`` checks in test_processes.py cannot see a
+    ``namedtuple`` call: ``python -m`` loads ``collections`` anyway.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "__future__" or "namedtuple" in names_read(node)):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and "namedtuple" in names_read(node.func):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_start_up_costs_are_found():
+    source = ("from __future__ import annotations\nimport collections\n"
+              "from collections import namedtuple\nfrom typing import NamedTuple\n"
+              "A = collections.namedtuple('A', 'x')\nclass B(namedtuple('B', 'y')): pass\n")
+    assert start_up_costs(source) == [
+        "from __future__ import annotations", "from collections import namedtuple",
+        "collections.namedtuple('A', 'x')", "namedtuple('B', 'y')"]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_modules_defer_no_annotations_and_call_no_namedtuple(path):
+    assert start_up_costs(path.read_text()) == []
+
+
 #: Calls that end the host process, or leave work to run when it ends.
 PROCESS_EXITS = frozenset({"os._exit", "sys.exit", "gc.freeze", "atexit.register"})
 

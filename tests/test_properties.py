@@ -5,6 +5,7 @@ above SUBGROUP_CAP elements falls back to the cyclic group of the first
 element, which keeps the all-pairs reference check below cheap.
 """
 
+import _random
 import itertools
 import math
 import operator
@@ -18,7 +19,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from braidlift import permutations as perms
-from braidlift.acceptance import GRID
+from braidlift.acceptance import GRID, _choice
 from braidlift.arrangement import (
     Swap,
     _hyperplane_at,
@@ -395,11 +396,19 @@ def test_roundtrips_consume_the_randint_stream(G):
 
 
 @PROPERTY_SETTINGS
-@given(st.integers(0, 600), st.integers(0, 2**32))
-def test_bulk_draws_equal_randint(width, seed):
-    rng, reference = Random(seed), Random(seed)
+@given(st.integers(0, 600), st.integers(-2**100, 2**100), st.integers(1, 2**62))
+@example(20, -7, 20)
+@example(20, 2**64 + 1, 3)
+@example(20, 10**29 + 7, 2**40)
+def test_bulk_draws_equal_randint(width, seed, n):
+    # cocycle and verify draw from _random.Random, the C generator that
+    # random.Random subclasses: the same stream from the same integer seed.
+    rng, reference = _random.Random(seed), Random(seed)
     assert [v - 9 for v in _draws(rng, width)] == [reference.randint(-9, 9) for _ in range(width)]
-    assert rng.getstate() == reference.getstate()
+    assert rng.getstate() == reference.getstate()[1]
+    # criterion 6's choice helper
+    assert _choice(rng, range(n)) == reference.choice(range(n))
+    assert rng.getstate() == reference.getstate()[1]
 
 
 @PROPERTY_SETTINGS
