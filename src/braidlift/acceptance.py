@@ -21,6 +21,7 @@ from .classify import (
     free_action_general,
     is_bieberbach_series,
 )
+from .errors import GuardExceeded
 from .lattice import coboundary_roundtrips, fixed_lattice_rank
 from .lifting import element_lifts_fast, oracle_verdicts, subgroup_lifts
 from .monomial import (
@@ -162,18 +163,54 @@ def _choice(rng: Random, seq: list):
     return seq[r]
 
 
+def _distinct_subgroups(desc: GroupDescriptor, spans: "Iterable[list[MonomialElement]]"
+                        ) -> tuple[Subgroup, ...]:
+    """The distinct groups the spans generate, in first-seen order, each as
+    the first span that generates it (``Subgroup`` equality).
+
+    A span H is closed only as far as it could be new.  If the groups found
+    so far hold all its generators, the smallest of them, K, contains H.  A
+    generator of order |K| generates K, so H = K: a cyclic group found before
+    is never closed again.  Otherwise H closes under the cap |K|/2: |H|
+    divides |K| (Lagrange), so a closure that passes the cap is K itself and
+    is dropped; one within it is a proper subgroup of K, kept unless equal
+    to an earlier group.  A span that no found group holds is new.
+    """
+    orders, found, hosts = _orders(desc), {}, {}
+    for gens in spans:
+        held = [K for K in hosts.get(gens[0], ()) if all(g in K.elements for g in gens[1:])]
+        if held:
+            K = min(held, key=len)
+            if any(orders[g] == len(K) for g in gens):
+                continue
+            try:
+                H = closure(desc, gens, len(K) // 2)
+            except GuardExceeded:
+                continue
+        else:
+            H = closure(desc, gens)
+        if H not in found:
+            found[H] = None
+            for h in H.elements:
+                hosts.setdefault(h, []).append(H)
+    return tuple(found)
+
+
 @lru_cache(maxsize=1)
-def _s5_sample_subgroups() -> tuple[PermutationGroup, ...]:
+def _s5_sample_subgroups() -> tuple[Subgroup, ...]:
     """Cyclic subgroups of S_5 plus 50 subgroups spanned by two random 3-cycles.
 
-    Most spans close to an earlier group; each group is kept once, as its
-    first span generates it (``Subgroup`` equality).
+    Each group is kept once, as its first span generates it.  Of the 170
+    spans, 97 give a group found before: a cyclic span <g> is one exactly
+    when a group found before has order(g) elements and holds g, and a span
+    of two 3-cycles held by a group K found before closes under |K|/2 or is
+    K (Lagrange); see ``_distinct_subgroups``.
     """
-    rng = Random(0x5EED)
-    three_cycles = [g for g in perms.all_permutations(5) if perms.order(g) == 3]
-    spans = [[g] for g in perms.all_permutations(5)]
+    desc, rng = _D(1, 1, 5), Random(0x5EED)
+    three_cycles = [w for w in _elements(desc) if _orders(desc)[w] == 3]
+    spans = [[w] for w in _elements(desc)]
     spans += [[_choice(rng, three_cycles), _choice(rng, three_cycles)] for _ in range(50)]
-    return tuple(dict.fromkeys(PermutationGroup(5, gens) for gens in spans))
+    return _distinct_subgroups(desc, spans)
 
 
 def criterion_6() -> CriterionResult:
@@ -190,7 +227,11 @@ def criterion_6() -> CriterionResult:
 
 @lru_cache(maxsize=len(GRID))
 def _cyclic_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
-    return tuple(dict.fromkeys(closure(desc, [w]) for w in _elements(desc)))
+    """The cyclic subgroups <w>, w in enumeration order, each kept once, as
+    its first generator spans it.  <w> is a group found before exactly when
+    one of order order(w) holds w, and is closed only when it is new
+    (``_distinct_subgroups``)."""
+    return _distinct_subgroups(desc, ([w] for w in _elements(desc)))
 
 
 def criterion_7() -> CriterionResult:

@@ -117,6 +117,10 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: "_random.Random") -> Lat
     ``rng.randint(-9, 9)`` (as u = x0 + 9, see _draws), gathers u at the
     targets and at the sources of the forest's edges k -> j, reads c(s)[j] =
     u[j] - u[k] (the shift cancels), and solves as trivialize_cocycle would.
+    One draw per call, same stream: the trips slice one _draws of trips x
+    |A| entries, and as _draws reads the shortest run of outputs that holds
+    the entries, the entries and the generator's final state are those of
+    one _draws per trip.
 
     Every answer is checked on all of G through its generators: what each
     generator fixes, the group they generate fixes.  With y = x - x0,
@@ -143,9 +147,10 @@ def coboundary_roundtrips(G: Subgroup, trips: int, rng: "_random.Random") -> Lat
                 raise InvariantViolation(f"the orbit labels of {G.descriptor} are moved by {s}")
         at_root = itemgetter(*forest.root)
         at_target, at_source = itemgetter(*forest.target, 0, 0), itemgetter(*forest.source, 0, 0)
-    first = None
-    for _ in range(trips):
-        u = _draws(rng, len(forest.root))
+    first, width = None, len(forest.root)
+    draws = _draws(rng, trips * width)
+    for k in range(trips):
+        u = draws[k * width:(k + 1) * width]
         x = _solve_on_generators(forest, map(sub, at_target(u), at_source(u)) if gathers else ())
         # z = u - x = 9 - y is fixed by the same g as y, with entries in
         # [0, 18] when x is right: small ints that Python does not allocate.

@@ -374,7 +374,7 @@ def test_symmetric_image_keeps_the_generators_of_its_group():
     groups = list(_s5_sample_subgroups())
     groups += [image for _, image in _cayley_images()]
     for P in groups:
-        desc = GroupDescriptor(1, 1, P.degree)
+        desc = GroupDescriptor(1, 1, P.descriptor.r)
         assert as_symmetric_subgroup(P) is P
         assert P == closure(desc, list(P))
         assert all(g.descriptor == desc and not any(g.exponents) for g in P)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidlift import cli, lifting
+from braidlift import cli, errors, lifting
 from braidlift.arrangement import format_hyperplane, hyperplanes
 from braidlift.cli import run
 from braidlift.errors import MismatchError
@@ -231,6 +231,36 @@ def test_survey_class_walks_do_not_grow_with_e(capsys):
     rows = json.loads(out)
     assert len(rows) == 20000 and all(row["bieberbach_bruteforce"] for row in rows)
     assert time.perf_counter() - start < 10
+
+
+def test_survey_charges_the_cells_of_its_rows_before_the_first_row(capsys, monkeypatch):
+    # The table holds every row's cells until it prints, so the guard bounds
+    # rows x cells: 10**6 rows of G(1,e,1) are refused before any row is
+    # built, as are 166,667, one row past 10**6 / 6.
+    assert len(cli._classify_row(GroupDescriptor(1, 1, 2))) == cli._ROW_CELLS == 6
+    built = []
+
+    def stub_row(desc, budget=None):
+        built.append(desc)
+        return dict.fromkeys("abcdef", 0)
+
+    monkeypatch.setattr(cli, "_classify_row", stub_row)
+    for grid in ("d<=1,e<=1000000,r<=1", "d<=1,e<=166667,r<=1"):
+        code, out, err = invoke(capsys, "survey", "--grid", grid)
+        assert code == 4 and out == "" and "cells" in err and not built
+    # At a guard of 60, ten rows of six cells pass and eleven do not.
+    monkeypatch.setattr(errors, "ENUMERATION_GUARD", 60)
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=2,e<=5,r<=1")
+    assert code == 0 and len(out.splitlines()) == 1 + 10 and len(built) == 10
+    code, out, _ = invoke(capsys, "survey", "--grid", "d<=1,e<=11,r<=1")
+    assert code == 4 and out == "" and len(built) == 10
+
+
+def test_json_output_is_the_text_of_json_dumps(capsys):
+    # Written in batches of 4,096 chunks: this document has about 30,000.
+    doc = [{"row": k, "cells": [True, None, "é", -k]} for k in range(2000)]
+    cli._print_json(doc)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_survey(capsys):

@@ -19,7 +19,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from braidlift import permutations as perms
-from braidlift.acceptance import GRID, _choice
+from braidlift.acceptance import GRID, _cayley_images, _choice, _distinct_subgroups
 from braidlift.arrangement import (
     Swap,
     _hyperplane_at,
@@ -113,6 +113,21 @@ def subgroups(draw):
         return closure(desc, gens, max_size=SUBGROUP_CAP)
     except GuardExceeded:
         return closure(desc, gens[:1])
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(GRID), st.data())
+def test_distinct_subgroups_equal_every_span_closed_in_full(desc, data):
+    # Spans over a few elements, their powers and products, so that most
+    # spans land in a group found before, as verify's do.
+    a, b = elements(data.draw, desc), elements(data.draw, desc)
+    pool = [a, b, a * a, a * b, a * a * a, identity(desc)]
+    spans = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                               min_size=1, max_size=8))
+    reference = dict.fromkeys(closure(desc, gens) for gens in spans)
+    got = _distinct_subgroups(desc, spans)
+    assert [(G.generators, G.elements) for G in got] == [
+        (G.generators, G.elements) for G in reference]
 
 
 def closed_by_all_pairs(els) -> bool:
@@ -365,8 +380,18 @@ def reference_roundtrips(G, trips, rng):
     return first
 
 
+def affine_z31():
+    """Z/31 : Z/5 in S(31), |A| = 465, unclosed: x -> x + 1 and x -> 2x."""
+    desc = GroupDescriptor.from_deer(1, 1, 31)
+    return Subgroup(desc, [from_permutation(desc, [(x + 1) % 31 for x in range(31)]),
+                           from_permutation(desc, [2 * x % 31 for x in range(31)])])
+
+
 @PROPERTY_SETTINGS
 @given(subgroups(), st.integers(0, 4), st.integers(0, 2**32))
+@example(_cayley_images()[3][1], 4, 0xC0C1)  # verify's Cayley Z/7 : Z/3 in S(21), |A| = 210
+@example(affine_z31(), 4, 5)
+@example(affine_z31(), 3, 123456789012345678901234567890)
 def test_roundtrips_equal_the_per_trip_reference(G, trips, seed):
     rng, reference = Random(seed), Random(seed)
     assert coboundary_roundtrips(G, trips, rng) == reference_roundtrips(G, trips, reference)
