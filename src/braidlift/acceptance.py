@@ -23,11 +23,12 @@ from .classify import (
 )
 from .errors import GuardExceeded
 from .lattice import coboundary_roundtrips, fixed_lattice_rank
-from .lifting import element_lifts_fast, oracle_verdicts, subgroup_lifts
+from .lifting import _cycles_lift, element_lifts_fast, oracle_verdicts, subgroup_lifts
 from .monomial import (
     GroupDescriptor,
     MonomialElement,
     Subgroup,
+    _cycle_order,
     _record,
     closure,
     diagonal,
@@ -63,8 +64,15 @@ def _elements(desc: GroupDescriptor) -> tuple[MonomialElement, ...]:
 
 
 @lru_cache(maxsize=len(GRID))
+def _cycle_data(desc: GroupDescriptor) -> dict[MonomialElement, list[tuple[int, int]]]:
+    """Each element's ``cycle_sums``: its cycles are walked once, for its
+    order and its fast verdict both."""
+    return {w: perms.cycle_sums(w.sigma, w.exponents) for w in _elements(desc)}
+
+
+@lru_cache(maxsize=len(GRID))
 def _orders(desc: GroupDescriptor) -> dict[MonomialElement, int]:
-    return {w: w.order() for w in _elements(desc)}
+    return {w: _cycle_order(sums, desc.de) for w, sums in _cycle_data(desc).items()}
 
 
 @lru_cache(maxsize=len(GRID))
@@ -77,8 +85,9 @@ def criterion_1() -> CriterionResult:
     start = time.perf_counter()
     checked = 0
     for desc in GRID:
+        cycle_data = _cycle_data(desc)
         for w, lifts in _oracle_lifts(desc).items():
-            if lifts != element_lifts_fast(w):
+            if lifts != _cycles_lift(cycle_data[w], desc):  # element_lifts_fast(w)
                 return CriterionResult(1, "oracle/fast equivalence", False,
                                        f"mismatch at {w} in {desc}")
             checked += 1

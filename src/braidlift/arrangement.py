@@ -19,13 +19,16 @@ and j the scalar picks up a sign, which is x = de.
 
 ``hyperplane_permutation`` turns the action of one element into a
 permutation of canonical indices, numbered by arithmetic on the canonical
-order (``_index_permutation``), so it builds neither the arrangement nor an
-index dict; the tests check it against ``act``.  ``_index_coordinates``
-inverts that numbering, and ``_normal_scalar`` tests an element against the
+order (``_index_permutation``, with each row's offset cached per (r, de)),
+so it builds neither the arrangement nor an index dict; the tests check it
+against ``act``.  ``_index_coordinates`` inverts that numbering at one
+index, by a square root, and ``_normal_scalar`` tests an element against the
 plane at those coordinates.  It is the one index-level copy of the
 normal-line rule, beside the reference ``scalar_on_normal`` on Hyperplane
 objects: ``_least_violation`` reads it at the fixed indices of a
-permutation, so both lifting scans of ``lifting`` rest on it and build no
+permutation, which ascend, so it decodes them in one forward walk over the
+rows of pairs, with no square root and no table; both lifting scans of
+``lifting`` rest on it and build no
 Hyperplane either; ``acts_faithfully_on_arrangement`` tests no plane at all,
 only whether an element is central.  ``orbits`` is the one search
 along the generators' permutations: a spanning forest with each index
@@ -114,8 +117,7 @@ def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
     desc = g.descriptor
     r, de = desc.r, desc.de
     sigma, a = g.sigma, g.exponents
-    # row[i] + de * j + t is the index of Swap(i, j, t).
-    row = [de * (i * (2 * r - i - 1) // 2 - i - 1) for i in range(r)]
+    row = _row_offsets(r, de)
     if de == 1:
         # No Coord planes (d = 1); a generator, so no list is held beside the tuple.
         return tuple(row[si] + sj if si < sj else row[sj] + si
@@ -140,6 +142,12 @@ def _index_permutation(g: MonomialElement) -> tuple[int, ...]:
         base = de * r * (r - 1) // 2
         extend([base + k for k in sigma])
     return tuple(out)
+
+
+@lru_cache(maxsize=64)  # one entry per (r, de): verify uses 17
+def _row_offsets(r: int, de: int) -> tuple[int, ...]:
+    """row[i] + de * j + t is the canonical index of Swap(i, j, t)."""
+    return tuple([de * (i * (2 * r - i - 1) // 2 - i - 1) for i in range(r)])
 
 
 def _index_coordinates(k: int, r: int, de: int) -> tuple[int, int | None, int | None]:
@@ -171,10 +179,24 @@ def _normal_scalar(sigma, a, de: int, i: int, j: int | None, t: int | None) -> i
 
 def _least_violation(pi, sigma, a, r: int, de: int) -> int | None:
     """The least index k fixed by pi, the permutation of (sigma, a) on the
-    hyperplane indices, where ``_normal_scalar`` is nontrivial; or None."""
+    hyperplane indices, where ``_normal_scalar`` is nontrivial; or None.
+
+    The fixed indices ascend, so one forward walk decodes them: row i of the
+    pairs ends at pair ``end``, and pair p < end of it is (i, r + p - end)."""
     indices = range(len(pi))
-    return next((k for k in compress(indices, map(eq, pi, indices))
-                 if _normal_scalar(sigma, a, de, *_index_coordinates(k, r, de))), None)
+    swaps, i, end = de * r * (r - 1) // 2, 0, r - 1
+    for k in compress(indices, map(eq, pi, indices)):
+        if k >= swaps:
+            if _normal_scalar(sigma, a, de, k - swaps, None, None):
+                return k
+            continue
+        p, t = divmod(k, de)
+        while p >= end:
+            i += 1
+            end += r - 1 - i
+        if _normal_scalar(sigma, a, de, i, r + p - end, t):
+            return k
+    return None
 
 
 def _hyperplane_at(descriptor: GroupDescriptor, k: int) -> Hyperplane:

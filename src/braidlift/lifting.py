@@ -46,7 +46,7 @@ from .arrangement import (
     orbits,
 )
 from .errors import Budget, InvariantViolation
-from .monomial import MonomialElement, Subgroup, _record, format_element
+from .monomial import GroupDescriptor, MonomialElement, Subgroup, _record, format_element
 from .permutations import compose, cycle_sums
 
 
@@ -156,22 +156,25 @@ def _root_order(exponent: int, de: int) -> int:
 
 
 def element_lifts_fast(w: MonomialElement) -> bool:
-    """Combinatorial test, no hyperplane scan.
+    """Combinatorial test, no hyperplane scan: ``_cycles_lift`` on w's cycle data."""
+    return _cycles_lift(cycle_sums(w.sigma, w.exponents), w.descriptor)
 
-    Case analysis: rank 1 groups embed in Z, so only the identity lifts.
+
+def _cycles_lift(sums: "Iterable[tuple[int, int]]", desc: GroupDescriptor) -> bool:
+    """Whether an element of desc with cycle data ``sums``, the (length L,
+    exponent sum p) pairs of ``cycle_sums``, lifts.
+
     Even order never lifts: order(w) is the lcm of L * ord(zeta^p) over the
-    cycles of sigma, of length L and exponent sum p, so it is even exactly
-    when one of those is.  Otherwise w lifts iff every cycle of length >= 2
-    has p = 0 mod de, so does every fixed point when d >= 2 (its coordinate
-    hyperplane exists), and for any two fixed points i != j the order of
-    zeta^{a_i - a_j} is a multiple of the orders of zeta^{a_i} and
-    zeta^{a_j}.  Stops at the first failing pair (L, p) of ``cycle_sums``.
+    cycles of sigma, so it is even exactly when one of those is.  Otherwise
+    w lifts iff every cycle of length >= 2 has p = 0 mod de, so does every
+    fixed point when d >= 2 (its coordinate hyperplane exists), and for any
+    two fixed points i != j the order of zeta^{a_i - a_j} is a multiple of
+    the orders of zeta^{a_i} and zeta^{a_j}.  In rank 1 only the identity
+    lifts: its one fixed point needs p = 0 when d >= 2, and G(e, e, 1) is
+    trivial.  Stops at the first failing pair.
     """
-    desc = w.descriptor
-    if desc.r == 1:
-        return w.is_identity
     d, de, fixed = desc.d, desc.de, []
-    for length, p in cycle_sums(w.sigma, w.exponents):
+    for length, p in sums:
         p %= de
         if length * _root_order(p, de) % 2 == 0 or (p and (length > 1 or d >= 2)):
             return False
@@ -193,18 +196,19 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     normal line.  So G is scanned once per orbit, at the orbit's least
     hyperplane, the k with root[k] == k in ``orbits``, and if no element
     violates there, G lifts.
-    Otherwise a second scan names the witness: elements in sorted order, each
-    at the ascending fixed indices of its permutation, the forest's for a
-    generator, else numbered (``_index_permutation``): the first violating pair.
+    The first scan decides over ``G.elements`` in any order: the identity's
+    scalar at every plane is trivial, so it needs no skip.  Only when it
+    finds a violation does a second scan, in sorted order, name the witness:
+    each element but the identity at the ascending fixed indices of its
+    permutation, the forest's for a generator, else numbered
+    (``_index_permutation``): the first violating pair.
     The first scan tests by ``_normal_scalar``, the second by
-    ``_least_violation``; neither builds a Hyperplane but the witness, and
-    both skip the identity, which fixes every normal line.
+    ``_least_violation``; neither builds a Hyperplane but the witness.
     The two scans agreeing is a theorem; InvariantViolation if they do not.
     """
     desc = G.descriptor
     r, de = desc.r, desc.de
     subject = f"subgroup of {desc} with {len(G)} elements"
-    others = G.sorted_elements[1:]  # the identity sorts first
     forest = orbits(G)
     root = forest.root
     indices = range(len(root))
@@ -213,11 +217,11 @@ def subgroup_lifts(G: Subgroup) -> LiftReport:
     if not any(
         _normal_scalar(g.sigma, g.exponents, de, i, j, t)
         for i, j, t in (_index_coordinates(k, r, de) for k in representatives)
-        for g in others
+        for g in G.elements
     ):
         return LiftReport(subject, True, None, "oracle", kind="subgroup")
     numbered = dict(zip(G.generators, forest.permutations))
-    for g in others:
+    for g in G.sorted_elements[1:]:  # the identity sorts first
         pi = numbered.get(g) or _index_permutation(g)
         if (k := _least_violation(pi, g.sigma, g.exponents, r, de)) is not None:
             witness = LiftWitness(_hyperplane_at(desc, k), element=g)

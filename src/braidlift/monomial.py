@@ -189,12 +189,16 @@ class MonomialElement(_record("descriptor sigma exponents")):
         On the span of a cycle of length L with exponent sum p (``cycle_sums``),
         w^L acts as the scalar zeta^p, so that block has order L * ord(zeta^p).
         """
-        de = self.descriptor.de
-        return math.lcm(*(L * (de // math.gcd(p, de))
-                          for L, p in perms.cycle_sums(self.sigma, self.exponents)))
+        return _cycle_order(perms.cycle_sums(self.sigma, self.exponents), self.descriptor.de)
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+def _cycle_order(sums: "Iterable[tuple[int, int]]", de: int) -> int:
+    """The order of an element of G(de, e, r) with cycle data ``sums``, the
+    (length, exponent sum) pairs of ``cycle_sums``: see ``MonomialElement.order``."""
+    return math.lcm(*(L * (de // math.gcd(p, de)) for L, p in sums))
 
 
 def identity(descriptor: GroupDescriptor) -> MonomialElement:

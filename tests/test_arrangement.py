@@ -242,7 +242,8 @@ def test_hyperplane_index_is_canonical():
 
 
 def test_arrangement_caches_are_bounded():
-    # The one arrangement cache is hyperplane_permutation's, keyed by element.
+    # hyperplane_permutation evicts at its bound (test_package.py checks
+    # that every cache of the package has one), and stays exact.
     bound = arrangement.HYPERPLANE_CACHE_SIZE
     elements = list(islice(enumerate_elements(D(1, 1, 7)), bound + 6))
     for g in elements:

@@ -2,6 +2,7 @@
 tests, and the names and methods its modules define."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -229,3 +230,48 @@ def test_only_cli_main_ends_the_process():
     found = [(path.stem, *use) for path in sorted(PACKAGE.glob("*.py"))
              for use in process_exits(path.read_text())]
     assert found == [("cli", "main", "os._exit")]
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Each use of ``functools.cache`` or ``lru_cache`` that sets no bound, as
+    source text: ``lru_cache`` bare, called without a ``maxsize``, or with
+    ``maxsize=None``.  Whether a ``maxsize`` expression is finite is left to
+    the caches it builds (``test_every_lru_cache_is_bounded``)."""
+    tree, bounded, found = ast.parse(source), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+            if size and not (isinstance(size[0], ast.Constant) and size[0].value is None):
+                bounded.add(id(node.func))
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "cache" or name == "lru_cache" and id(node) not in bounded:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_unbounded_caches_are_found():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@functools.cache\ndef a(): pass\n@lru_cache\ndef b(): pass\n"
+              "@lru_cache()\ndef c(): pass\n@lru_cache(maxsize=None)\ndef d(): pass\n"
+              "@lru_cache(maxsize=4)\ndef e(): pass\nf = functools.lru_cache(8)(len)\n")
+    assert unbounded_caches(source) == ["functools.cache", "lru_cache", "lru_cache", "lru_cache"]
+
+
+def test_every_lru_cache_is_bounded():
+    # Every cache of the package holds a bounded number of entries, so a
+    # long session in one process stays bounded: no use in the source sets
+    # none, and each cache built, at module level or on a class, has a
+    # finite maxsize.
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert unbounded_caches(path.read_text()) == [], path.name
+        module = importlib.import_module(f"braidlift.{path.stem}" if path.stem != "__init__"
+                                         else "braidlift")
+        owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        for owner in owners:
+            for value in vars(owner).values():
+                if hasattr(value, "cache_parameters"):
+                    found[value.__qualname__] = value.cache_parameters()["maxsize"]
+    assert {"hyperplane_permutation", "_row_offsets", "_cycle_data", "_orders"} <= set(found)
+    assert all(isinstance(size, int) for size in found.values()), found

@@ -846,6 +846,42 @@ def test_index_normal_scalar_equals_the_hyperplane_reference(d_is_one, data):
             assert scalar == (scalar_on_normal(u, H) if stabilizes(u, H) else None)
 
 
+def reference_least_violation(w):
+    """The least canonical k with w in N_{H_k} and a nontrivial scalar on
+    H_k's normal line, over the built arrangement; or None."""
+    return next((k for k, H in enumerate(hyperplanes(w.descriptor))
+                 if stabilizes(w, H) and scalar_on_normal(w, H)), None)
+
+
+def assert_least_violation_decodes(w):
+    desc = w.descriptor
+    got = _least_violation(_index_permutation(w), w.sigma, w.exponents, desc.r, desc.de)
+    assert got == reference_least_violation(w), w
+
+
+@ELEMENT_SETTINGS
+@given(st.data())
+def test_least_violation_equals_the_hyperplane_reference(data):
+    """The ascending decode of the fixed indices, on random elements and
+    their first powers, the identity and a full cycle."""
+    de = data.draw(st.integers(1, 12))
+    e = data.draw(st.sampled_from([k for k in range(1, de + 1) if de % k == 0]))
+    desc = GroupDescriptor.from_deer(de, e, data.draw(st.integers(1, 9)))
+    w = elements(data.draw, desc)
+    full_cycle = from_permutation(desc, perms.from_cycle(desc.r, tuple(range(desc.r))))
+    for u in (*(power(w, m) for m in range(1, 7)), identity(desc), full_cycle):
+        assert_least_violation_decodes(u)
+
+
+@pytest.mark.parametrize("desc", [GroupDescriptor.from_deer(*deer) for deer in (
+    (1, 1, 1), (3, 1, 1), (1, 1, 2), (4, 1, 2), (6, 6, 2),
+    (1, 1, 4), (2, 1, 3), (3, 3, 3), (4, 2, 3))], ids=str)
+def test_least_violation_equals_the_hyperplane_reference_on_every_element(desc):
+    """The same decode on every element of small groups: rank 1 and 2, d = 1 and de = 1."""
+    for w in enumerate_elements(desc):
+        assert_least_violation_decodes(w)
+
+
 def reference_element_lifts_fast(w):
     """The fast criterion's case analysis on the cycles of ``perms.cycles``,
     not on the walk ``cycle_sums`` that it reads."""

@@ -2,8 +2,11 @@
 other route raising, and prints the same bytes.
 
 The combinatorial route reads cycle data: ``permutations.cycle_sums``, the
-fast criterion ``lifting.element_lifts_fast``, and ``MonomialElement.order``,
-which reads ``cycle_sums``.  The oracle route reads stabilizers and normal
+fast criterion ``lifting.element_lifts_fast`` and ``MonomialElement.order``,
+which read ``cycle_sums``, and the rules they call on its output,
+``lifting._cycles_lift`` and ``monomial._cycle_order``; ``verify`` feeds
+those rules from one ``cycle_sums`` per grid element
+(``acceptance._cycle_data``).  The oracle route reads stabilizers and normal
 scalars: ``_normal_scalar``, ``_least_violation``, the numbering
 ``_index_permutation`` and its cache ``hyperplane_permutation``, the action
 ``act``, the orbit forest ``orbits``, and the power walk of ``lifting``
@@ -12,16 +15,18 @@ stand on, which these tests leave alone: the parsers (``parse``), element
 and permutation products (``__mul__``, ``compose``), ``hyperplane_count``,
 closure (``permutations.mulclose``) and the ``Budget`` guards.  A static
 check holds the bodies of the oracle route and of closure to no cycle data,
-and the fast criterion to no oracle function.
+and those of the combinatorial route to no oracle function.
 """
 
 import ast
 import inspect
+import textwrap
 
 import pytest
 
-from braidlift import arrangement, cli, lifting
+from braidlift import acceptance, arrangement, cli, lifting, monomial
 from braidlift import permutations as perms
+from braidlift.lifting import element_lifts_fast
 from braidlift.monomial import MonomialElement
 
 from test_package import names_read
@@ -109,9 +114,16 @@ ORACLE_ROUTE = [
     (lifting, "oracle_verdicts"), (lifting, "subgroup_lifts"),
     (perms, "mulclose"), (perms, "_powers"), (perms, "_extend"),
 ]
-CYCLE_DATA = {"cycle_sums", "cycle_type", "order", "element_lifts_fast"}
-ORACLE_FUNCTIONS = {"_normal_scalar", "_least_violation", "_index_permutation", "act",
-                    "hyperplane_permutation", "orbits"}
+CYCLE_DATA = {"cycle_sums", "cycle_type", "order", "element_lifts_fast", "_cycles_lift",
+              "_cycle_order", "_cycle_data", "_orders"}
+#: The combinatorial route's bodies: each reads cycle data, and no oracle function.
+COMBINATORIAL_ROUTE = [
+    (lifting, "element_lifts_fast"), (lifting, "_cycles_lift"),
+    (MonomialElement, "order"), (monomial, "_cycle_order"),
+    (acceptance, "_cycle_data"), (acceptance, "_orders"),
+]
+ORACLE_FUNCTIONS = {"_normal_scalar", "_least_violation", "_index_permutation", "_row_offsets",
+                    "act", "hyperplane_permutation", "orbits"}
 
 
 def poisoned(name):
@@ -131,7 +143,9 @@ def poison_cycle_data(monkeypatch, keep_cycle_sums=False):
         monkeypatch.setattr(perms, "cycle_sums", poisoned("cycle_sums"))
     monkeypatch.setattr(lifting, "cycle_sums", poisoned("cycle_sums"))
     monkeypatch.setattr(lifting, "element_lifts_fast", poisoned("element_lifts_fast"))
+    monkeypatch.setattr(lifting, "_cycles_lift", poisoned("_cycles_lift"))
     monkeypatch.setattr(MonomialElement, "order", poisoned("MonomialElement.order"))
+    monkeypatch.setattr(monomial, "_cycle_order", poisoned("_cycle_order"))
 
 
 @pytest.mark.parametrize("argv, code", ORACLE_COMMANDS)
@@ -161,8 +175,9 @@ def test_fast_commands_run_without_the_oracle_route(argv, code, capsys, monkeypa
     assert expected[0] == code
 
 
-def body_names(module, name):
-    return names_read(ast.parse(inspect.getsource(getattr(module, name))))
+def body_names(owner, name):
+    """The names read by the body of the function ``name`` of a module or class."""
+    return names_read(ast.parse(textwrap.dedent(inspect.getsource(getattr(owner, name)))))
 
 
 @pytest.mark.parametrize("module, name", ORACLE_ROUTE,
@@ -172,4 +187,15 @@ def test_oracle_route_names_no_cycle_data(module, name):
 
 
 def test_fast_criterion_names_no_oracle_function():
-    assert body_names(lifting, "element_lifts_fast") & ORACLE_FUNCTIONS == set()
+    # The fast criterion, the order and the rules on cycle data that both read.
+    for owner, name in COMBINATORIAL_ROUTE:
+        assert body_names(owner, name) & ORACLE_FUNCTIONS == set(), name
+
+
+@pytest.mark.parametrize("desc", acceptance.GRID, ids=str)
+def test_verify_cycle_data_gives_each_elements_order_and_fast_verdict(desc):
+    # criterion 1 reads _cycles_lift off _cycle_data, criteria 3 and 5 read _orders
+    orders, cycles = acceptance._orders(desc), acceptance._cycle_data(desc)
+    assert list(orders) == list(cycles) == list(acceptance._elements(desc))
+    for w, sums in cycles.items():
+        assert orders[w] == w.order() and lifting._cycles_lift(sums, desc) == element_lifts_fast(w)
